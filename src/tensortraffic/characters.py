@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (IllConditionedError, InvalidArgumentError,
                      ResourceLimitError)
 from .operands import TensorOperand
-from .sampling import MCReport, RngStream, sample_haar_unitary
+from .sampling import MCReport, haar_sweep
 from .words import StarWord, is_trivial
 
 LEG_GUARD_BITS = 16  # d * log2(N) <= 16 for dense leg-permutation operators
@@ -101,7 +101,6 @@ def normalized_character(sig: Signature, u: np.ndarray) -> complex:
 
 
 def _min_gap(z: np.ndarray) -> float:
-    zs = np.sort_complex(z)
     return float(min(np.min(np.abs(np.subtract.outer(z, z))
                             + 2.0 * np.eye(len(z))), 2.0))
 
@@ -112,6 +111,28 @@ def character_reference(sig: Signature, u: np.ndarray) -> complex:
     """
     tr = np.trace(u) / u.shape[0]
     return complex(tr ** len(sig.lam) * np.conj(tr) ** len(sig.mu))
+
+
+def character_sweep(sig: Signature, n: int, samples: int, seed: int = 0,
+                    word: StarWord | None = None):
+    """Normalized character chi on Haar samples: of U itself, or of the word
+    in the Haar letters U_1..U_K, K = word.alphabet. Returns (the report of
+    chi, the mean of |chi|, the mean of |chi - character_reference|).
+    """
+    def sample(us, rng):
+        u = us[0] if word is None else _evaluate_mixed_letter_matrix(word, us)
+        chi = normalized_character(sig, u)
+        return chi, abs(chi - character_reference(sig, u))
+
+    t0 = time.perf_counter()
+    letters = 1 if word is None else word.alphabet
+    values = haar_sweep(sample, n, letters, samples, seed)
+    chis = values[:, 0]
+    ref_error = 0.0
+    for err in values[:, 1].real:  # np.sum's pairwise order moves last digits
+        ref_error += err
+    return (MCReport.from_samples(chis, n, time.perf_counter() - t0),
+            float(np.mean(np.abs(chis))), float(ref_error / samples))
 
 
 # --------------------------------------------------------------------------
@@ -241,12 +262,8 @@ def left_regular_check(word: PermutationWord, k: int, n: int, samples: int,
     if word.trivial:
         raise InvalidArgumentError("the word is trivial")
     d = len(word.perm)
-    t0 = time.perf_counter()
-    values = np.empty(samples, dtype=np.complex128)
-    base = RngStream(seed)
-    for s in range(samples):
-        rng = base.child(s).generator()
-        us = [sample_haar_unitary(n, rng) for _ in range(k)]
+
+    def sample(us, rng):
         x = _evaluate_mixed_letter_matrix(word.free_part, us)
         lhs = permuted_tensor_trace([x] * d, word.perm)
         rhs = 1.0 + 0.0j
@@ -256,12 +273,11 @@ def left_regular_check(word: PermutationWord, k: int, n: int, samples: int,
         if abs(lhs - rhs) > tol * max(1.0, abs(lhs)):
             raise IllConditionedError(
                 f"cycle factorization violated: |delta| = {abs(lhs - rhs):.2e}")
-        values[s] = lhs
-    mean = complex(values.mean())
-    stderr = float(math.sqrt(values.real.var(ddof=1) / samples
-                             + values.imag.var(ddof=1) / samples)) \
-        if samples > 1 else 0.0
-    return MCReport(mean, stderr, samples, n, time.perf_counter() - t0)
+        return lhs
+
+    t0 = time.perf_counter()
+    values = haar_sweep(sample, n, k, samples, seed)
+    return MCReport.from_samples(values, n, time.perf_counter() - t0)
 
 
 # --------------------------------------------------------------------------
@@ -347,3 +363,30 @@ def _index_of(sigma, k):
         if v == k:
             return i
     raise InvalidArgumentError("malformed permutation")
+
+
+def amalgam_sweep(word: StarWord, d: int, n: int, samples: int,
+                  seed: int = 0) -> MCReport:
+    """Mean norm of E_{S_d}[prod over the word of (U^{x d} - E_{S_d}[U^{x d}])],
+    the conditional expectation of the centered tensor-power word onto the
+    span of leg permutations, over Haar letters U_1..U_K.
+    """
+    if is_trivial(word):
+        raise InvalidArgumentError("the probe word is trivial")
+
+    def sample(us, rng):
+        prod = None
+        for idx, star in word.letters:
+            u = us[idx - 1].conj().T if star else us[idx - 1]
+            x = np.eye(1, dtype=np.complex128)
+            for _ in range(d):
+                x = np.kron(x, u)
+            ex = conditional_expectation_sd(TensorOperand.factored([u] * d), d, n)
+            centered = x - ex.to_dense()
+            prod = centered if prod is None else prod @ centered
+        projected = conditional_expectation_sd(prod, d, n)
+        return float(np.linalg.norm(np.array(list(projected.coefficients.values()))))
+
+    t0 = time.perf_counter()
+    values = haar_sweep(sample, n, word.alphabet, samples, seed)
+    return MCReport.from_samples(values, n, time.perf_counter() - t0)

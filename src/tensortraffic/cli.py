@@ -18,23 +18,18 @@ import numpy as np
 from . import __version__
 from .errors import (InvalidArgumentError, NumericalFailureError,
                      ResourceLimitError, TensorTrafficError)
-from .graphs import (LinearGraph, canonical_form, graph_from_json,
-                     load_graph, minimal_graph, quotient)
+from .graphs import LinearGraph, component_count, load_graph
 from .invariants import (classify_labeling, cutting_edges, forest_of_tec,
                          is_forest_of_cacti, is_well_oriented, leaf_count)
-from .graphs import component_count
 from .operands import StateSpec, TensorOperand
 from .partitions import SetPartition, enumerate_partitions, mobius
 from .traces import (contraction_plan, decompose_invariant_state, graph_trace,
                      injective_graph_trace, reconstruction_value, tau_trace,
                      zeta_trace)
-from .words import StarWord, is_trivial
+from .words import StarWord
 from .haar import haar_limit_injective, predict_freeness_limit
-from .sampling import (RngStream, mc_run, norm_absorption_demo,
-                       sample_haar_unitary)
-from .characters import (Signature, character_reference,
-                         conditional_expectation_sd, leg_permutation,
-                         normalized_character)
+from .sampling import RngStream, apply_state, mc_run, norm_absorption_demo
+from .characters import Signature, amalgam_sweep, character_sweep
 
 MC_CSV_COLUMNS = ("N", "estimate_re", "estimate_im", "stderr", "variance",
                   "samples")
@@ -70,6 +65,13 @@ def _parse_ints(text: str) -> list[int]:
             from exc
 
 
+def _parse_blocks(text: str) -> tuple[int, int, int]:
+    blocks = _parse_ints(text)
+    if len(blocks) != 3:
+        raise InvalidArgumentError(f"--blocks needs K1,K2,K3: {text!r}")
+    return tuple(blocks)
+
+
 def _load_operand(path: str, n_hint=None) -> TensorOperand:
     """Operand file: .npy stack of K complex matrices, or a JSON list of
     matrices whose entries are numbers or [re, im] pairs.
@@ -81,15 +83,19 @@ def _load_operand(path: str, n_hint=None) -> TensorOperand:
         if arr.ndim == 2:
             arr = arr[None]
         return TensorOperand.factored(list(np.asarray(arr, dtype=np.complex128)))
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    mats = []
-    for entry in doc:
-        rows = []
-        for row in entry:
-            rows.append([complex(v[0], v[1]) if isinstance(v, list) else complex(v)
-                         for v in row])
-        mats.append(np.array(rows, dtype=np.complex128))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        mats = []
+        for entry in doc:
+            rows = []
+            for row in entry:
+                rows.append([complex(v[0], v[1]) if isinstance(v, list)
+                             else complex(v) for v in row])
+            mats.append(np.array(rows, dtype=np.complex128))
+    except (IndexError, TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"malformed operand file {path!r}: {exc}") \
+            from exc
     return TensorOperand.factored(mats)
 
 
@@ -101,12 +107,18 @@ def _state_for(name: str, k: int, n: int):
     if name in ("diagonal", "diagonal_uniform"):
         return StateSpec("diagonal_uniform", k=k, n=n)
     if name.endswith(".json"):
-        with open(name, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if int(doc["K"]) != k:
+        try:
+            with open(name, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+            file_k = int(doc["K"])
+            coeffs = {SetPartition.from_string(rgs): complex(v[0], v[1])
+                      for rgs, v in doc["coefficients"].items()}
+        except (OSError, AttributeError, IndexError, KeyError, TypeError,
+                ValueError) as exc:
+            raise InvalidArgumentError(
+                f"malformed coefficient file {name!r}: {exc}") from exc
+        if file_k != k:
             raise InvalidArgumentError("coefficient file K does not match blocks")
-        coeffs = {SetPartition.from_string(rgs): complex(v[0], v[1])
-                  for rgs, v in doc["coefficients"].items()}
         return StateSpec("elementary_combination", k=k, n=n, coeffs=coeffs)
     raise InvalidArgumentError(f"unknown state {name!r}")
 
@@ -178,7 +190,6 @@ def _cmd_decompose(args) -> int:
             [rng.standard_normal((args.n, args.n))
              + 1j * rng.standard_normal((args.n, args.n))
              for _ in range(args.k)])
-        from .traces import apply_state
         worst = max(worst, abs(apply_state(state, probe)
                                - reconstruction_value(coeffs, probe)))
     if worst > 1e-9:
@@ -197,12 +208,11 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_predict(args) -> int:
     word = StarWord.parse(args.word)
+    k1, k2, k3 = _parse_blocks(args.blocks)
     if args.graph:
         graph, _ = load_graph(args.graph)
     else:
-        k = sum(_parse_ints(args.blocks))
-        graph = LinearGraph(1, tuple((0, 0) for _ in range(k)))
-    k1, k2, k3 = _parse_ints(args.blocks)
+        graph = LinearGraph(1, tuple((0, 0) for _ in range(k1 + k2 + k3)))
     cert = predict_freeness_limit(word, graph, k1, k2, k3,
                                   include_variance_graph=args.variance)
     _emit(args, _json_text(cert.to_json()))
@@ -223,7 +233,7 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    k1, k2, k3 = _parse_ints(args.blocks)
+    k1, k2, k3 = _parse_blocks(args.blocks)
     k = k1 + k2 + k3
     word = StarWord.parse(args.word)
     dims = _parse_ints(args.dims)
@@ -256,31 +266,10 @@ def _cmd_character(args) -> int:
     word = StarWord.parse(args.word) if args.word else None
     rows = []
     for n in _parse_ints(args.dims):
-        base = RngStream(args.seed)
-        vals = np.empty(args.samples, dtype=np.complex128)
-        err = 0.0
-        for s in range(args.samples):
-            rng = base.child(s).generator()
-            if word is None:
-                u = sample_haar_unitary(n, rng)
-            else:
-                k = word.alphabet
-                us = [sample_haar_unitary(n, rng) for _ in range(k)]
-                # letters act as U_1..U_K and their entrywise conjugates
-                u = np.eye(n, dtype=np.complex128)
-                for idx, star in word.letters:
-                    m = us[(idx - 1) % k] if idx <= k else np.conj(us[idx - k - 1])
-                    u = u @ (m.conj().T if star else m)
-            chi = normalized_character(sig, u)
-            vals[s] = chi
-            err += abs(chi - character_reference(sig, u))
-        mean = vals.mean()
-        stderr = float(np.sqrt(vals.real.var(ddof=1) / args.samples
-                               + vals.imag.var(ddof=1) / args.samples)) \
-            if args.samples > 1 else 0.0
-        rows.append((n, float(np.mean(np.abs(vals))), float(mean.real),
-                     float(mean.imag), stderr, float(err / args.samples),
-                     args.samples))
+        chi, mean_abs, ref_error = character_sweep(sig, n, args.samples,
+                                                   args.seed, word)
+        rows.append((n, mean_abs, chi.estimate.real, chi.estimate.imag,
+                     chi.stderr, ref_error, args.samples))
     if args.format == "json":
         _emit(args, _json_text({"lambda": list(lam), "mu": list(mu),
                                 "word": args.word, "seed": args.seed,
@@ -293,35 +282,12 @@ def _cmd_character(args) -> int:
 
 def _cmd_amalgam(args) -> int:
     word = StarWord.parse(args.word)
-    if is_trivial(word):
-        raise InvalidArgumentError("the probe word is trivial")
-    d = args.d
     rows = []
     for n in _parse_ints(args.dims):
-        base = RngStream(args.seed)
-        norms = np.empty(args.samples)
-        for s in range(args.samples):
-            rng = base.child(s).generator()
-            us = [sample_haar_unitary(n, rng) for _ in range(word.alphabet)]
-            prod = None
-            for idx, star in word.letters:
-                u = us[idx - 1].conj().T if star else us[idx - 1]
-                x = np.eye(1, dtype=np.complex128)
-                for _ in range(d):
-                    x = np.kron(x, u)
-                ex = conditional_expectation_sd(
-                    TensorOperand.factored([u] * d), d, n)
-                centered = x - ex.to_dense()
-                prod = centered if prod is None else prod @ centered
-            projected = conditional_expectation_sd(prod, d, n)
-            vec = np.array(list(projected.coefficients.values()))
-            norms[s] = float(np.linalg.norm(vec))
-        rows.append((n, float(norms.mean()),
-                     float(norms.std(ddof=1) / np.sqrt(args.samples))
-                     if args.samples > 1 else 0.0,
-                     args.samples))
+        rep = amalgam_sweep(word, args.d, n, args.samples, args.seed)
+        rows.append((n, rep.estimate.real, rep.stderr, args.samples))
     if args.format == "json":
-        _emit(args, _json_text({"word": word.to_string(), "d": d,
+        _emit(args, _json_text({"word": word.to_string(), "d": args.d,
                                 "seed": args.seed,
                                 "rows": [dict(zip(AMALGAM_CSV_COLUMNS, r))
                                          for r in rows]}))
@@ -423,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--v-mode", choices=("perm", "haar"), default="perm",
                    help="third-block family: permutation tensors or Haar")
-    p.add_argument("--threads", type=int, default=max(1, os.cpu_count() or 1),
+    p.add_argument("--threads", type=int, default=1,
                    help="worker threads (results do not depend on this)")
     common(p, fmt_default="csv")
     p.set_defaults(func=_cmd_mc)
@@ -436,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", required=True)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--word", help="optional word over U letters (conjugates "
-                                  "addressed as letters K+1..2K)")
+    p.add_argument("--word", help="optional word over the Haar letters "
+                                  "U_1..U_K, K the highest letter used")
     common(p, fmt_default="csv")
     p.set_defaults(func=_cmd_character)
 

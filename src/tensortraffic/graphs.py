@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
-from .partitions import SetPartition
+from .partitions import SetPartition, find_root, union_roots
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,6 @@ class LinearGraph:
             out.add(s)
             out.add(t)
         return out
-
-    def isolated_vertices(self) -> tuple[int, ...]:
-        touched = self.touched_vertices()
-        return tuple(v for v in range(self.vertex_count) if v not in touched)
 
 
 def minimal_graph(k: int) -> LinearGraph:
@@ -105,20 +101,11 @@ def disjoint_union(a: LinearGraph, b: LinearGraph) -> LinearGraph:
 def connected_components(graph: LinearGraph) -> list[frozenset[int]]:
     """Vertex sets of undirected connected components, isolated vertices included."""
     parent = list(range(graph.vertex_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for s, t in graph.edges:
-        rs, rt = find(s), find(t)
-        if rs != rt:
-            parent[max(rs, rt)] = min(rs, rt)
+        union_roots(parent, s, t)
     groups: dict[int, set[int]] = {}
     for v in range(graph.vertex_count):
-        groups.setdefault(find(v), set()).add(v)
+        groups.setdefault(find_root(parent, v), set()).add(v)
     return [frozenset(groups[r]) for r in sorted(groups)]
 
 
@@ -148,17 +135,15 @@ def graph_from_json(doc: dict):
     try:
         graph = LinearGraph(int(doc["vertices"]),
                             tuple((int(s), int(t)) for s, t in doc["edges"]))
-    except (KeyError, TypeError) as exc:
+        if "labels" not in doc:
+            return graph, None
+        delta = tuple(int(d) for d in doc["labels"]["delta"])
+        eps = tuple(e == "s" for e in doc["labels"]["eps"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"malformed graph document: {exc}") from exc
-    labels = None
-    if "labels" in doc:
-        lab = doc["labels"]
-        delta = tuple(int(d) for d in lab["delta"])
-        eps = tuple(e == "s" for e in lab["eps"])
-        if len(delta) != graph.order or len(eps) != graph.order:
-            raise InvalidArgumentError("label arity does not match edge count")
-        labels = (delta, eps)
-    return graph, labels
+    if len(delta) != graph.order or len(eps) != graph.order:
+        raise InvalidArgumentError("label arity does not match edge count")
+    return graph, (delta, eps)
 
 
 def load_graph(path: str):
@@ -167,9 +152,3 @@ def load_graph(path: str):
             return graph_from_json(json.load(fh))
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidArgumentError(f"cannot read graph {path!r}: {exc}") from exc
-
-
-def save_graph(path: str, graph: LinearGraph, labels=None):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_json(graph, labels), fh, sort_keys=True)
-        fh.write("\n")

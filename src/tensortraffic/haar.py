@@ -8,6 +8,7 @@ contribution vanishes.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,7 +20,7 @@ from .graphs import (LinearGraph, adjoint_graph, canonical_form,
                      disjoint_union, quotient)
 from .invariants import (VALID, cactus_cycles, classify_labeling,
                          eta_of_split, leaf_count)
-from .operands import TensorOperand
+from .operands import TensorOperand, permutation_matrix
 from .partitions import SetPartition, enumerate_partitions
 from .traces import injective_graph_trace
 from .words import StarWord, free_reduce, is_trivial
@@ -384,18 +385,6 @@ class SplittingReport:
     degenerate: bool      # both sides vanish for dimensional reasons
 
 
-def _permutation_matrix(perm) -> np.ndarray:
-    n = len(perm)
-    p = np.zeros((n, n))
-    p[list(perm), np.arange(n)] = 1.0
-    return p
-
-
-def _conjugate_factored(operand: TensorOperand, p: np.ndarray) -> TensorOperand:
-    return TensorOperand(operand.n, operand.legs, terms=[
-        (w, [p @ f @ p.T for f in fs]) for w, fs in operand.terms])
-
-
 def _joint_operand(b1: TensorOperand, b2: TensorOperand, ids1, ids2,
                    order: int) -> TensorOperand:
     """Interleave the factors of b1/b2 into edge positions ids1/ids2."""
@@ -419,9 +408,6 @@ def splitting_identity_check(tprime: LinearGraph, color, b1: TensorOperand,
     with B2 averaged over permutation conjugations (exactly for mode="exact",
     which needs N <= 5; by sampling otherwise).
     """
-    import itertools as _it
-    from math import factorial as _fact
-
     n = b1.n
     color = tuple(color)
     ids1 = tuple(i for i, c in enumerate(color) if c == 1)
@@ -433,7 +419,7 @@ def splitting_identity_check(tprime: LinearGraph, color, b1: TensorOperand,
     nv = tprime.vertex_count
     if nv > n:
         return SplittingReport(0j, 0j, 0.0, None, True)
-    weight = _fact(n - nv) / _fact(n)
+    weight = math.factorial(n - nv) / math.factorial(n)
     rhs = weight * injective_graph_trace(t1, b1, letter_of_edge=range(b1.legs)) \
         * injective_graph_trace(t2, b2, letter_of_edge=range(b2.legs))
     if mode == "exact":
@@ -441,8 +427,8 @@ def splitting_identity_check(tprime: LinearGraph, color, b1: TensorOperand,
             raise ResourceLimitError("exact permutation averaging capped at N = 5")
         total = 0j
         count = 0
-        for perm in _it.permutations(range(n)):
-            conj = _conjugate_factored(b2, _permutation_matrix(perm))
+        for perm in itertools.permutations(range(n)):
+            conj = b2.conjugated_by(permutation_matrix(perm))
             joint = _joint_operand(b1, conj, ids1, ids2, tprime.order)
             total += injective_graph_trace(tprime, joint)
             count += 1
@@ -452,7 +438,7 @@ def splitting_identity_check(tprime: LinearGraph, color, b1: TensorOperand,
     rng = np.random.default_rng(seed)
     vals = np.empty(samples, dtype=np.complex128)
     for i in range(samples):
-        conj = _conjugate_factored(b2, _permutation_matrix(rng.permutation(n)))
+        conj = b2.conjugated_by(permutation_matrix(rng.permutation(n)))
         joint = _joint_operand(b1, conj, ids1, ids2, tprime.order)
         vals[i] = injective_graph_trace(tprime, joint)
     lhs = vals.mean()

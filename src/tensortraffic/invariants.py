@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import InvalidArgumentError
 from .graphs import LinearGraph, quotient, minimal_graph
-from .partitions import SetPartition, leq
+from .partitions import SetPartition, find_root, leq, union_roots
 
 SIMPLE_CYCLE_EDGE_CAP = 16
 
@@ -97,25 +97,16 @@ class ForestOfTEC:
 def forest_of_tec(graph: LinearGraph) -> ForestOfTEC:
     bridges = cutting_edges(graph)
     parent = list(range(graph.vertex_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for eid, (s, t) in enumerate(graph.edges):
         if eid not in bridges:
-            rs, rt = find(s), find(t)
-            if rs != rt:
-                parent[max(rs, rt)] = min(rs, rt)
-    roots = sorted({find(v) for v in range(graph.vertex_count)})
+            union_roots(parent, s, t)
+    roots = sorted({find_root(parent, v) for v in range(graph.vertex_count)})
     index = {r: i for i, r in enumerate(roots)}
     comps: list[set[int]] = [set() for _ in roots]
     for v in range(graph.vertex_count):
-        comps[index[find(v)]].add(v)
-    fedges = tuple((index[find(graph.edges[eid][0])],
-                    index[find(graph.edges[eid][1])], eid)
+        comps[index[find_root(parent, v)]].add(v)
+    fedges = tuple((index[find_root(parent, graph.edges[eid][0])],
+                    index[find_root(parent, graph.edges[eid][1])], eid)
                    for eid in sorted(bridges))
     return ForestOfTEC(tuple(frozenset(c) for c in comps), fedges)
 
@@ -370,26 +361,17 @@ def _component_nodes(sub: LinearGraph, color: int) -> list[CCGNode]:
     forest = forest_of_tec(sub)
     # group TEC components into connected components of `sub`
     parent = list(range(len(forest.components)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b, _ in forest.forest_edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+        union_roots(parent, a, b)
     groups: dict[int, list[int]] = {}
     for i in range(len(forest.components)):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(find_root(parent, i), []).append(i)
     nodes = []
     for root in sorted(groups):
         tecs = groups[root]
         verts = frozenset().union(*(forest.components[i] for i in tecs))
         n_bridges = sum(1 for a, b, _ in forest.forest_edges
-                        if find(a) == root)
+                        if find_root(parent, a) == root)
         # leaf count of this component alone: degrees within the component
         if n_bridges == 0:
             leaves = 2

@@ -18,6 +18,14 @@ from .partitions import SetPartition
 DENSE_GUARD_BITS = 16  # K * log2(N) <= 16 for dense storage
 
 
+def permutation_matrix(perm) -> np.ndarray:
+    """Real N x N matrix of a permutation of 0..N-1: column j is e_{perm[j]}."""
+    n = len(perm)
+    p = np.zeros((n, n))
+    p[np.asarray(perm), np.arange(n)] = 1.0
+    return p
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=np.complex128)
     out.setflags(write=False)
@@ -86,10 +94,6 @@ class TensorOperand:
     @classmethod
     def identity(cls, n, legs) -> "TensorOperand":
         return cls.factored([np.eye(n)] * legs)
-
-    @property
-    def is_factored(self) -> bool:
-        return self.terms is not None
 
     def to_dense(self) -> np.ndarray:
         """Materialize as an N^K x N^K matrix (guarded)."""

@@ -171,34 +171,37 @@ def meet(p: SetPartition, q: SetPartition) -> SetPartition:
                                     for i in range(p.n)]))
 
 
+def find_root(parent: list[int], x: int) -> int:
+    """Root of x in the union-find forest `parent`, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def union_roots(parent: list[int], x: int, y: int):
+    """Merge the sets of x and y; the smaller root becomes the root."""
+    rx, ry = find_root(parent, x), find_root(parent, y)
+    if rx != ry:
+        parent[max(rx, ry)] = min(rx, ry)
+
+
 def join(p: SetPartition, q: SetPartition) -> SetPartition:
     """Finest common coarsening, via union-find on overlapping blocks."""
     _check_same_ground(p, q)
     parent = list(range(p.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
     first_p: dict[int, int] = {}
     first_q: dict[int, int] = {}
     for i in range(p.n):
         if p.rgs[i] in first_p:
-            union(first_p[p.rgs[i]], i)
+            union_roots(parent, first_p[p.rgs[i]], i)
         else:
             first_p[p.rgs[i]] = i
         if q.rgs[i] in first_q:
-            union(first_q[q.rgs[i]], i)
+            union_roots(parent, first_q[q.rgs[i]], i)
         else:
             first_q[q.rgs[i]] = i
-    return SetPartition(_normalize([find(i) for i in range(p.n)]))
+    return SetPartition(_normalize([find_root(parent, i) for i in range(p.n)]))
 
 
 def mobius(p: SetPartition, q: SetPartition) -> int:

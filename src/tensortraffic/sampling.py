@@ -7,6 +7,7 @@ matter how samples are scheduled across workers.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -14,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .operands import StateSpec, TensorOperand
+from .operands import TensorOperand, permutation_matrix
 from .traces import apply_state  # re-exported: states live next to traces
 from .words import StarWord, is_trivial
 
 __all__ = [
-    "RngStream", "MCReport", "sample_haar_unitary", "sample_permutation_matrix",
+    "RngStream", "MCReport", "sample_haar_unitary", "haar_sweep",
     "build_w_family", "evaluate_word", "apply_state", "mc_expectation",
     "mc_variance", "mc_run", "symmetrize", "norm_absorption_demo",
     "NormDemoReport",
@@ -50,6 +51,19 @@ class MCReport:
     n: int
     wallclock: float  # informational; never part of primary outputs
 
+    @classmethod
+    def from_samples(cls, values: np.ndarray, n: int,
+                     wallclock: float) -> "MCReport":
+        """Sample mean with its standard error; complex samples add the
+        variances of their real and imaginary parts."""
+        samples = len(values)
+        if np.iscomplexobj(values):
+            stderr = math.sqrt(values.real.var(ddof=1) / samples
+                               + values.imag.var(ddof=1) / samples)
+        else:
+            stderr = float(values.std(ddof=1) / math.sqrt(samples))
+        return cls(complex(values.mean()), stderr, samples, n, wallclock)
+
     def within(self, target: complex, k: float = 3.0, floor: float = 1e-12) -> bool:
         return abs(self.estimate - target) <= k * self.stderr + floor
 
@@ -67,20 +81,6 @@ def sample_haar_unitary(n: int, rng) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
-
-
-def sample_permutation_matrix(n: int, rng) -> np.ndarray:
-    if isinstance(rng, RngStream):
-        rng = rng.generator()
-    p = np.zeros((n, n))
-    p[rng.permutation(n), np.arange(n)] = 1.0
-    return p
-
-
-def _shift_matrix(n: int, s: int) -> np.ndarray:
-    p = np.zeros((n, n))
-    p[(np.arange(n) + s) % n, np.arange(n)] = 1.0
-    return p
 
 
 def build_w_family(u_family, v_family, k1: int, k2: int, k3: int):
@@ -131,66 +131,69 @@ def evaluate_word(family, word: StarWord) -> TensorOperand:
 # Monte-Carlo harness
 # --------------------------------------------------------------------------
 
-def _sample_value(state, word, k1, k2, k3, letters, n, stream, v_mode):
-    rng = stream.generator()
-    us = [sample_haar_unitary(n, rng) for _ in range(letters)]
+def haar_sweep(fn, n: int, letters: int, samples: int, seed: int,
+               threads: int = 1) -> np.ndarray:
+    """Sample s of a sweep is fn(us, rng): rng is the generator of the
+    counter-based stream RngStream(seed, s), and us are the first `letters`
+    Haar unitaries drawn from it; fn may draw more from rng. Returns
+    np.array of the samples in order, independent of `threads`.
+    """
+    if samples < 2:
+        raise InvalidArgumentError("need samples >= 2")
+
+    def one(s):
+        rng = RngStream(seed, s).generator()
+        return fn([sample_haar_unitary(n, rng) for _ in range(letters)], rng)
+
+    if threads > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            return np.array(list(pool.map(one, range(samples))))
+    return np.array([one(s) for s in range(samples)])
+
+
+def _sample_value(state, word, blocks, v_mode, us, rng):
+    k1, k2, k3 = blocks
+    n = us[0].shape[0]
     vs = None
     if k3:
         vs = []
-        for ell in range(letters):
+        for ell in range(len(us)):
             if v_mode == "haar":
                 vs.append([sample_haar_unitary(n, rng) for _ in range(k3)])
             else:  # deterministic tensor products of permutation matrices
-                vs.append([_shift_matrix(n, ell + 1 + leg) for leg in range(k3)])
+                vs.append([permutation_matrix((np.arange(n) + ell + 1 + leg) % n)
+                           for leg in range(k3)])
     family = build_w_family(us, vs, k1, k2, k3)
     return apply_state(state, evaluate_word(family, word))
 
 
-def _collect_samples(state, word, blocks, n, samples, seed, v_mode, threads):
-    k1, k2, k3 = blocks
-    letters = word.alphabet
-    base = RngStream(seed)
+def mc_run(state, word: StarWord, blocks, n: int, samples: int,
+           seed: int = 0, v_mode: str = "perm", threads: int = 1):
+    """One sampling sweep of state(word(W)) reported both ways:
+    (expectation, variance). The variance report carries the spread of the
+    variance estimator itself as its standard error.
+    """
+    t0 = time.perf_counter()
     if is_trivial(word):
-        k = k1 + k2 + k3
-        ident = apply_state(state, TensorOperand.identity(n, k))
-        return np.full(samples, ident, dtype=np.complex128)
-    values = np.empty(samples, dtype=np.complex128)
-    if threads and threads > 1:
-        def work(s):
-            return s, _sample_value(state, word, k1, k2, k3, letters, n,
-                                    base.child(s), v_mode)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            for s, val in pool.map(work, range(samples)):
-                values[s] = val
+        ident = apply_state(state, TensorOperand.identity(n, sum(blocks)))
+        values = haar_sweep(lambda us, rng: ident, n, 0, samples, seed)
     else:
-        for s in range(samples):
-            values[s] = _sample_value(state, word, k1, k2, k3, letters, n,
-                                      base.child(s), v_mode)
-    return values
-
-
-def _report_from_values(values, n, elapsed) -> MCReport:
-    samples = len(values)
-    mean = complex(values.mean())
-    if samples > 1:
-        var_re = values.real.var(ddof=1) / samples
-        var_im = values.imag.var(ddof=1) / samples
-        stderr = math.sqrt(var_re + var_im)
-    else:
-        stderr = 0.0
-    return MCReport(mean, float(stderr), samples, n, elapsed)
+        values = haar_sweep(
+            lambda us, rng: _sample_value(state, word, blocks, v_mode, us, rng),
+            n, word.alphabet, samples, seed, threads)
+    elapsed = time.perf_counter() - t0
+    sq = np.abs(values - values.mean()) ** 2
+    spread = MCReport.from_samples(sq, n, elapsed).stderr
+    return (MCReport.from_samples(values, n, elapsed),
+            MCReport(float(sq.sum() / (samples - 1)), spread, samples, n,
+                     elapsed))
 
 
 def mc_expectation(state, word: StarWord, blocks, n: int, samples: int,
                    seed: int = 0, v_mode: str = "perm",
                    threads: int = 1) -> MCReport:
     """Mean of state(word(W)) over independent resamplings of the families."""
-    if samples < 2:
-        raise InvalidArgumentError("need samples >= 2")
-    t0 = time.perf_counter()
-    values = _collect_samples(state, word, blocks, n, samples, seed, v_mode,
-                              threads)
-    return _report_from_values(values, n, time.perf_counter() - t0)
+    return mc_run(state, word, blocks, n, samples, seed, v_mode, threads)[0]
 
 
 def mc_variance(state, word: StarWord, blocks, n: int, samples: int,
@@ -199,42 +202,12 @@ def mc_variance(state, word: StarWord, blocks, n: int, samples: int,
     """Sample variance of state(word(W)), with the spread of the variance
     estimator itself as the reported standard error.
     """
-    if samples < 2:
-        raise InvalidArgumentError("need samples >= 2")
-    t0 = time.perf_counter()
-    values = _collect_samples(state, word, blocks, n, samples, seed, v_mode,
-                              threads)
-    sq = np.abs(values - values.mean()) ** 2
-    var = float(sq.sum() / (len(values) - 1))
-    stderr = float(sq.std(ddof=1) / math.sqrt(len(values)))
-    return MCReport(var, stderr, samples, n, time.perf_counter() - t0)
-
-
-def mc_run(state, word: StarWord, blocks, n: int, samples: int,
-           seed: int = 0, v_mode: str = "perm", threads: int = 1):
-    """One sampling sweep reported both ways: (expectation, variance)."""
-    if samples < 2:
-        raise InvalidArgumentError("need samples >= 2")
-    t0 = time.perf_counter()
-    values = _collect_samples(state, word, blocks, n, samples, seed, v_mode,
-                              threads)
-    elapsed = time.perf_counter() - t0
-    expect = _report_from_values(values, n, elapsed)
-    sq = np.abs(values - values.mean()) ** 2
-    var = float(sq.sum() / (len(values) - 1)) if len(values) > 1 else 0.0
-    var_err = float(sq.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-    return expect, MCReport(var, var_err, samples, n, elapsed)
+    return mc_run(state, word, blocks, n, samples, seed, v_mode, threads)[1]
 
 
 # --------------------------------------------------------------------------
 # symmetrization (exact or sampled group averaging)
 # --------------------------------------------------------------------------
-
-def _conjugate_operand(operand: TensorOperand, u: np.ndarray) -> TensorOperand:
-    uh = u.conj().T
-    return TensorOperand(operand.n, operand.legs, terms=[
-        (w, [u @ f @ uh for f in fs]) for w, fs in operand.terms])
-
 
 def symmetrize(target, n: int, group: str = "sn_exact", samples: int = 200,
                seed: int = 0, k: int | None = None):
@@ -244,23 +217,17 @@ def symmetrize(target, n: int, group: str = "sn_exact", samples: int = 200,
     "un_sampled" (Haar conjugations). States come back as callables; operands
     come back as weighted sums of conjugated factored terms.
     """
-    import itertools as _it
-    import math as _math
-
     if group == "sn_exact":
         if n > 5:
             raise ResourceLimitError("exact symmetric-group averaging capped at N = 5")
-        perms = list(_it.permutations(range(n)))
-        mats = []
-        for perm in perms:
-            p = np.zeros((n, n))
-            p[list(perm), np.arange(n)] = 1.0
-            mats.append(p)
-        weights = [1.0 / _math.factorial(n)] * len(mats)
+        mats = [permutation_matrix(perm)
+                for perm in itertools.permutations(range(n))]
+        weights = [1.0 / math.factorial(n)] * len(mats)
     else:
         rng = RngStream(seed).generator()
         if group == "sn_sampled":
-            mats = [sample_permutation_matrix(n, rng) for _ in range(samples)]
+            mats = [permutation_matrix(rng.permutation(n))
+                    for _ in range(samples)]
         elif group == "un_sampled":
             mats = [sample_haar_unitary(n, rng) for _ in range(samples)]
         else:
@@ -270,14 +237,14 @@ def symmetrize(target, n: int, group: str = "sn_exact", samples: int = 200,
     if isinstance(target, TensorOperand):
         terms = []
         for weight, u in zip(weights, mats):
-            conj = _conjugate_operand(target, u)
+            conj = target.conjugated_by(u)
             terms.extend((weight * w, fs) for w, fs in conj.terms)
         return TensorOperand.sum_of_factored(target.n, target.legs, terms)
 
     def averaged(operand: TensorOperand) -> complex:
         total = 0j
         for weight, u in zip(weights, mats):
-            total += weight * apply_state(target, _conjugate_operand(operand, u))
+            total += weight * apply_state(target, operand.conjugated_by(u))
         return complex(total)
 
     return averaged

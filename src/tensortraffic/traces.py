@@ -24,7 +24,7 @@ from .errors import (InvalidArgumentError, NotInvariantError,
                      ProbeFailureError, ResourceLimitError)
 from .graphs import LinearGraph, component_count, minimal_graph, quotient
 from .invariants import forest_of_tec, leaf_count
-from .operands import StateSpec, TensorOperand
+from .operands import StateSpec, TensorOperand, permutation_matrix
 from .partitions import SetPartition, enumerate_partitions, leq, mobius
 
 INJECTIVE_VERTEX_CAP = 9  # Bell(9) = 21147 quotient evaluations
@@ -312,11 +312,6 @@ def injective_trace_stack(graph: LinearGraph, mats, n) -> np.ndarray:
     return total
 
 
-def injective_plan_width(graph: LinearGraph) -> int:
-    """Worst contraction width across the Möbius expansion (for batch sizing)."""
-    return max(contraction_plan(q).width for _, q in _injective_expansion(graph))
-
-
 def naive_graph_trace(graph: LinearGraph, operand: TensorOperand,
                       letter_of_edge=None, injective=False) -> complex:
     """Direct summation over all (or all injective) vertex labelings.
@@ -540,10 +535,7 @@ def _check_invariance(psi, k, n, seed, checks, tol):
         factors = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                    for _ in range(k)]
         a = TensorOperand.factored(factors)
-        perm = rng.permutation(n)
-        p = np.zeros((n, n))
-        p[perm, np.arange(n)] = 1.0
-        conj = TensorOperand.factored([p @ f @ p.T for f in factors])
+        conj = a.conjugated_by(permutation_matrix(rng.permutation(n)))
         base, moved = apply_state(psi, a), apply_state(psi, conj)
         if abs(base - moved) > tol * max(1.0, abs(base)):
             raise NotInvariantError(

@@ -62,11 +62,6 @@ class StarWord:
         return StarWord(tuple((idx, not star) for idx, star
                               in reversed(self.letters)), self.alphabet)
 
-    def star_flipped(self) -> "StarWord":
-        """Same order, every exponent flipped (entrywise adjoint labels)."""
-        return StarWord(tuple((idx, not star) for idx, star in self.letters),
-                        self.alphabet)
-
     def __mul__(self, other: "StarWord") -> "StarWord":
         return StarWord(self.letters + other.letters,
                         max(self.alphabet, other.alphabet))

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from tensortraffic.characters import (PermutationWord, Signature,
-                                      character_reference,
+                                      amalgam_sweep, character_reference,
+                                      character_sweep,
                                       conditional_expectation_sd,
                                       cycle_factorization_check, cycles_of,
                                       leg_permutation, left_regular_check,
@@ -98,6 +99,68 @@ def test_character_error_halves_with_n():
                          - character_reference(sig, u))
         errs[n] = total / 60
     assert errs[64] <= 0.6 * errs[32]
+
+
+def _reference_letters(n, k, seed, s):
+    """The K Haar letters of sample s, drawn one by one from its stream."""
+    gen = RngStream(seed, s).generator()
+    return [sample_haar_unitary(n, gen) for _ in range(k)]
+
+
+def test_character_sweep_matches_reference_loop():
+    sig = Signature((1,), (1,))
+    n, samples, seed = 8, 400, 12
+    chi, mean_abs, ref_error = character_sweep(sig, n, samples, seed)
+    vals = np.empty(samples, dtype=np.complex128)
+    err = 0.0
+    for s in range(samples):
+        u = sample_haar_unitary(n, RngStream(seed, s))
+        vals[s] = normalized_character(sig, u)
+        err += abs(vals[s] - character_reference(sig, u))
+    assert chi.estimate == complex(vals.mean())
+    assert chi.stderr == math.sqrt(
+        vals.real.var(ddof=1) / samples + vals.imag.var(ddof=1) / samples)
+    assert mean_abs == float(np.mean(np.abs(vals)))
+    assert ref_error == err / samples
+    # Schur orthogonality: the (1),(1) character of a Haar U has mean 0
+    assert chi.within(0.0, k=4.0)
+
+
+def test_character_sweep_of_a_word_matches_reference_loop():
+    sig = Signature((2,), ())
+    word = StarWord.parse("1,2*,1")
+    n, samples, seed = 6, 30, 4
+    chi, mean_abs, _ = character_sweep(sig, n, samples, seed, word=word)
+    vals = []
+    for s in range(samples):
+        u1, u2 = _reference_letters(n, 2, seed, s)
+        vals.append(normalized_character(sig, np.eye(n) @ u1 @ u2.conj().T @ u1))
+    vals = np.array(vals)
+    assert chi.estimate == complex(vals.mean())
+    assert mean_abs == float(np.mean(np.abs(vals)))
+
+
+def test_amalgam_sweep_matches_reference_loop():
+    word, d, n, samples, seed = StarWord.parse("1,2"), 2, 4, 5, 3
+    rep = amalgam_sweep(word, d, n, samples, seed)
+    norms = np.empty(samples)
+    for s in range(samples):
+        prod = None
+        for u in _reference_letters(n, 2, seed, s):
+            ex = conditional_expectation_sd(TensorOperand.factored([u, u]), d, n)
+            centered = np.kron(u, u) - ex.to_dense()
+            prod = centered if prod is None else prod @ centered
+        proj = conditional_expectation_sd(prod, d, n)
+        norms[s] = np.linalg.norm(np.array(list(proj.coefficients.values())))
+    assert rep.estimate == norms.mean()
+    assert rep.stderr == norms.std(ddof=1) / math.sqrt(samples)
+
+
+def test_sweeps_reject_fewer_than_two_samples():
+    with pytest.raises(InvalidArgumentError):
+        character_sweep(Signature((1,), ()), 4, 1)
+    with pytest.raises(InvalidArgumentError):
+        amalgam_sweep(StarWord.parse("1"), 2, 4, 0)
 
 
 # --- leg permutations -----------------------------------------------------

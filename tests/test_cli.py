@@ -215,3 +215,36 @@ def test_version_flag():
         [sys.executable, "-m", "tensortraffic.cli", "--version"],
         capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+MALFORMED_FILES = {
+    "no_coefficients.json": {"K": 1},
+    "no_k.json": {"coefficients": {"0,0": [1.0, 0.0]}},
+    "no_eps.json": {"vertices": 1, "edges": [[0, 0]],
+                    "labels": {"delta": [1]}},
+    "no_delta.json": {"vertices": 1, "edges": [[0, 0]],
+                      "labels": {"eps": ["u"]}},
+    "loop.json": {"vertices": 1, "edges": [[0, 0]]},
+    "bad_operand.json": [[["x"]]],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc", "--state", "tracial", "--word", "1", "--blocks", "1,0",
+     "--dims", "4", "--samples", "4"],
+    ["predict", "--word", "1,2", "--blocks", "1,0"],
+    ["decompose", "--state", "@no_coefficients.json", "--k", "1", "--n", "2"],
+    ["decompose", "--state", "@no_k.json", "--k", "1", "--n", "2"],
+    ["invariants", "--graph", "@no_eps.json"],
+    ["limit", "--graph", "@no_delta.json"],
+    ["trace", "--graph", "@loop.json", "--operand", "@bad_operand.json"],
+    ["character", "--lambda", "1", "--dims", "4", "--samples", "0"],
+    ["amalgam", "--d", "2", "--word", "1,2", "--dims", "4", "--samples", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_malformed_input_exits_2(argv, tmp_path, capsys):
+    for name, doc in MALFORMED_FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2, err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -1,0 +1,42 @@
+"""Source hygiene: every name a module imports is used in that module."""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "tensortraffic"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that the module never reads.
+
+    A name counts as used when it appears as a Name, as the root of an
+    attribute chain, or in the module's __all__. __future__ imports are
+    directives, not bindings.
+    """
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= {elt.value for elt in node.value.elts}
+    return [name for name in imported if name not in used]
+
+
+def test_unused_import_scan_flags_only_unused_names():
+    source = ("from __future__ import annotations\n"
+              "import os, sys\nfrom json import dumps, loads as ld\n"
+              "import numpy.linalg\n"
+              "__all__ = ['dumps']\nprint(sys.argv, numpy.linalg.norm)\n")
+    assert unused_imports(source) == ["os", "ld"]
+
+
+def test_no_unused_imports_in_package():
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert not {k: v for k, v in found.items() if v}, found
