@@ -371,6 +371,8 @@ def amalgam_sweep(word: StarWord, d: int, n: int, samples: int,
     the conditional expectation of the centered tensor-power word onto the
     span of leg permutations, over Haar letters U_1..U_K.
     """
+    if n <= d:
+        raise InvalidArgumentError(f"need N > d (got N = {n}, d = {d})")
     if is_trivial(word):
         raise InvalidArgumentError("the probe word is trivial")
 

@@ -65,6 +65,13 @@ def _parse_ints(text: str) -> list[int]:
             from exc
 
 
+def _parse_dims(text: str) -> list[int]:
+    dims = _parse_ints(text)
+    if not dims:
+        raise InvalidArgumentError(f"--dims needs at least one N: {text!r}")
+    return dims
+
+
 def _parse_blocks(text: str) -> tuple[int, int, int]:
     blocks = _parse_ints(text)
     if len(blocks) != 3:
@@ -236,7 +243,7 @@ def _cmd_mc(args) -> int:
     k1, k2, k3 = _parse_blocks(args.blocks)
     k = k1 + k2 + k3
     word = StarWord.parse(args.word)
-    dims = _parse_ints(args.dims)
+    dims = _parse_dims(args.dims)
     if sorted(dims) != dims or len(set(dims)) != len(dims):
         raise InvalidArgumentError("--dims must be strictly increasing")
     rows = []
@@ -265,7 +272,7 @@ def _cmd_character(args) -> int:
     sig = Signature(lam, mu)
     word = StarWord.parse(args.word) if args.word else None
     rows = []
-    for n in _parse_ints(args.dims):
+    for n in _parse_dims(args.dims):
         chi, mean_abs, ref_error = character_sweep(sig, n, args.samples,
                                                    args.seed, word)
         rows.append((n, mean_abs, chi.estimate.real, chi.estimate.imag,
@@ -283,7 +290,7 @@ def _cmd_character(args) -> int:
 def _cmd_amalgam(args) -> int:
     word = StarWord.parse(args.word)
     rows = []
-    for n in _parse_ints(args.dims):
+    for n in _parse_dims(args.dims):
         rep = amalgam_sweep(word, args.d, n, args.samples, args.seed)
         rows.append((n, rep.estimate.real, rep.stderr, args.samples))
     if args.format == "json":

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import InvalidArgumentError, ResourceLimitError
 from .graphs import (LinearGraph, adjoint_graph, canonical_form,
                      disjoint_union, quotient)
-from .invariants import (VALID, cactus_cycles, classify_labeling,
-                         eta_of_split, leaf_count)
+from .invariants import (VALID, cactus_cycles, classify_labeling, leaf_count,
+                         split_by_color, splitting_exponent)
 from .operands import TensorOperand, permutation_matrix
 from .partitions import SetPartition, enumerate_partitions
 from .traces import injective_graph_trace
@@ -163,7 +163,7 @@ def haar_limit_injective(graph: LinearGraph, delta, eps) -> Fraction:
 # quotient ledger and the vanishing certificate
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass
 class QuotientEntry:
     partition: str        # restricted-growth string of a representative
     multiplicity: int
@@ -232,37 +232,27 @@ def predict_freeness_limit(word: StarWord, base: LinearGraph, k1: int,
             f"(linearized graph has {graph.vertex_count})")
     delta, eps = t1_labels(lin)
     base_leaves = leaf_count(graph)
-    ledger: dict = {}
-    reps: dict = {}
+    ledger: dict = {}  # canonical form -> entry of its first quotient
     for pi in enumerate_partitions(graph.vertex_count):
         tprime = quotient(graph, pi)
         key = canonical_form(tprime)
         if key in ledger:
-            ledger[key] += 1
+            ledger[key].multiplicity += 1
             continue
-        ledger[key] = 1
         t1, t2, _, _ = split_graphs(tprime, lin)
         validity = classify_labeling(t1, delta, eps)
         coeff = haar_limit_injective(t1, delta, eps) if validity == VALID \
             else Fraction(0)
         lt, l1, l2 = leaf_count(tprime), leaf_count(t1), leaf_count(t2)
-        reps[key] = QuotientEntry(
+        ledger[key] = QuotientEntry(
             partition=pi.to_string(),
             multiplicity=1,
-            eta=eta_of_split(t1, t2, tprime),
+            eta=splitting_exponent(lt, l1, l2, tprime.vertex_count),
             leaves_total=lt, leaves_t1=l1, leaves_t2=l2,
             leaf_defect=base_leaves - lt,
             validity=validity,
             limit_coefficient=coeff)
-    entries = []
-    for key, entry in reps.items():
-        entries.append(QuotientEntry(
-            partition=entry.partition, multiplicity=ledger[key],
-            eta=entry.eta, leaves_total=entry.leaves_total,
-            leaves_t1=entry.leaves_t1, leaves_t2=entry.leaves_t2,
-            leaf_defect=entry.leaf_defect, validity=entry.validity,
-            limit_coefficient=entry.limit_coefficient))
-    entries.sort(key=lambda e: e.partition)
+    entries = sorted(ledger.values(), key=lambda e: e.partition)
     verdict = "VANISHES" if not any(e.dangerous for e in entries) \
         else "INCONCLUSIVE"
     return FreenessCertificate(word.to_string(), (k1, k2, k3),
@@ -414,8 +404,7 @@ def splitting_identity_check(tprime: LinearGraph, color, b1: TensorOperand,
     ids2 = tuple(i for i, c in enumerate(color) if c == 2)
     if len(ids1) != b1.legs or len(ids2) != b2.legs:
         raise InvalidArgumentError("coloring does not match operand legs")
-    t1 = LinearGraph(tprime.vertex_count, tuple(tprime.edges[i] for i in ids1))
-    t2 = LinearGraph(tprime.vertex_count, tuple(tprime.edges[i] for i in ids2))
+    t1, t2 = split_by_color(tprime, color)
     nv = tprime.vertex_count
     if nv > n:
         return SplittingReport(0j, 0j, 0.0, None, True)

@@ -439,19 +439,20 @@ def ccg_balance(ccg: ColoredComponentGraph) -> int:
 
 
 def eta(graph: LinearGraph, color) -> Fraction:
-    """Splitting exponent (L(T1) + L(T2) - L(T') - 2|V'|) / 2.
+    """Splitting exponent of a two-coloring of the graph's edges.
 
     Nonpositive for every coloring arising from the word-linearization
     pipeline; arbitrary colorings carry no such guarantee.
     """
     t1, t2 = split_by_color(graph, color)
-    return Fraction(leaf_count(t1) + leaf_count(t2) - leaf_count(graph)
-                    - 2 * graph.vertex_count, 2)
+    return splitting_exponent(leaf_count(graph), leaf_count(t1), leaf_count(t2),
+                              graph.vertex_count)
 
 
-def eta_of_split(t1: LinearGraph, t2: LinearGraph, whole: LinearGraph) -> Fraction:
-    return Fraction(leaf_count(t1) + leaf_count(t2) - leaf_count(whole)
-                    - 2 * whole.vertex_count, 2)
+def splitting_exponent(leaves_total: int, leaves_t1: int, leaves_t2: int,
+                       vertices: int) -> Fraction:
+    """(L(T1) + L(T2) - L(T') - 2|V'|) / 2 from the three leaf counts."""
+    return Fraction(leaves_t1 + leaves_t2 - leaves_total - 2 * vertices, 2)
 
 
 def leaf_monotonicity_check(pi: SetPartition, pi2: SetPartition, k: int) -> bool:

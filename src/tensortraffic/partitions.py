@@ -224,38 +224,23 @@ def mobius(p: SetPartition, q: SetPartition) -> int:
 
 
 def interval(p: SetPartition, q: SetPartition) -> list[SetPartition]:
-    """All partitions s with p <= s <= q.
+    """All partitions s with p <= s <= q, in `enumerate_partitions` order.
 
-    Built directly: coarsenings of p's blocks within each block of q.
+    Built directly: the interval is the product, over the blocks of q, of
+    the partition lattices on the p-blocks each one contains.
     """
     if not leq(p, q):
         raise InvalidArgumentError("interval requires p <= q")
-    # For each q-block, all ways of coarsening the p-blocks it contains.
-    pb = p.blocks()
-    per_block = []
-    for qb in q.blocks():
-        inner = sorted({p.rgs[pos - 1] for pos in qb})
-        choices = []
-        for grouping in _set_partitions_of_range(len(inner)):
-            blocks = [set(itertools.chain.from_iterable(
-                pb[inner[i]] for i in grp)) for grp in grouping]
-            choices.append(blocks)
-        per_block.append(choices)
+    inner: dict[int, list[int]] = {}  # q-block -> its p-blocks, ascending
+    for b, block in enumerate(p.blocks()):
+        inner.setdefault(q.rgs[block[0] - 1], []).append(b)
     out = []
-    for combo in itertools.product(*per_block):
-        blocks = [blk for choice in combo for blk in choice]
-        out.append(SetPartition.from_blocks(p.n, blocks))
-    return out
-
-
-def _set_partitions_of_range(m: int) -> list[list[list[int]]]:
-    """All partitions of {0,..,m-1} as lists of index lists."""
-    if m == 0:
-        return [[]]
-    out = []
-    for sub in _set_partitions_of_range(m - 1):
-        for i, blk in enumerate(sub):
-            out.append([b + [m - 1] if j == i else list(b)
-                        for j, b in enumerate(sub)])
-        out.append([list(b) for b in sub] + [[m - 1]])
+    for combo in itertools.product(
+            *(enumerate_partitions(len(bs)) for bs in inner.values())):
+        label = [None] * p.num_blocks  # p-block -> (q-block, sub-block)
+        for qb, (bs, sub) in enumerate(zip(inner.values(), combo)):
+            for b, r in zip(bs, sub.rgs):
+                label[b] = (qb, r)
+        out.append(SetPartition(_normalize([label[b] for b in p.rgs])))
+    out.sort(key=lambda s: s.rgs)
     return out

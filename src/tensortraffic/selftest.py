@@ -12,8 +12,7 @@ import numpy as np
 from .graphs import LinearGraph, canonical_form, minimal_graph, quotient
 from .haar import haar_limit_injective, splitting_identity_check
 from .operands import TensorOperand
-from .partitions import (SetPartition, enumerate_partitions, interval, leq,
-                         mobius)
+from .partitions import SetPartition, enumerate_partitions, interval, mobius
 from .traces import (decompose_invariant_state, graph_trace,
                      injective_graph_trace, naive_graph_trace)
 from .characters import cycle_factorization_check
@@ -49,19 +48,15 @@ def run_selftest():
     for pi in parts:
         lhs = graph_trace(quotient(base, pi), op2)
         rhs = sum(injective_graph_trace(quotient(base, pi2), op2)
-                  for pi2 in parts if leq(pi, pi2))
+                  for pi2 in interval(pi, SetPartition.full(4)))
         ok = ok and abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
     checks.append(("elementary-vs-injective", ok))
 
     ok = True
     for m in range(1, 5):
         for q in enumerate_partitions(m):
-            for p in enumerate_partitions(m):
-                if not leq(p, q):
-                    continue
-                box = interval(p, q)
-                rec = _mobius_recursive(p, q, box)
-                ok = ok and rec == mobius(p, q)
+            for p in interval(SetPartition.discrete(m), q):
+                ok = ok and _mobius_recursive(p, q) == mobius(p, q)
     checks.append(("mobius-closed-form", ok))
 
     forms = {canonical_form(quotient(base, pi)) for pi in parts}
@@ -108,7 +103,7 @@ def run_selftest():
     return all(ok for _, ok in checks), lines
 
 
-def _mobius_recursive(p, q, box, memo=None):
+def _mobius_recursive(p, q, memo=None):
     """Defining recursion: mu(p, p) = 1, sum_{p <= s <= q} mu(p, s) = 0."""
     if memo is None:
         memo = {}
@@ -118,8 +113,8 @@ def _mobius_recursive(p, q, box, memo=None):
     if key in memo:
         return memo[key]
     total = 0
-    for s in box:
-        if s != q and leq(s, q):
-            total += _mobius_recursive(p, s, box, memo)
+    for s in interval(p, q):
+        if s != q:
+            total += _mobius_recursive(p, s, memo)
     memo[key] = -total
     return -total

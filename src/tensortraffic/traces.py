@@ -25,7 +25,7 @@ from .errors import (InvalidArgumentError, NotInvariantError,
 from .graphs import LinearGraph, component_count, minimal_graph, quotient
 from .invariants import forest_of_tec, leaf_count
 from .operands import StateSpec, TensorOperand, permutation_matrix
-from .partitions import SetPartition, enumerate_partitions, leq, mobius
+from .partitions import SetPartition, enumerate_partitions, interval, mobius
 
 INJECTIVE_VERTEX_CAP = 9  # Bell(9) = 21147 quotient evaluations
 
@@ -334,23 +334,6 @@ def naive_graph_trace(graph: LinearGraph, operand: TensorOperand,
 
 
 # --------------------------------------------------------------------------
-# Möbius conversion between elementary and injective tables over P(2K)
-# --------------------------------------------------------------------------
-
-def plain_from_injective_table(table: dict) -> dict:
-    """Given pi -> injective value, return pi -> elementary value."""
-    keys = list(table)
-    return {pi: sum(table[pi2] for pi2 in keys if leq(pi, pi2)) for pi in keys}
-
-
-def injective_from_plain_table(table: dict) -> dict:
-    """Given pi -> elementary value, return pi -> injective value."""
-    keys = list(table)
-    return {pi: sum(mobius(pi, pi2) * table[pi2]
-                    for pi2 in keys if leq(pi, pi2)) for pi in keys}
-
-
-# --------------------------------------------------------------------------
 # renormalized forms
 # --------------------------------------------------------------------------
 
@@ -508,8 +491,9 @@ def decompose_invariant_state(psi, k: int, n: int, *, check_invariance=True,
     forms indexed by partitions of [2K].
 
     The state is probed on one elementary matrix tensor per kernel class,
-    then Möbius inversion turns the table into coefficients. Requires
-    N >= 2K so that every kernel class has a representative multi-index.
+    then Möbius inversion over each interval [discrete, pi] turns the table
+    into coefficients. Requires N >= 2K so that every kernel class has a
+    representative multi-index.
     """
     if n < 2 * k:
         raise InvalidArgumentError(f"need N >= 2K = {2 * k} (got N = {n})")
@@ -525,8 +509,9 @@ def decompose_invariant_state(psi, k: int, n: int, *, check_invariance=True,
             arr[vals[leg], vals[k + leg]] = 1.0
             factors.append(arr)
         probes[pi] = apply_state(psi, TensorOperand.factored(factors))
+    discrete = SetPartition.discrete(2 * k)
     return {pi: sum(probes[pi2] * mobius(pi2, pi)
-                    for pi2 in parts if leq(pi2, pi)) for pi in parts}
+                    for pi2 in interval(discrete, pi)) for pi in parts}
 
 
 def _check_invariance(psi, k, n, seed, checks, tol):

@@ -240,6 +240,11 @@ MALFORMED_FILES = {
     ["trace", "--graph", "@loop.json", "--operand", "@bad_operand.json"],
     ["character", "--lambda", "1", "--dims", "4", "--samples", "0"],
     ["amalgam", "--d", "2", "--word", "1,2", "--dims", "4", "--samples", "0"],
+    ["mc", "--state", "tracial", "--word", "1", "--blocks", "1,0,0",
+     "--dims", ",", "--samples", "4"],
+    ["character", "--lambda", "1", "--dims", ",", "--samples", "4"],
+    ["amalgam", "--d", "2", "--word", "1,2", "--dims", ",", "--samples", "4"],
+    ["amalgam", "--d", "2", "--word", "1,2", "--dims", "2", "--samples", "4"],
 ], ids=lambda argv: " ".join(argv))
 def test_malformed_input_exits_2(argv, tmp_path, capsys):
     for name, doc in MALFORMED_FILES.items():

@@ -130,6 +130,16 @@ def test_mobius_bottom_to_top_factorial():
         assert val == (-1) ** (n - 1) * math.factorial(n - 1)
 
 
+def test_interval_equals_leq_scan_in_enumeration_order():
+    for n in range(1, 7):
+        parts = enumerate_partitions(n)
+        for p in parts:
+            for q in parts:
+                if leq(p, q):
+                    assert interval(p, q) == \
+                        [s for s in parts if leq(p, s) and leq(s, q)]
+
+
 def test_dual_inversion_roundtrip():
     rng = np.random.default_rng(7)
     for n in (3, 4, 5):

@@ -9,14 +9,13 @@ from tensortraffic.errors import (InvalidArgumentError, NotInvariantError,
 from tensortraffic.graphs import LinearGraph, minimal_graph, quotient
 from tensortraffic.invariants import leaf_count
 from tensortraffic.operands import StateSpec, TensorOperand
-from tensortraffic.partitions import SetPartition, enumerate_partitions, leq
+from tensortraffic.partitions import (SetPartition, enumerate_partitions, leq,
+                                      mobius)
 from tensortraffic.traces import (apply_state, contraction_plan,
                                   decompose_invariant_state,
                                   extract_expectation_exact, graph_trace,
-                                  injective_from_plain_table,
                                   injective_graph_trace, injective_trace_stack,
                                   ms_optimality_witness, naive_graph_trace,
-                                  plain_from_injective_table,
                                   randomized_coefficient_extract,
                                   reconstruction_value, tau_trace, zeta_trace)
 
@@ -134,18 +133,6 @@ def test_elementary_as_sum_of_injective(rng):
             rhs = sum(injective_graph_trace(quotient(base, pi2), op)
                       for pi2 in parts if leq(pi, pi2))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
-
-
-def test_mobius_table_roundtrip_exact():
-    # exact integers: the two table conversions invert each other
-    rng = np.random.default_rng(5)
-    for k in (1, 2):
-        parts = enumerate_partitions(2 * k)
-        table = {pi: int(rng.integers(-40, 40)) for pi in parts}
-        assert injective_from_plain_table(plain_from_injective_table(table)) \
-            == table
-        assert plain_from_injective_table(injective_from_plain_table(table)) \
-            == table
 
 
 def test_batched_stack_matches_scalar(rng):
@@ -289,6 +276,35 @@ def test_decompose_reconstructs_entangled_state(rng):
         op = random_operand(rng, n, k)
         assert abs(apply_state(spec, op) - reconstruction_value(coeffs, op)) \
             <= 1e-9
+
+
+def leq_scan_decomposition(psi, k, n):
+    """Reference for decompose_invariant_state: the same probes, inverted by
+    scanning all of P(2K) with leq instead of walking intervals."""
+    parts = enumerate_partitions(2 * k)
+    probes = {}
+    for pi in parts:
+        factors = []
+        for leg in range(k):
+            arr = np.zeros((n, n))
+            arr[pi.rgs[leg], pi.rgs[k + leg]] = 1.0
+            factors.append(arr)
+        probes[pi] = apply_state(psi, TensorOperand.factored(factors))
+    return {pi: sum(probes[pi2] * mobius(pi2, pi)
+                    for pi2 in parts if leq(pi2, pi)) for pi in parts}
+
+
+# the entangled-pair state needs an even number of legs
+@pytest.mark.parametrize("kind,k", [
+    ("tracial", 2), ("tracial", 3), ("max_entangled_vector", 2),
+    ("diagonal_uniform", 2), ("diagonal_uniform", 3)])
+def test_decompose_equals_leq_scan_reference(kind, k):
+    for n in (2 * k, 2 * k + 1):
+        spec = StateSpec(kind, k=k, n=n)
+        coeffs = decompose_invariant_state(spec, k, n)
+        # same keys, same order, and == values: the sums add in one order
+        assert list(coeffs.items()) == \
+            list(leq_scan_decomposition(spec, k, n).items())
 
 
 def test_decompose_rejects_non_invariant():

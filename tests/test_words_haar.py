@@ -195,6 +195,17 @@ def test_predict_commutator():
     assert sum(e.multiplicity for e in cert.entries) == 15
 
 
+def test_predict_dedup_merges_quotients_of_isolated_vertices():
+    # base vertices 0 and 1 are isolated: quotients that place them
+    # differently among the touched vertices are isomorphic, and the ledger
+    # folds the 15 quotients of the 4 vertices into 6 entries
+    base = LinearGraph(3, ((2, 2),))
+    cert = predict_freeness_limit(StarWord.parse("1,2"), base, 1, 0, 0)
+    assert len(cert.entries) == 6
+    assert sum(e.multiplicity for e in cert.entries) == 15  # B(4)
+    assert max(e.multiplicity for e in cert.entries) == 5
+
+
 def test_predict_rejects_trivial_word():
     with pytest.raises(InvalidArgumentError):
         predict_freeness_limit(StarWord.parse("1,1*"), LOOP1, 1, 0, 0)
