@@ -146,6 +146,20 @@ def _check_perm(sigma) -> tuple[int, ...]:
     return sigma
 
 
+def inverse_permutation(sigma) -> tuple[int, ...]:
+    """sigma^{-1} of a permutation of 0..d-1, given as its image tuple."""
+    out = [0] * len(sigma)
+    for k, img in enumerate(sigma):
+        out[img] = k
+    return tuple(out)
+
+
+def _check_leg_guard(d: int, n: int):
+    if d * math.log2(n) > LEG_GUARD_BITS and n > 1:
+        raise ResourceLimitError(
+            f"dense leg permutation guarded at d*log2(N) <= {LEG_GUARD_BITS}")
+
+
 def leg_permutation(sigma, n: int) -> np.ndarray:
     """Dense operator permuting the tensor legs: basis vector
     e_{i_1} x ... x e_{i_d} maps to the vector whose k-th leg is leg
@@ -153,15 +167,10 @@ def leg_permutation(sigma, n: int) -> np.ndarray:
     """
     sigma = _check_perm(sigma)
     d = len(sigma)
-    if d * math.log2(n) > LEG_GUARD_BITS and n > 1:
-        raise ResourceLimitError(
-            f"dense leg permutation guarded at d*log2(N) <= {LEG_GUARD_BITS}")
+    _check_leg_guard(d, n)
     op = np.eye(n ** d).reshape((n,) * (2 * d))
-    inv = [0] * d
-    for k, img in enumerate(sigma):
-        inv[img] = k
     # output axis k reads input leg sigma^{-1}(k)
-    perm = [inv[k] for k in range(d)] + list(range(d, 2 * d))
+    perm = list(inverse_permutation(sigma)) + list(range(d, 2 * d))
     return op.transpose(perm).reshape(n ** d, n ** d)
 
 
@@ -175,9 +184,7 @@ def permuted_tensor_trace(mats, sigma) -> complex:
     if len(mats) != d:
         raise InvalidArgumentError("need one matrix per leg")
     n = mats[0].shape[0]
-    inv = [0] * d
-    for k, img in enumerate(sigma):
-        inv[img] = k
+    inv = inverse_permutation(sigma)
     args = []
     for k in range(d):
         args.append(np.asarray(mats[k], dtype=np.complex128))
@@ -304,24 +311,26 @@ class PermutationSpanOperator:
 
 
 def _operand_legs(a, d, n):
+    """A TensorOperand, or the N^d x N^d matrix of a dense input."""
     if isinstance(a, TensorOperand):
         if a.legs != d or a.n != n:
             raise InvalidArgumentError("operand does not match (d, N)")
         return a
     if isinstance(a, np.ndarray) and a.shape == (n ** d, n ** d):
-        return TensorOperand.from_dense(a, d, n)
+        return np.asarray(a, dtype=np.complex128)
     return TensorOperand.factored(list(a))
 
 
-def _trace_against_permutations(a: TensorOperand, order, n, d):
-    """m_sigma = tr^{x d}(rho(sigma)^* A) for every sigma, via the entry sum
-    sum_i prod_k A_k(i_k, i_{sigma(k)}) (adjoint permutation action).
+def _trace_against_permutations(a, order, n, d):
+    """m_sigma = tr^{x d}(rho(sigma)^* A) for every sigma. A dense matrix is
+    traced against rho(sigma^{-1}); a factored operand goes through the entry
+    sum sum_i prod_k A_k(i_k, i_{sigma(k)}) (adjoint permutation action).
     """
     out = np.zeros(len(order), dtype=np.complex128)
     for si, sigma in enumerate(order):
-        if a.dense is not None:
-            inv = tuple(_index_of(sigma, k) for k in range(d))
-            out[si] = np.trace(leg_permutation(inv, n) @ a.dense) / n ** d
+        if isinstance(a, np.ndarray):
+            rho_inv = leg_permutation(inverse_permutation(sigma), n)
+            out[si] = np.trace(rho_inv @ a) / n ** d
             continue
         total = 0j
         for w, fs in a.terms:
@@ -334,6 +343,11 @@ def _trace_against_permutations(a: TensorOperand, order, n, d):
     return out
 
 
+def _check_sd_cap(d: int):
+    if d > 4:
+        raise ResourceLimitError("conditional expectation capped at d = 4")
+
+
 def conditional_expectation_sd(a, d: int, n: int) -> PermutationSpanOperator:
     """Orthogonal projection of a d-leg operand onto span{rho(sigma)} with
     respect to the normalized trace inner product.
@@ -341,28 +355,21 @@ def conditional_expectation_sd(a, d: int, n: int) -> PermutationSpanOperator:
     The Gram matrix G(sigma, tau) = N^{#cycles(sigma^{-1} tau) - d} is
     invertible for N > d; d is capped at 4 (a 24 x 24 Gram).
     """
-    if d > 4:
-        raise ResourceLimitError("conditional expectation capped at d = 4")
+    _check_sd_cap(d)
     if n <= d:
         raise IllConditionedError("need N > d for an invertible Gram matrix")
     a = _operand_legs(a, d, n)
     order = list(itertools.permutations(range(d)))
     gram = np.zeros((len(order), len(order)))
     for i, s in enumerate(order):
+        s_inv = inverse_permutation(s)
         for j, t in enumerate(order):
-            comp = tuple(t[_index_of(s, k)] for k in range(d))  # s^{-1} t
+            comp = tuple(t[s_inv[k]] for k in range(d))  # s^{-1} t
             gram[i, j] = float(n) ** (len(cycles_of(comp)) - d)
     m = _trace_against_permutations(a, order, n, d)
     coeffs = np.linalg.solve(gram, m)
     return PermutationSpanOperator({s: complex(c) for s, c in zip(order, coeffs)},
                                    n, d)
-
-
-def _index_of(sigma, k):
-    for i, v in enumerate(sigma):
-        if v == k:
-            return i
-    raise InvalidArgumentError("malformed permutation")
 
 
 def amalgam_sweep(word: StarWord, d: int, n: int, samples: int,
@@ -373,6 +380,8 @@ def amalgam_sweep(word: StarWord, d: int, n: int, samples: int,
     """
     if n <= d:
         raise InvalidArgumentError(f"need N > d (got N = {n}, d = {d})")
+    _check_sd_cap(d)  # the guards of every projection, before any sample
+    _check_leg_guard(d, n)
     if is_trivial(word):
         raise InvalidArgumentError("the probe word is trivial")
 

@@ -79,28 +79,34 @@ def _parse_blocks(text: str) -> tuple[int, int, int]:
     return tuple(blocks)
 
 
-def _load_operand(path: str, n_hint=None) -> TensorOperand:
-    """Operand file: .npy stack of K complex matrices, or a JSON list of
-    matrices whose entries are numbers or [re, im] pairs.
+def _load_operand(path: str) -> TensorOperand:
+    """Operand file: .npy stack of K complex matrices (or one matrix), or a
+    JSON list of matrices whose entries are numbers or [re, im] pairs.
     """
     if not os.path.exists(path):
         raise InvalidArgumentError(f"operand file not found: {path}")
-    if path.endswith(".npy"):
-        arr = np.load(path)
-        if arr.ndim == 2:
-            arr = arr[None]
-        return TensorOperand.factored(list(np.asarray(arr, dtype=np.complex128)))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        mats = []
-        for entry in doc:
-            rows = []
-            for row in entry:
-                rows.append([complex(v[0], v[1]) if isinstance(v, list)
-                             else complex(v) for v in row])
-            mats.append(np.array(rows, dtype=np.complex128))
-    except (IndexError, TypeError, ValueError) as exc:
+        if path.endswith(".npy"):
+            # mapping reads the header alone: a shape the file cannot hold
+            # fails before an array of that shape is allocated
+            arr = np.lib.format.open_memmap(path, mode="r")
+            if arr.ndim == 2:
+                arr = arr[None]
+            if arr.ndim != 3 or arr.dtype.kind not in "biufc":
+                raise ValueError(f"need a 2-D or 3-D numeric array, got "
+                                 f"shape {arr.shape} of {arr.dtype}")
+            mats = list(np.asarray(arr, dtype=np.complex128))
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+            mats = []
+            for entry in doc:
+                rows = []
+                for row in entry:
+                    rows.append([complex(v[0], v[1]) if isinstance(v, list)
+                                 else complex(v) for v in row])
+                mats.append(np.array(rows, dtype=np.complex128))
+    except (OSError, IndexError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"malformed operand file {path!r}: {exc}") \
             from exc
     return TensorOperand.factored(mats)
@@ -120,8 +126,8 @@ def _state_for(name: str, k: int, n: int):
             file_k = int(doc["K"])
             coeffs = {SetPartition.from_string(rgs): complex(v[0], v[1])
                       for rgs, v in doc["coefficients"].items()}
-        except (OSError, AttributeError, IndexError, KeyError, TypeError,
-                ValueError) as exc:
+        except (OSError, AttributeError, IndexError, KeyError, OverflowError,
+                TypeError, ValueError) as exc:
             raise InvalidArgumentError(
                 f"malformed coefficient file {name!r}: {exc}") from exc
         if file_k != k:

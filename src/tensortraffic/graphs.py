@@ -139,7 +139,7 @@ def graph_from_json(doc: dict):
             return graph, None
         delta = tuple(int(d) for d in doc["labels"]["delta"])
         eps = tuple(e == "s" for e in doc["labels"]["eps"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"malformed graph document: {exc}") from exc
     if len(delta) != graph.order or len(eps) != graph.order:
         raise InvalidArgumentError("label arity does not match edge count")

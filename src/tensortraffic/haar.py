@@ -116,10 +116,10 @@ def split_graphs(tprime: LinearGraph, lin: Linearization):
     """
     if tprime.order != lin.graph.order:
         raise InvalidArgumentError("quotient must preserve the edge list")
-    ids1 = tuple(i for i, m in enumerate(lin.meta) if m.block in ("u", "t"))
-    ids2 = tuple(i for i, m in enumerate(lin.meta) if m.block == "v")
-    t1 = LinearGraph(tprime.vertex_count, tuple(tprime.edges[i] for i in ids1))
-    t2 = LinearGraph(tprime.vertex_count, tuple(tprime.edges[i] for i in ids2))
+    color = tuple(2 if m.block == "v" else 1 for m in lin.meta)
+    t1, t2 = split_by_color(tprime, color)
+    ids1 = tuple(i for i, c in enumerate(color) if c == 1)
+    ids2 = tuple(i for i, c in enumerate(color) if c == 2)
     return t1, t2, ids1, ids2
 
 

@@ -17,58 +17,83 @@ from .partitions import SetPartition, find_root, leq, union_roots
 SIMPLE_CYCLE_EDGE_CAP = 16
 
 
-def _adjacency(graph: LinearGraph):
-    """vertex -> list of (edge_id, other_endpoint); loops appear once."""
+# --- blocks (biconnected components), bridges and the leaf count --------------
+
+def _blocks(graph: LinearGraph) -> list[list[int]]:
+    """Edge ids grouped into biconnected blocks; each loop is its own block.
+
+    Iterative depth-first search with low-links and an edge stack (Tarjan,
+    SIAM J. Comput. 1972); re-entering a vertex through a parallel copy of
+    the entry edge closes a two-edge block.
+    """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.vertex_count)]
+    blocks: list[list[int]] = []
     for eid, (s, t) in enumerate(graph.edges):
         if s == t:
-            adj[s].append((eid, s))
+            blocks.append([eid])
         else:
             adj[s].append((eid, t))
             adj[t].append((eid, s))
-    return adj
-
-
-def cutting_edges(graph: LinearGraph) -> frozenset[int]:
-    """Edge ids of the bridges of the underlying undirected multigraph.
-
-    Iterative DFS with low-links; re-entering through a parallel copy of the
-    entry edge is allowed, so parallel edges and loops are never bridges.
-    """
-    adj = _adjacency(graph)
     n = graph.vertex_count
     order = [-1] * n
     low = [0] * n
-    bridges: set[int] = set()
     counter = 0
+    estack: list[int] = []
     for root in range(n):
         if order[root] != -1:
             continue
-        stack = [(root, -1, iter(adj[root]))]
         order[root] = low[root] = counter
         counter += 1
+        stack = [(root, -1, iter(adj[root]))]
         while stack:
             v, in_edge, it = stack[-1]
             advanced = False
             for eid, w in it:
-                if eid == in_edge or w == v:
+                if eid == in_edge:
                     continue
                 if order[w] == -1:
+                    estack.append(eid)
                     order[w] = low[w] = counter
                     counter += 1
                     stack.append((w, eid, iter(adj[w])))
                     advanced = True
                     break
-                low[v] = min(low[v], order[w])
+                if order[w] < order[v]:
+                    estack.append(eid)
+                    if order[w] < low[v]:
+                        low[v] = order[w]
             if not advanced:
                 stack.pop()
                 if stack:
                     pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if low[v] > order[pv]:
-                        bridges.add(in_edge)
-        # done with this root
-    return frozenset(bridges)
+                    if low[v] < low[pv]:
+                        low[pv] = low[v]
+                    if low[v] >= order[pv]:
+                        blk = []
+                        while True:
+                            eid2 = estack.pop()
+                            blk.append(eid2)
+                            if eid2 == in_edge:
+                                break
+                        blocks.append(blk)
+    return blocks
+
+
+def _is_cycle(graph: LinearGraph, block: list[int]) -> bool:
+    """A block is a cycle iff it has as many edges as vertices; a loop is a
+    length-one cycle, a single non-loop edge (a bridge) is not."""
+    verts = {v for eid in block for v in graph.edges[eid]}
+    return len(block) == len(verts)
+
+
+def cutting_edges(graph: LinearGraph) -> frozenset[int]:
+    """Edge ids of the bridges of the underlying undirected multigraph: the
+    one-edge blocks that are not loops. Parallel copies share a block, so
+    neither loops nor parallel edges are ever bridges.
+    """
+    edges = graph.edges
+    return frozenset(b[0] for b in _blocks(graph)
+                     if len(b) == 1 and edges[b[0]][0] != edges[b[0]][1])
 
 
 @dataclass(frozen=True)
@@ -116,133 +141,47 @@ def leaf_count(graph: LinearGraph) -> int:
     return forest_of_tec(graph).leaf_count()
 
 
-# --- blocks (biconnected components) and cactus predicates -------------------
+# --- cactus predicates -------------------------------------------------------
 
-def _blocks(graph: LinearGraph) -> list[list[int]]:
-    """Edge ids grouped into biconnected blocks; each loop is its own block."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.vertex_count)]
-    blocks: list[list[int]] = []
-    for eid, (s, t) in enumerate(graph.edges):
-        if s == t:
-            blocks.append([eid])
-        else:
-            adj[s].append((eid, t))
-            adj[t].append((eid, s))
-    n = graph.vertex_count
-    order = [-1] * n
-    low = [0] * n
-    counter = 0
-    estack: list[int] = []
-    for root in range(n):
-        if order[root] != -1:
-            continue
-        order[root] = low[root] = counter
-        counter += 1
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, in_edge, it = stack[-1]
-            advanced = False
-            for eid, w in it:
-                if eid == in_edge:
-                    continue
-                if order[w] == -1:
-                    estack.append(eid)
-                    order[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, eid, iter(adj[w])))
-                    advanced = True
-                    break
-                if order[w] < order[v]:
-                    estack.append(eid)
-                    low[v] = min(low[v], order[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if low[v] >= order[pv]:
-                        blk = []
-                        while True:
-                            eid2 = estack.pop()
-                            blk.append(eid2)
-                            if eid2 == in_edge:
-                                break
-                        blocks.append(blk)
-    return blocks
+def _is_directed(graph: LinearGraph, block: list[int]) -> bool:
+    """For a cycle block: every vertex has in- and out-degree one, that is,
+    no two edges leave the same vertex."""
+    return len({graph.edges[eid][0] for eid in block}) == len(block)
 
 
-def _block_vertices(graph: LinearGraph, block: list[int]) -> set[int]:
-    out: set[int] = set()
-    for eid in block:
-        s, t = graph.edges[eid]
-        out.add(s)
-        out.add(t)
-    return out
+def _walk(graph: LinearGraph, block: list[int]) -> list[int]:
+    """Edge ids of a directed cycle block in cyclic order, from the least."""
+    out_of = {graph.edges[eid][0]: eid for eid in block}
+    walk = [min(block)]
+    first, cur = graph.edges[walk[0]]
+    while cur != first:
+        walk.append(out_of[cur])
+        cur = graph.edges[walk[-1]][1]
+    return walk
 
 
 def is_forest_of_cacti(graph: LinearGraph) -> bool:
-    """True iff every edge lies on exactly one simple cycle.
-
-    Equivalent block characterization: every biconnected block is a cycle
-    (|edges| == |vertices|). A single non-loop edge block is a bridge and
-    fails; a loop is a length-one cycle and passes. Isolated vertices are
-    permitted.
+    """True iff every edge lies on exactly one simple cycle, that is, every
+    biconnected block is a cycle. Isolated vertices are permitted.
     """
-    for block in _blocks(graph):
-        if len(block) != len(_block_vertices(graph, block)):
-            return False
-    return True
-
-
-def cactus_cycles(graph: LinearGraph) -> list[list[int]]:
-    """The simple cycles of a forest of cacti, as edge-id lists in cyclic
-    order following the orientation (requires well-orientedness for the
-    order to be meaningful; raises if the graph is not a forest of cacti).
-    """
-    if not is_forest_of_cacti(graph):
-        raise InvalidArgumentError("graph is not a forest of cacti")
-    cycles = []
-    for block in _blocks(graph):
-        if len(block) == 1 and graph.edges[block[0]][0] == graph.edges[block[0]][1]:
-            cycles.append(block)
-            continue
-        # walk successor edges inside the block
-        out_of: dict[int, list[int]] = {}
-        for eid in block:
-            out_of.setdefault(graph.edges[eid][0], []).append(eid)
-        start = min(block)
-        walk = [start]
-        cur = graph.edges[start][1]
-        first = graph.edges[start][0]
-        guard = 0
-        while cur != first and guard <= len(block):
-            nxts = out_of.get(cur, [])
-            if len(nxts) != 1:
-                # not a directed cycle; fall back to undirected order
-                walk = sorted(block)
-                break
-            walk.append(nxts[0])
-            cur = graph.edges[nxts[0]][1]
-            guard += 1
-        cycles.append(walk)
-    return cycles
+    return all(_is_cycle(graph, block) for block in _blocks(graph))
 
 
 def is_well_oriented(graph: LinearGraph) -> bool:
     """True iff the graph is a forest of cacti whose cycles are all directed."""
-    if not is_forest_of_cacti(graph):
-        return False
-    for block in _blocks(graph):
-        verts = _block_vertices(graph, block)
-        indeg = {v: 0 for v in verts}
-        outdeg = {v: 0 for v in verts}
-        for eid in block:
-            s, t = graph.edges[eid]
-            outdeg[s] += 1
-            indeg[t] += 1
-        if any(indeg[v] != 1 or outdeg[v] != 1 for v in verts):
-            return False
-    return True
+    return all(_is_cycle(graph, block) and _is_directed(graph, block)
+               for block in _blocks(graph))
+
+
+def cactus_cycles(graph: LinearGraph) -> list[list[int]]:
+    """The cycles of a well-oriented forest of cacti, as edge-id lists in
+    cyclic order following the orientation, each starting at its least edge
+    id. Raises unless the graph is well-oriented.
+    """
+    blocks = _blocks(graph)
+    if not all(_is_cycle(graph, b) and _is_directed(graph, b) for b in blocks):
+        raise InvalidArgumentError("graph is not a well-oriented forest of cacti")
+    return [_walk(graph, block) for block in blocks]
 
 
 VALID = "valid"
@@ -261,14 +200,16 @@ def classify_labeling(graph: LinearGraph, delta, eps) -> str:
     eps = tuple(eps)
     if len(delta) != graph.order or len(eps) != graph.order:
         raise InvalidArgumentError("label arity does not match edge count")
-    if not is_forest_of_cacti(graph):
+    blocks = _blocks(graph)
+    if not all(_is_cycle(graph, block) for block in blocks):
         return NOT_CACTUS
-    if not is_well_oriented(graph):
+    if not all(_is_directed(graph, block) for block in blocks):
         return NOT_WELL_ORIENTED
-    for cyc in cactus_cycles(graph):
+    cycles = [_walk(graph, block) for block in blocks]
+    for cyc in cycles:
         if len({delta[eid] for eid in cyc}) > 1:
             return NOT_WELL_COLORED
-    for cyc in cactus_cycles(graph):
+    for cyc in cycles:
         if len(cyc) % 2 == 1:
             return NOT_ALTERNATED
         stars = [eps[eid] for eid in cyc]

@@ -1,9 +1,9 @@
 """Tensor operands and state descriptions on tensor matrix spaces.
 
 An operand is an element of the K-fold tensor power of N x N matrices,
-stored either factored (a weighted sum of elementary tensor products, which
-covers the plain single-product case) or dense. Dense storage is guarded
-since it scales as N^(2K).
+stored as a weighted sum of elementary tensor products (one term covers the
+plain single-product case). Densifying is guarded since it scales as
+N^(2K).
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .partitions import SetPartition
 
-DENSE_GUARD_BITS = 16  # K * log2(N) <= 16 for dense storage
+DENSE_GUARD_BITS = 16  # K * log2(N) <= 16 for to_dense
 
 
 def permutation_matrix(perm) -> np.ndarray:
@@ -33,42 +33,27 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 class TensorOperand:
-    """Weighted sum of factored tensors, or a dense matrix on (C^N)^{tensor K}."""
+    """Weighted sum of factored tensors on (C^N)^{tensor K}."""
 
-    __slots__ = ("n", "legs", "terms", "dense")
+    __slots__ = ("n", "legs", "terms")
 
-    def __init__(self, n, legs, terms=None, dense=None):
+    def __init__(self, n, legs, terms):
         if n < 1 or legs < 0:
             raise InvalidArgumentError("need N >= 1 and legs >= 0")
         self.n = int(n)
         self.legs = int(legs)
-        self.terms = None
-        self.dense = None
-        if (terms is None) == (dense is None):
-            raise InvalidArgumentError("exactly one of terms/dense required")
-        if terms is not None:
-            frozen = []
-            for weight, factors in terms:
-                factors = tuple(_freeze(f) for f in factors)
-                if len(factors) != legs:
+        frozen = []
+        for weight, factors in terms:
+            factors = tuple(_freeze(f) for f in factors)
+            if len(factors) != legs:
+                raise InvalidArgumentError(
+                    f"term has {len(factors)} factors, expected {legs}")
+            for f in factors:
+                if f.shape != (n, n):
                     raise InvalidArgumentError(
-                        f"term has {len(factors)} factors, expected {legs}")
-                for f in factors:
-                    if f.shape != (n, n):
-                        raise InvalidArgumentError(
-                            f"factor shape {f.shape} != ({n},{n})")
-                frozen.append((complex(weight), factors))
-            self.terms = tuple(frozen)
-        else:
-            if legs * math.log2(n) > DENSE_GUARD_BITS and n > 1:
-                raise InvalidArgumentError(
-                    f"dense storage guard: K*log2(N) = {legs * math.log2(n):.1f} > "
-                    f"{DENSE_GUARD_BITS}")
-            dense = _freeze(dense)
-            if dense.shape != (n ** legs, n ** legs):
-                raise InvalidArgumentError(
-                    f"dense shape {dense.shape} != ({n ** legs},{n ** legs})")
-            self.dense = dense
+                        f"factor shape {f.shape} != ({n},{n})")
+            frozen.append((complex(weight), factors))
+        self.terms = tuple(frozen)
 
     @classmethod
     def factored(cls, factors, weight=1.0) -> "TensorOperand":
@@ -76,20 +61,16 @@ class TensorOperand:
         if not factors:
             raise InvalidArgumentError("need at least one factor")
         n = factors[0].shape[0]
-        return cls(n, len(factors), terms=[(weight, factors)])
+        return cls(n, len(factors), [(weight, factors)])
 
     @classmethod
     def sum_of_factored(cls, n, legs, terms) -> "TensorOperand":
-        return cls(n, legs, terms=terms)
+        return cls(n, legs, terms)
 
     @classmethod
     def scalar(cls, n, weight=1.0) -> "TensorOperand":
         """Zero-leg operand (a bare weight); pairs with edgeless graphs."""
-        return cls(n, 0, terms=[(weight, ())])
-
-    @classmethod
-    def from_dense(cls, dense, legs, n) -> "TensorOperand":
-        return cls(n, legs, dense=dense)
+        return cls(n, 0, [(weight, ())])
 
     @classmethod
     def identity(cls, n, legs) -> "TensorOperand":
@@ -97,8 +78,6 @@ class TensorOperand:
 
     def to_dense(self) -> np.ndarray:
         """Materialize as an N^K x N^K matrix (guarded)."""
-        if self.dense is not None:
-            return self.dense
         if self.legs * math.log2(self.n) > DENSE_GUARD_BITS and self.n > 1:
             raise InvalidArgumentError("operand too large to densify")
         total = np.zeros((self.n ** self.legs, self.n ** self.legs),
@@ -110,34 +89,11 @@ class TensorOperand:
             total += weight * acc
         return total
 
-    def adjoint(self) -> "TensorOperand":
-        """Legwise conjugate transpose (the *-operation of the tensor algebra)."""
-        if self.dense is not None:
-            return TensorOperand(self.n, self.legs, dense=self.dense.conj().T)
-        return TensorOperand(self.n, self.legs, terms=[
-            (np.conj(w), [f.conj().T for f in fs]) for w, fs in self.terms])
-
     def conjugated_by(self, u: np.ndarray) -> "TensorOperand":
-        """Apply U^{x K} . U*^{x K} legwise (factored operands only)."""
-        if self.terms is None:
-            raise InvalidArgumentError("conjugation implemented for factored form")
+        """Apply U^{x K} . U*^{x K} legwise."""
         uh = u.conj().T
-        return TensorOperand(self.n, self.legs, terms=[
+        return TensorOperand(self.n, self.legs, [
             (w, [u @ f @ uh for f in fs]) for w, fs in self.terms])
-
-    def scaled(self, weight) -> "TensorOperand":
-        if self.dense is not None:
-            return TensorOperand(self.n, self.legs, dense=weight * self.dense)
-        return TensorOperand(self.n, self.legs,
-                             terms=[(w * weight, fs) for w, fs in self.terms])
-
-    def __add__(self, other: "TensorOperand") -> "TensorOperand":
-        if (self.n, self.legs) != (other.n, other.legs):
-            raise InvalidArgumentError("operand shape mismatch")
-        if self.terms is None or other.terms is None:
-            return TensorOperand(self.n, self.legs,
-                                 dense=self.to_dense() + other.to_dense())
-        return TensorOperand(self.n, self.legs, terms=self.terms + other.terms)
 
 
 @dataclass

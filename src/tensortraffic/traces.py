@@ -16,7 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -238,34 +239,11 @@ def graph_trace(graph: LinearGraph, operand: TensorOperand,
     contributes a factor N.
     """
     letters = _resolve_letters(graph, operand, letter_of_edge)
-    if operand.dense is not None:
-        return _dense_graph_trace(graph, operand, letters)
     total = 0.0 + 0.0j
     for weight, factors in operand.terms:
         mats = [factors[l] for l in letters]
         total += weight * _trace_factors(graph, mats, operand.n)
     return complex(total)
-
-
-def _dense_graph_trace(graph, operand, letters) -> complex:
-    if tuple(letters) != tuple(range(operand.legs)):
-        raise InvalidArgumentError(
-            "dense operands support only the identity edge-to-leg assignment")
-    n, k = operand.n, operand.legs
-    arr = operand.dense.reshape((n,) * (2 * k))
-    # row axis of leg l carries the target label of edge l, the column axis
-    # its source label; summing over labels is exactly the elementary form.
-    labels = [0] * (2 * k)
-    for eid, (s, t) in enumerate(graph.edges):
-        labels[eid] = t
-        labels[k + eid] = s
-    remap = {}
-    for l in labels:
-        if l not in remap:
-            remap[l] = len(remap)
-    iso = graph.vertex_count - len(graph.touched_vertices())
-    val = np.einsum(arr, [remap[l] for l in labels], [])
-    return complex(val) * n ** iso
 
 
 @lru_cache(maxsize=None)
@@ -418,15 +396,17 @@ def ms_optimality_witness(pi: SetPartition, n: int) -> TensorOperand:
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _minimal_quotients(k: int):
-    return tuple((pi, quotient(minimal_graph(k), pi))
-                 for pi in enumerate_partitions(2 * k))
+def _minimal_quotients(k: int) -> MappingProxyType:
+    """{pi: quotient of the minimal graph} over the partitions of [2K], as
+    a read-only view, since every caller shares the cached dict."""
+    return MappingProxyType({pi: quotient(minimal_graph(k), pi)
+                             for pi in enumerate_partitions(2 * k)})
 
 
 def state_unitality_defect(spec: StateSpec) -> float:
     """|psi(1) - 1| for an elementary-combination state."""
     total = 0.0 + 0.0j
-    lookup = {pi: g for pi, g in _minimal_quotients(spec.k)}
+    lookup = _minimal_quotients(spec.k)
     for pi, a in spec.coeffs.items():
         total += a * spec.n ** component_count(lookup[pi])
     return abs(total - 1.0)
@@ -442,11 +422,7 @@ def apply_state(spec, operand: TensorOperand) -> complex:
             f"operand shape (N={operand.n}, K={operand.legs}) does not match "
             f"the state (N={n}, K={k})")
     if spec.kind == "elementary_combination":
-        lookup = {pi: g for pi, g in _minimal_quotients(k)}
-        return complex(sum(a * graph_trace(lookup[pi], operand)
-                           for pi, a in spec.coeffs.items()))
-    if operand.dense is not None:
-        return _apply_state_dense(spec, operand)
+        return reconstruction_value(spec.coeffs, operand)
     total = 0.0 + 0.0j
     for weight, factors in operand.terms:
         if spec.kind == "tracial":
@@ -465,24 +441,6 @@ def apply_state(spec, operand: TensorOperand) -> complex:
                 diag = diag * np.diagonal(f)
             total += weight * diag.sum() / n
     return complex(total)
-
-
-def _apply_state_dense(spec, operand) -> complex:
-    n, k = spec.n, spec.k
-    arr = operand.dense
-    if spec.kind == "tracial":
-        return complex(np.trace(arr) / n ** k)
-    if spec.kind == "max_entangled_vector":
-        omega = np.zeros(n * n, dtype=np.complex128)
-        omega[::n + 1] = n ** -0.5
-        vec = reduce(np.kron, [omega] * (k // 2))
-        return complex(vec.conj() @ arr @ vec)
-    # diagonal_uniform: average of the entries at (i, i, ..., i)
-    total = 0.0 + 0.0j
-    for i in range(n):
-        pos = sum(i * n ** j for j in range(k))
-        total += arr[pos, pos]
-    return complex(total / n)
 
 
 def decompose_invariant_state(psi, k: int, n: int, *, check_invariance=True,
@@ -529,8 +487,7 @@ def _check_invariance(psi, k, n, seed, checks, tol):
 
 def reconstruction_value(coeffs: dict, operand: TensorOperand) -> complex:
     """Evaluate sum_pi a_pi Tr_{T0^pi} on an operand."""
-    k = operand.legs
-    lookup = {pi: g for pi, g in _minimal_quotients(k)}
+    lookup = _minimal_quotients(operand.legs)
     return complex(sum(a * graph_trace(lookup[pi], operand)
                        for pi, a in coeffs.items()))
 

@@ -15,7 +15,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .characters import cycles_of
+from .characters import cycles_of, inverse_permutation
 from .errors import InvalidArgumentError, ResourceLimitError
 from .graphs import LinearGraph, component_count
 from .operands import StateSpec
@@ -36,13 +36,6 @@ def _cycle_type(sigma) -> tuple[int, ...]:
 def _compose(a, b) -> tuple[int, ...]:
     """a after b."""
     return tuple(a[i] for i in b)
-
-
-def _inverse(a) -> tuple[int, ...]:
-    out = [0] * len(a)
-    for i, ai in enumerate(a):
-        out[ai] = i
-    return tuple(out)
 
 
 def _solve(rows, rhs) -> list[Fraction]:
@@ -82,7 +75,7 @@ def _class_table(p: int, n: int) -> dict[tuple[int, ...], Fraction]:
     for t in types:
         row = [Fraction(0)] * len(types)
         for tau in perms:
-            rho = _compose(reps[t], _inverse(tau))
+            rho = _compose(reps[t], inverse_permutation(tau))
             row[column[_cycle_type(rho)]] += n ** len(cycles_of(tau))
         rows.append(row)
     identity = (1,) * p
@@ -166,8 +159,9 @@ def exact_expectation(state: StateSpec, word: StarWord, blocks,
         options = []
         for sigma in perms:
             rows = [(ps[i][0], qs[sigma[i]][0]) for i in range(p)]
+            sigma_inv = inverse_permutation(sigma)
             for tau in perms:
-                weight = table[_cycle_type(_compose(tau, _inverse(sigma)))]
+                weight = table[_cycle_type(_compose(tau, sigma_inv))]
                 cols = [(ps[i][1], qs[tau[i]][1]) for i in range(p)]
                 options.append((weight, rows + cols))
         choices.append(options)

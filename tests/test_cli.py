@@ -1,11 +1,16 @@
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tensortraffic.cli import build_parser, main
+from tensortraffic import sampling
+from tensortraffic.cli import _load_operand, _state_for, build_parser, main
+from tensortraffic.errors import TensorTrafficError
+from tensortraffic.graphs import load_graph
 
 
 def run_cli(args, capsys):
@@ -226,6 +231,12 @@ MALFORMED_FILES = {
                       "labels": {"eps": ["u"]}},
     "loop.json": {"vertices": 1, "edges": [[0, 0]]},
     "bad_operand.json": [[["x"]]],
+    "not_array.npy": {"vertices": 1},
+}
+
+MALFORMED_ARRAYS = {
+    "one_d.npy": np.arange(3.0),
+    "objects.npy": np.array([None, {}], dtype=object),
 }
 
 
@@ -238,6 +249,9 @@ MALFORMED_FILES = {
     ["invariants", "--graph", "@no_eps.json"],
     ["limit", "--graph", "@no_delta.json"],
     ["trace", "--graph", "@loop.json", "--operand", "@bad_operand.json"],
+    ["trace", "--graph", "@loop.json", "--operand", "@not_array.npy"],
+    ["trace", "--graph", "@loop.json", "--operand", "@one_d.npy"],
+    ["trace", "--graph", "@loop.json", "--operand", "@objects.npy"],
     ["character", "--lambda", "1", "--dims", "4", "--samples", "0"],
     ["amalgam", "--d", "2", "--word", "1,2", "--dims", "4", "--samples", "0"],
     ["mc", "--state", "tracial", "--word", "1", "--blocks", "1,0,0",
@@ -249,7 +263,80 @@ MALFORMED_FILES = {
 def test_malformed_input_exits_2(argv, tmp_path, capsys):
     for name, doc in MALFORMED_FILES.items():
         (tmp_path / name).write_text(json.dumps(doc))
+    for name, arr in MALFORMED_ARRAYS.items():
+        np.save(tmp_path / name, arr, allow_pickle=True)
     argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
     code, _, err = run_cli(argv, capsys)
     assert code == 2, err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["amalgam", "--d", "5", "--word", "1,2", "--dims", "6", "--samples", "4"],
+    ["amalgam", "--d", "3", "--word", "1,2", "--dims", "64", "--samples", "4"],
+], ids=lambda argv: " ".join(argv))
+def test_amalgam_guards_fire_before_sampling(argv, capsys, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("a Haar sample was drawn")
+
+    monkeypatch.setattr(sampling, "sample_haar_unitary", no_sampling)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3, err
+    assert out == "" and err.startswith("resource limit: ")
+
+
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.sampled_from([10 ** 400, -(10 ** 400), float("inf"),
+                              float("nan")])
+           | st.text(alphabet="0123,-.ejsux", max_size=6))
+JSON_VALUES = st.recursive(
+    SCALARS, lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=16)
+FIELDS = SCALARS | st.lists(SCALARS, max_size=4) | JSON_VALUES
+GRAPH_DOCS = JSON_VALUES | st.fixed_dictionaries(
+    {"vertices": FIELDS,
+     "edges": FIELDS | st.lists(st.lists(SCALARS, max_size=3), max_size=4)},
+    optional={"labels": st.fixed_dictionaries(
+        {}, optional={"delta": FIELDS, "eps": FIELDS})})
+COEFFICIENT_DOCS = JSON_VALUES | st.fixed_dictionaries(
+    {"K": FIELDS,
+     "coefficients": st.dictionaries(st.text(alphabet="0123,-", max_size=6),
+                                     FIELDS, max_size=3)})
+OPERAND_DOCS = JSON_VALUES | st.lists(st.lists(
+    st.lists(FIELDS, max_size=3), max_size=3), max_size=3)
+NPY_SEEDS = []
+for arr in (np.eye(2), np.ones((2, 3, 3), dtype=np.complex64),
+            np.arange(4, dtype=np.int8)):
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    NPY_SEEDS.append(buf.getvalue())
+NPY_BYTES = st.binary(max_size=200) | st.builds(
+    lambda seed, cut, tail: seed[:cut] + tail, st.sampled_from(NPY_SEEDS),
+    st.integers(0, 200), st.binary(max_size=64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=GRAPH_DOCS, coeffs=COEFFICIENT_DOCS, operand=OPERAND_DOCS,
+       npy=NPY_BYTES)
+def test_loaders_raise_only_package_errors(tmp_path_factory, graph, coeffs,
+                                           operand, npy):
+    """Whatever a graph, coefficient or operand file holds, loading it
+    either succeeds or raises a TensorTrafficError (an exit code, not a
+    traceback)."""
+    folder = tmp_path_factory.getbasetemp() / "loaders"
+    folder.mkdir(exist_ok=True)
+    calls = []
+    for name, doc, load in (
+            ("graph.json", graph, load_graph),
+            ("coeffs.json", coeffs, lambda path: _state_for(path, 1, 2)),
+            ("operand.json", operand, _load_operand)):
+        (folder / name).write_text(json.dumps(doc))
+        calls.append((load, folder / name))
+    (folder / "operand.npy").write_bytes(npy)
+    calls.append((_load_operand, folder / "operand.npy"))
+    for load, path in calls:
+        try:
+            load(str(path))
+        except TensorTrafficError:
+            pass

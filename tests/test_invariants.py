@@ -3,11 +3,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tensortraffic.errors import InvalidArgumentError
 from tensortraffic.graphs import (LinearGraph, component_count, minimal_graph,
                                   quotient)
+from tensortraffic.haar import linearize
 from tensortraffic.invariants import (NOT_ALTERNATED, NOT_CACTUS,
-                                      NOT_WELL_COLORED, VALID, ccg_balance,
-                                      classify_labeling,
+                                      NOT_WELL_COLORED, VALID, cactus_cycles,
+                                      ccg_balance, classify_labeling,
                                       colored_component_graph, cutting_edges,
                                       eta, forest_of_tec,
                                       is_forest_of_cacti,
@@ -16,6 +18,7 @@ from tensortraffic.invariants import (NOT_ALTERNATED, NOT_CACTUS,
                                       leaf_monotonicity_check, prune,
                                       simple_cycles)
 from tensortraffic.partitions import SetPartition, enumerate_partitions, leq
+from tensortraffic.words import StarWord
 
 
 def brute_force_bridges(graph):
@@ -145,6 +148,30 @@ def test_well_oriented():
     assert not is_well_oriented(LinearGraph(2, [(0, 1), (0, 1)]))
     assert is_well_oriented(LinearGraph(1, [(0, 0)]))
     assert not is_well_oriented(LinearGraph(2, [(0, 1)]))
+
+
+def test_cactus_cycles_are_the_directed_simple_cycles():
+    loops = LinearGraph(1, ((0, 0), (0, 0)))
+    bases = [minimal_graph(3),
+             linearize(loops, StarWord.parse("1,2*"), 1, 1, 0).graph,
+             linearize(loops, StarWord.parse("1,2*"), 2, 0, 0).graph]
+    seen = {True: 0, False: 0}
+    for base in bases:
+        for pi in enumerate_partitions(base.vertex_count):
+            g = quotient(base, pi)
+            oriented = is_well_oriented(g)
+            seen[oriented] += 1
+            if not oriented:
+                with pytest.raises(InvalidArgumentError):
+                    cactus_cycles(g)
+                continue
+            cycles = cactus_cycles(g)
+            for cyc in cycles:
+                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                    assert g.edges[a][1] == g.edges[b][0]
+                assert len(set(cyc)) == len(cyc)
+            assert sorted(map(frozenset, cycles), key=sorted) == simple_cycles(g)
+    assert seen[True] and seen[False]
 
 
 def test_validity_classification():

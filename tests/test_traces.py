@@ -70,15 +70,6 @@ def test_engine_matches_naive_enumeration():
                           rtol=1e-9, atol=1e-9)
 
 
-def test_dense_operand_agrees_with_factored(rng):
-    n, k = 3, 2
-    op = random_operand(rng, n, k)
-    dense = TensorOperand.from_dense(op.to_dense(), k, n)
-    for pi in enumerate_partitions(2 * k):
-        g = quotient(minimal_graph(k), pi)
-        assert np.isclose(graph_trace(g, op), graph_trace(g, dense))
-
-
 def test_sum_of_factored_linearity(rng):
     n = 4
     a1, a2, b = (rng.standard_normal((n, n)) for _ in range(3))
