@@ -17,14 +17,15 @@ from .partitions import SetPartition, enumerate_partitions, join, leq, meet, mob
 from .graphs import (LinearGraph, adjoint_graph, canonical_form,
                      component_count, disjoint_union, graph_from_json,
                      graph_to_json, kernel, minimal_graph, quotient)
-from .invariants import (ColoredComponentGraph, ForestOfTEC, classify_labeling,
-                         colored_component_graph, cutting_edges, eta,
-                         forest_of_tec, is_forest_of_cacti, is_valid,
-                         is_well_oriented, leaf_count, leaf_monotonicity_check,
-                         prune)
+from .invariants import (ColoredComponentGraph, ForestOfTEC, ccg_balance,
+                         classify_labeling, colored_component_graph,
+                         cutting_edges, eta, forest_of_tec, is_forest_of_cacti,
+                         is_valid, is_well_oriented, leaf_count,
+                         leaf_monotonicity_check, prune)
 from .operands import StateSpec, TensorOperand
 from .traces import (contraction_plan, decompose_invariant_state, graph_trace,
-                     injective_graph_trace, ms_optimality_witness,
+                     graph_trace_stack, injective_graph_trace,
+                     injective_trace_stack, ms_optimality_witness,
                      randomized_coefficient_extract, tau_trace, zeta_trace)
 from .words import StarWord, all_words, free_reduce, is_trivial
 from .haar import (FreenessCertificate, Linearization, haar_limit_injective,

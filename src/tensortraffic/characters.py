@@ -210,19 +210,21 @@ def cycles_of(sigma) -> list[list[int]]:
     return out
 
 
+def _cycle_product(a: np.ndarray, sigma) -> complex:
+    """N^{-d} prod over the cycles c of sigma of Tr(A^{|c|})."""
+    out = 1.0 + 0.0j
+    for cyc in cycles_of(sigma):
+        out *= np.trace(np.linalg.matrix_power(a, len(cyc)))
+    return out / a.shape[0] ** len(sigma)
+
+
 def cycle_factorization_check(a: np.ndarray, sigma) -> float:
     """Residual of the exact identity
     tr^{x d}(A^{x d} rho(sigma)) = N^{-d} prod_cycles Tr(A^{|c|}).
     """
     sigma = _check_perm(sigma)
-    n = a.shape[0]
-    d = len(sigma)
-    lhs = permuted_tensor_trace([a] * d, sigma)
-    rhs = 1.0 + 0.0j
-    for cyc in cycles_of(sigma):
-        rhs *= np.trace(np.linalg.matrix_power(a, len(cyc)))
-    rhs /= n ** d
-    return float(abs(lhs - rhs))
+    lhs = permuted_tensor_trace([a] * len(sigma), sigma)
+    return float(abs(lhs - _cycle_product(a, sigma)))
 
 
 # --------------------------------------------------------------------------
@@ -264,7 +266,7 @@ def left_regular_check(word: PermutationWord, k: int, n: int, samples: int,
                        seed: int = 0, tol: float = 1e-10) -> MCReport:
     """Monte-Carlo mean of the normalized tensor trace of the represented
     word; each sample is verified against the exact cycle factorization
-    N^{#cycles - d} prod_c tr(word^{|c|}) before entering the average.
+    N^{-d} prod_c Tr(word^{|c|}) before entering the average.
     """
     if word.trivial:
         raise InvalidArgumentError("the word is trivial")
@@ -273,10 +275,7 @@ def left_regular_check(word: PermutationWord, k: int, n: int, samples: int,
     def sample(us, rng):
         x = _evaluate_mixed_letter_matrix(word.free_part, us)
         lhs = permuted_tensor_trace([x] * d, word.perm)
-        rhs = 1.0 + 0.0j
-        for cyc in cycles_of(word.perm):
-            rhs *= np.trace(np.linalg.matrix_power(x, len(cyc))) / n
-        rhs *= float(n) ** (len(cycles_of(word.perm)) - d)
+        rhs = _cycle_product(x, word.perm)
         if abs(lhs - rhs) > tol * max(1.0, abs(lhs)):
             raise IllConditionedError(
                 f"cycle factorization violated: |delta| = {abs(lhs - rhs):.2e}")

@@ -19,7 +19,7 @@ from . import __version__
 from .errors import (InvalidArgumentError, NumericalFailureError,
                      ResourceLimitError, TensorTrafficError)
 from .graphs import LinearGraph, component_count, load_graph
-from .invariants import (classify_labeling, cutting_edges, forest_of_tec,
+from .invariants import (classify_labeling, forest_leaves, forest_of_tec,
                          is_forest_of_cacti, is_well_oriented, leaf_count)
 from .operands import StateSpec, TensorOperand
 from .partitions import SetPartition, enumerate_partitions, mobius
@@ -165,8 +165,8 @@ def _cmd_invariants(args) -> int:
     graph, labels = load_graph(args.graph)
     forest = forest_of_tec(graph)
     payload = {
-        "leaf_count": leaf_count(graph),
-        "bridges": sorted(cutting_edges(graph)),
+        "leaf_count": forest_leaves(forest.degrees),
+        "bridges": [eid for _, _, eid in forest.forest_edges],
         "tec_components": [sorted(c) for c in forest.components],
         "components": component_count(graph),
         "cactus": is_forest_of_cacti(graph),

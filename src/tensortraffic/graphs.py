@@ -11,8 +11,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ResourceLimitError
 from .partitions import SetPartition, find_root, union_roots
+
+GRAPH_SIZE_CAP = 100_000  # on the vertices and on the edges of graph input
 
 
 @dataclass(frozen=True)
@@ -133,8 +135,12 @@ def graph_to_json(graph: LinearGraph, labels=None) -> dict:
 def graph_from_json(doc: dict):
     """Returns (graph, labels) with labels = (delta, eps) or None."""
     try:
-        graph = LinearGraph(int(doc["vertices"]),
-                            tuple((int(s), int(t)) for s, t in doc["edges"]))
+        vertices, edges = int(doc["vertices"]), doc["edges"]
+        if vertices > GRAPH_SIZE_CAP or len(edges) > GRAPH_SIZE_CAP:
+            raise ResourceLimitError(
+                f"graph input capped at {GRAPH_SIZE_CAP} vertices and edges")
+        graph = LinearGraph(vertices,
+                            tuple((int(s), int(t)) for s, t in edges))
         if "labels" not in doc:
             return graph, None
         delta = tuple(int(d) for d in doc["labels"]["delta"])

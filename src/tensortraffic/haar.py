@@ -21,9 +21,9 @@ from .graphs import (LinearGraph, adjoint_graph, canonical_form,
 from .invariants import (VALID, cactus_cycles, classify_labeling, leaf_count,
                          split_by_color, splitting_exponent)
 from .operands import TensorOperand, permutation_matrix
-from .partitions import SetPartition, enumerate_partitions
+from .partitions import enumerate_partitions
 from .traces import injective_graph_trace
-from .words import StarWord, free_reduce, is_trivial
+from .words import StarWord, is_trivial
 
 PREDICT_VERTEX_CAP = 10  # Bell(10) = 115975 quotients
 
@@ -46,10 +46,6 @@ class Linearization:
     k1: int
     k2: int
     k3: int
-
-    @property
-    def p(self) -> int:
-        return len(self.word)
 
 
 def _block_of(k: int, k1: int, k2: int) -> str:
@@ -261,108 +257,6 @@ def predict_freeness_limit(word: StarWord, base: LinearGraph, k1: int,
 
 
 # --------------------------------------------------------------------------
-# path and circuit words (structural checks behind the vanishing argument)
-# --------------------------------------------------------------------------
-
-def path_word(lin: Linearization, k: int) -> StarWord:
-    """Word read along base-edge k's path against the trace convention
-    (the matrix product along the path from its source to its target).
-    Equals the original word on u/v-block paths and its mirror on t-block
-    paths; on a doubled linearization the copies carry the inverses.
-    """
-    metas = sorted((m for m in lin.meta if m.base_edge == k),
-                   key=lambda m: m.position)
-    if not metas:
-        raise InvalidArgumentError(f"no base edge {k}")
-    letters = tuple((m.letter, m.star) for m in metas)
-    word = StarWord(letters, lin.word.alphabet)
-    # transpose blocks reverse the path, and so does the adjoint copy of a
-    # doubled graph (whose labels already carry the flipped exponents)
-    mirror = (metas[0].block == "t") != (k > lin.base.order)
-    return word.mirrored() if mirror else word
-
-
-def _plain_vertex_count(lin: Linearization) -> int:
-    return lin.base.vertex_count + lin.base.order * (len(lin.word) - 1)
-
-
-def _interior_vertices(lin: Linearization) -> list[int]:
-    nv, plain = lin.base.vertex_count, _plain_vertex_count(lin)
-    interiors = list(range(nv, plain))
-    if _is_doubled(lin):
-        interiors += [plain + v for v in range(nv, plain)]
-    return interiors
-
-
-def paths_intact(lin: Linearization, pi: SetPartition) -> bool:
-    """True when no interior path vertex is merged with anything, so each
-    path survives the quotient as a chain and circuits of the colored
-    subgraph decompose into whole path words.
-    """
-    if lin.graph.vertex_count != pi.n:
-        raise InvalidArgumentError("partition does not fit the linearized graph")
-    for v in _interior_vertices(lin):
-        if sum(1 for b in pi.rgs if b == pi.rgs[v]) > 1:
-            return False
-    return True
-
-
-def circuit_words(lin: Linearization, pi: SetPartition) -> list[StarWord] | None:
-    """Words of the directed circuits of the u/t-colored quotient subgraph,
-    composed from whole path words. Returns None when interior merging
-    breaks a path (the decomposition then does not apply) or when the arcs
-    do not balance into circuits.
-    """
-    if not paths_intact(lin, pi):
-        return None
-    arcs = []  # (from block, to block, word), u/t edges only
-    for k in range(1, lin.base.order * (2 if _is_doubled(lin) else 1) + 1):
-        metas = [m for m in lin.meta if m.base_edge == k]
-        if not metas or metas[0].block == "v":
-            continue
-        src, tgt = lin.base.edges[(k - 1) % lin.base.order]
-        if k > lin.base.order:  # the copy's endpoints live in the shifted block
-            src += _plain_vertex_count(lin)
-            tgt += _plain_vertex_count(lin)
-        word = path_word(lin, k)
-        # orientation-following endpoints of the path in the quotient
-        start, end = pi.rgs[src], pi.rgs[tgt]
-        if (metas[0].block == "t") != (k > lin.base.order):
-            start, end = end, start
-        arcs.append((start, end, word))
-    # Hierholzer-style decomposition into arc cycles
-    out = []
-    unused = list(range(len(arcs)))
-    by_start: dict[int, list[int]] = {}
-    for i, (s, _, _) in enumerate(arcs):
-        by_start.setdefault(s, []).append(i)
-    used = [False] * len(arcs)
-    for i in range(len(arcs)):
-        if used[i]:
-            continue
-        walk = [i]
-        used[i] = True
-        cur = arcs[i][1]
-        start = arcs[i][0]
-        while cur != start:
-            nxt = next((j for j in by_start.get(cur, []) if not used[j]), None)
-            if nxt is None:
-                return None  # arcs do not close into circuits
-            used[nxt] = True
-            walk.append(nxt)
-            cur = arcs[nxt][1]
-        word = StarWord((), lin.word.alphabet)
-        for j in walk:
-            word = word * arcs[j][2]
-        out.append(free_reduce(word))
-    return out
-
-
-def _is_doubled(lin: Linearization) -> bool:
-    return len(lin.meta) > lin.base.order * len(lin.word)
-
-
-# --------------------------------------------------------------------------
 # splitting identity (independent families factor through injective traces)
 # --------------------------------------------------------------------------
 
@@ -387,7 +281,7 @@ def _joint_operand(b1: TensorOperand, b2: TensorOperand, ids1, ids2,
             for pos, f in zip(ids2, f2):
                 factors[pos] = f
             terms.append((w1 * w2, factors))
-    return TensorOperand.sum_of_factored(b1.n, order, terms)
+    return TensorOperand(b1.n, order, terms)
 
 
 def splitting_identity_check(tprime: LinearGraph, color, b1: TensorOperand,
@@ -395,9 +289,13 @@ def splitting_identity_check(tprime: LinearGraph, color, b1: TensorOperand,
                              samples: int = 200, seed: int = 0) -> SplittingReport:
     """Check that the expected injective trace of an independent pair
     factors: E Tr0_{T'}(B1 x B2) = (N-|V'|)!/N! * Tr0_{T1}(B1) * Tr0_{T2}(B2),
-    with B2 averaged over permutation conjugations (exactly for mode="exact",
-    which needs N <= 5; by sampling otherwise).
+    with B2 averaged over permutation conjugations: all N! of them for
+    mode="exact" (N <= 5), `samples` random ones for mode="sampled".
     """
+    if mode not in ("exact", "sampled"):
+        raise InvalidArgumentError(f"unknown mode {mode!r}")
+    if mode == "sampled" and samples < 2:
+        raise InvalidArgumentError("need samples >= 2")
     n = b1.n
     color = tuple(color)
     ids1 = tuple(i for i, c in enumerate(color) if c == 1)
@@ -414,23 +312,14 @@ def splitting_identity_check(tprime: LinearGraph, color, b1: TensorOperand,
     if mode == "exact":
         if n > 5:
             raise ResourceLimitError("exact permutation averaging capped at N = 5")
-        total = 0j
-        count = 0
-        for perm in itertools.permutations(range(n)):
-            conj = b2.conjugated_by(permutation_matrix(perm))
-            joint = _joint_operand(b1, conj, ids1, ids2, tprime.order)
-            total += injective_graph_trace(tprime, joint)
-            count += 1
-        lhs = total / count
-        return SplittingReport(complex(lhs), complex(rhs),
-                               abs(lhs - rhs), None, False)
-    rng = np.random.default_rng(seed)
-    vals = np.empty(samples, dtype=np.complex128)
-    for i in range(samples):
-        conj = b2.conjugated_by(permutation_matrix(rng.permutation(n)))
-        joint = _joint_operand(b1, conj, ids1, ids2, tprime.order)
-        vals[i] = injective_graph_trace(tprime, joint)
-    lhs = vals.mean()
-    stderr = float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-    return SplittingReport(complex(lhs), complex(rhs), abs(lhs - rhs),
-                           stderr, False)
+        perms = list(itertools.permutations(range(n)))
+    else:
+        rng = np.random.default_rng(seed)
+        perms = [rng.permutation(n) for _ in range(samples)]
+    vals = np.array([injective_graph_trace(tprime, _joint_operand(
+        b1, b2.conjugated_by(permutation_matrix(perm)), ids1, ids2,
+        tprime.order)) for perm in perms])
+    lhs = complex(vals.mean())
+    stderr = None if mode == "exact" \
+        else float(vals.std(ddof=1) / np.sqrt(samples))
+    return SplittingReport(lhs, complex(rhs), abs(lhs - rhs), stderr, False)

@@ -14,8 +14,6 @@ from .errors import InvalidArgumentError
 from .graphs import LinearGraph, quotient, minimal_graph
 from .partitions import SetPartition, find_root, leq, union_roots
 
-SIMPLE_CYCLE_EDGE_CAP = 16
-
 
 # --- blocks (biconnected components), bridges and the leaf count --------------
 
@@ -102,21 +100,7 @@ class ForestOfTEC:
 
     components: tuple[frozenset[int], ...]
     forest_edges: tuple[tuple[int, int, int], ...]  # (comp_i, comp_j, edge_id)
-
-    def degree(self, comp_index: int) -> int:
-        return sum((a == comp_index) + (b == comp_index)
-                   for a, b, _ in self.forest_edges)
-
-    def leaf_count(self) -> int:
-        """Leaves of the forest; an isolated forest vertex counts as two."""
-        total = 0
-        for i in range(len(self.components)):
-            d = self.degree(i)
-            if d == 0:
-                total += 2
-            elif d == 1:
-                total += 1
-        return total
+    degrees: tuple[int, ...]  # bridge endpoints in each component
 
 
 def forest_of_tec(graph: LinearGraph) -> ForestOfTEC:
@@ -133,12 +117,23 @@ def forest_of_tec(graph: LinearGraph) -> ForestOfTEC:
     fedges = tuple((index[find_root(parent, graph.edges[eid][0])],
                     index[find_root(parent, graph.edges[eid][1])], eid)
                    for eid in sorted(bridges))
-    return ForestOfTEC(tuple(frozenset(c) for c in comps), fedges)
+    degrees = [0] * len(roots)
+    for a, b, _ in fedges:
+        degrees[a] += 1
+        degrees[b] += 1
+    return ForestOfTEC(tuple(frozenset(c) for c in comps), fedges,
+                       tuple(degrees))
+
+
+def forest_leaves(degrees) -> int:
+    """Leaves of a forest given its vertex degrees; an isolated forest
+    vertex counts as two."""
+    return 2 * degrees.count(0) + degrees.count(1)
 
 
 def leaf_count(graph: LinearGraph) -> int:
     """Number of leaves of the forest of two-edge-connected components."""
-    return forest_of_tec(graph).leaf_count()
+    return forest_leaves(forest_of_tec(graph).degrees)
 
 
 # --- cactus predicates -------------------------------------------------------
@@ -222,50 +217,6 @@ def is_valid(graph: LinearGraph, delta, eps) -> bool:
     return classify_labeling(graph, delta, eps) == VALID
 
 
-# --- simple-cycle enumeration (test oracle for the cactus predicate) --------
-
-def simple_cycles(graph: LinearGraph) -> list[frozenset[int]]:
-    """All undirected simple cycles, as edge-id sets.
-
-    Loops are length-one cycles; a pair of parallel edges is a length-two
-    cycle. Guarded to graphs with at most SIMPLE_CYCLE_EDGE_CAP edges since
-    the count can grow exponentially.
-    """
-    if graph.order > SIMPLE_CYCLE_EDGE_CAP:
-        raise InvalidArgumentError(
-            f"simple-cycle enumeration capped at {SIMPLE_CYCLE_EDGE_CAP} edges")
-    adj = [[] for _ in range(graph.vertex_count)]
-    found: set[frozenset[int]] = set()
-    for eid, (s, t) in enumerate(graph.edges):
-        if s == t:
-            found.add(frozenset([eid]))
-        else:
-            adj[s].append((eid, t))
-            adj[t].append((eid, s))
-
-    def walk(start, current, visited, edges_used):
-        for eid, w in adj[current]:
-            if eid in edges_used:
-                continue
-            if w == start and len(edges_used) >= 1:
-                found.add(frozenset(edges_used | {eid}))
-            elif w not in visited and w > start:
-                walk(start, w, visited | {w}, edges_used | {eid})
-
-    for start in range(graph.vertex_count):
-        walk(start, start, {start}, frozenset())
-    return sorted(found, key=sorted)
-
-
-def is_forest_of_cacti_by_enumeration(graph: LinearGraph) -> bool:
-    """Oracle variant: every edge lies on exactly one enumerated simple cycle."""
-    count = [0] * graph.order
-    for cyc in simple_cycles(graph):
-        for eid in cyc:
-            count[eid] += 1
-    return all(c == 1 for c in count)
-
-
 # --- colored components, pruning, and the splitting exponent -----------------
 
 @dataclass(frozen=True)
@@ -311,14 +262,10 @@ def _component_nodes(sub: LinearGraph, color: int) -> list[CCGNode]:
     for root in sorted(groups):
         tecs = groups[root]
         verts = frozenset().union(*(forest.components[i] for i in tecs))
-        n_bridges = sum(1 for a, b, _ in forest.forest_edges
-                        if find_root(parent, a) == root)
         # leaf count of this component alone: degrees within the component
-        if n_bridges == 0:
-            leaves = 2
-        else:
-            leaves = sum(1 for i in tecs if forest.degree(i) == 1)
-        nodes.append(CCGNode(color, verts, n_bridges > 0, leaves))
+        degrees = [forest.degrees[i] for i in tecs]
+        nodes.append(CCGNode(color, verts, any(degrees),
+                             forest_leaves(degrees)))
     return nodes
 
 

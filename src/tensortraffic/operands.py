@@ -64,10 +64,6 @@ class TensorOperand:
         return cls(n, len(factors), [(weight, factors)])
 
     @classmethod
-    def sum_of_factored(cls, n, legs, terms) -> "TensorOperand":
-        return cls(n, legs, terms)
-
-    @classmethod
     def scalar(cls, n, weight=1.0) -> "TensorOperand":
         """Zero-leg operand (a bare weight); pairs with edgeless graphs."""
         return cls(n, 0, [(weight, ())])
@@ -137,7 +133,7 @@ class StateSpec:
                 if not isinstance(pi, SetPartition) or pi.n != 2 * self.k:
                     raise InvalidArgumentError(
                         "coefficients must be indexed by partitions of [2K]")
-            # unitality psi(1) = 1 is checked here; see traces.check_unital
+            # psi(1) = 1 is checked here; see traces.state_unitality_defect
             from .traces import state_unitality_defect
             defect = state_unitality_defect(self)
             if defect > 1e-9:

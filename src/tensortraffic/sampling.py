@@ -239,7 +239,7 @@ def symmetrize(target, n: int, group: str = "sn_exact", samples: int = 200,
         for weight, u in zip(weights, mats):
             conj = target.conjugated_by(u)
             terms.extend((weight * w, fs) for w, fs in conj.terms)
-        return TensorOperand.sum_of_factored(target.n, target.legs, terms)
+        return TensorOperand(target.n, target.legs, terms)
 
     def averaged(operand: TensorOperand) -> complex:
         total = 0j

@@ -350,7 +350,7 @@ def ms_optimality_witness(pi: SetPartition, n: int) -> TensorOperand:
         raise InvalidArgumentError(f"need N >= 2K = {2 * k}, got {n}")
     graph = quotient(minimal_graph(k), pi)
     forest = forest_of_tec(graph)
-    deg = [forest.degree(i) for i in range(len(forest.components))]
+    deg = forest.degrees
     comp_of = {}
     for ci, comp in enumerate(forest.components):
         for v in comp:
@@ -542,8 +542,8 @@ def randomized_coefficient_extract(psi, pi: SetPartition, k: int, n: int,
     """
     if pi.n != 2 * k:
         raise InvalidArgumentError("partition must live on [2K]")
-    if samples < 1:
-        raise InvalidArgumentError("need samples >= 1")
+    if samples < 2:
+        raise InvalidArgumentError("need samples >= 2")
     if probe is None:
         probe = ms_optimality_witness(pi, n)
     base = quotient(minimal_graph(k), pi)
@@ -555,56 +555,10 @@ def randomized_coefficient_extract(psi, pi: SetPartition, k: int, n: int,
     values = np.empty(samples, dtype=np.complex128)
     for s in range(samples):
         diags = _product_diagonals(pi, n, rng)
-        sandwiched = _sandwich(probe, diags, k)
-        values[s] = apply_state(psi, sandwiched)
+        values[s] = apply_state(psi, TensorOperand(probe.n, k, [
+            (w, [diags[leg][:, None] * fs[leg] * diags[k + leg][None, :]
+                 for leg in range(k)]) for w, fs in probe.terms]))
     mean = values.mean()
-    spread = values.std(ddof=1) / np.sqrt(samples) if samples > 1 else 0.0
+    spread = values.std(ddof=1) / np.sqrt(samples)
     return ExtractReport(complex(mean / reference), float(spread / abs(reference)),
                          samples, complex(reference))
-
-
-def _sandwich(probe: TensorOperand, diags, k) -> TensorOperand:
-    terms = []
-    for weight, factors in probe.terms:
-        terms.append((weight, [diags[leg][:, None] * factors[leg]
-                               * diags[k + leg][None, :] for leg in range(k)]))
-    return TensorOperand.sum_of_factored(probe.n, k, terms)
-
-
-def extract_expectation_exact(psi, pi: SetPartition, k: int, n: int,
-                              probe: TensorOperand) -> complex:
-    """Exact expectation of the sandwich estimator by enumerating every
-    root-of-unity and product-variable assignment. Exponential; only for
-    tiny instances (the enumeration size is checked).
-    """
-    blocks = pi.blocks()
-    m = len(blocks)
-    sizes = [len(b) for b in blocks]
-    total_assignments = 1
-    for size in sizes:
-        total_assignments *= size ** n
-    total_assignments *= 2 ** (m * n)
-    if total_assignments > 2 * 10 ** 6:
-        raise ResourceLimitError(
-            f"exact enumeration needs {total_assignments} assignments")
-    acc = 0.0 + 0.0j
-    root_spaces = [list(itertools.product(range(size), repeat=n))
-                   for size in sizes]
-    x_space = list(itertools.product((0.0, 2.0), repeat=n))
-    count = 0
-    for root_choice in itertools.product(*root_spaces):
-        for x_choice in itertools.product(x_space, repeat=m):
-            count += 1
-            diags = []
-            for pos in range(1, 2 * k + 1):
-                b = pi.block_of(pos)
-                size = sizes[b]
-                phase = np.exp(2j * np.pi * np.array(root_choice[b]) / size)
-                others = np.ones(n)
-                for b2 in range(m):
-                    if b2 != b:
-                        others = others * np.array(x_choice[b2])
-                bar = ((2.0 - np.array(x_choice[b])) * others) ** (1.0 / size)
-                diags.append(bar * phase)
-            acc += apply_state(psi, _sandwich(probe, diags, k))
-    return complex(acc / count)

@@ -62,10 +62,6 @@ class StarWord:
         return StarWord(tuple((idx, not star) for idx, star
                               in reversed(self.letters)), self.alphabet)
 
-    def __mul__(self, other: "StarWord") -> "StarWord":
-        return StarWord(self.letters + other.letters,
-                        max(self.alphabet, other.alphabet))
-
 
 def free_reduce(word: StarWord) -> StarWord:
     """Fully reduced representative in the free group (stack scan)."""

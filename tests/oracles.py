@@ -1,0 +1,104 @@
+"""Reference implementations that the tests compare the package against.
+
+Each is exponential and shares no code with the routine it checks.
+"""
+import itertools
+
+import numpy as np
+
+from tensortraffic.errors import InvalidArgumentError, ResourceLimitError
+from tensortraffic.graphs import LinearGraph
+from tensortraffic.operands import TensorOperand
+from tensortraffic.partitions import SetPartition
+from tensortraffic.traces import apply_state
+
+SIMPLE_CYCLE_EDGE_CAP = 16
+
+
+# --- simple-cycle enumeration (oracle for the cactus predicate) --------------
+
+def simple_cycles(graph: LinearGraph) -> list[frozenset[int]]:
+    """All undirected simple cycles, as edge-id sets.
+
+    Loops are length-one cycles; a pair of parallel edges is a length-two
+    cycle. Guarded to graphs with at most SIMPLE_CYCLE_EDGE_CAP edges since
+    the count can grow exponentially.
+    """
+    if graph.order > SIMPLE_CYCLE_EDGE_CAP:
+        raise InvalidArgumentError(
+            f"simple-cycle enumeration capped at {SIMPLE_CYCLE_EDGE_CAP} edges")
+    adj = [[] for _ in range(graph.vertex_count)]
+    found: set[frozenset[int]] = set()
+    for eid, (s, t) in enumerate(graph.edges):
+        if s == t:
+            found.add(frozenset([eid]))
+        else:
+            adj[s].append((eid, t))
+            adj[t].append((eid, s))
+
+    def walk(start, current, visited, edges_used):
+        for eid, w in adj[current]:
+            if eid in edges_used:
+                continue
+            if w == start and len(edges_used) >= 1:
+                found.add(frozenset(edges_used | {eid}))
+            elif w not in visited and w > start:
+                walk(start, w, visited | {w}, edges_used | {eid})
+
+    for start in range(graph.vertex_count):
+        walk(start, start, {start}, frozenset())
+    return sorted(found, key=sorted)
+
+
+def is_forest_of_cacti_by_enumeration(graph: LinearGraph) -> bool:
+    """Oracle variant: every edge lies on exactly one enumerated simple cycle."""
+    count = [0] * graph.order
+    for cyc in simple_cycles(graph):
+        for eid in cyc:
+            count[eid] += 1
+    return all(c == 1 for c in count)
+
+
+# --- exact expectation of the sandwich estimator -----------------------------
+
+def extract_expectation_exact(psi, pi: SetPartition, k: int, n: int,
+                              probe: TensorOperand) -> complex:
+    """Exact expectation of the sandwich estimator of
+    `traces.randomized_coefficient_extract` by enumerating every
+    root-of-unity and product-variable assignment. Exponential; only for
+    tiny instances (the enumeration size is checked).
+    """
+    blocks = pi.blocks()
+    m = len(blocks)
+    sizes = [len(b) for b in blocks]
+    total_assignments = 1
+    for size in sizes:
+        total_assignments *= size ** n
+    total_assignments *= 2 ** (m * n)
+    if total_assignments > 2 * 10 ** 6:
+        raise ResourceLimitError(
+            f"exact enumeration needs {total_assignments} assignments")
+    acc = 0.0 + 0.0j
+    root_spaces = [list(itertools.product(range(size), repeat=n))
+                   for size in sizes]
+    x_space = list(itertools.product((0.0, 2.0), repeat=n))
+    count = 0
+    for root_choice in itertools.product(*root_spaces):
+        for x_choice in itertools.product(x_space, repeat=m):
+            count += 1
+            diags = []
+            for pos in range(1, 2 * k + 1):
+                b = pi.block_of(pos)
+                size = sizes[b]
+                phase = np.exp(2j * np.pi * np.array(root_choice[b]) / size)
+                others = np.ones(n)
+                for b2 in range(m):
+                    if b2 != b:
+                        others = others * np.array(x_choice[b2])
+                bar = ((2.0 - np.array(x_choice[b])) * others) ** (1.0 / size)
+                diags.append(bar * phase)
+            sandwiched = TensorOperand(probe.n, k, [
+                (w, [np.outer(diags[leg], diags[k + leg]) * fs[leg]
+                     for leg in range(k)]) for w, fs in probe.terms])
+            acc += apply_state(psi, sandwiched)
+    return complex(acc / count)

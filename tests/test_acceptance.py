@@ -146,7 +146,7 @@ def test_criterion_04_splitting_identity():
                                      mode="exact")
     assert exact.residual <= 1e-9 and not exact.degenerate
     mc = splitting_identity_check(tprime, color, operand(20), operand(20),
-                                  mode="mc", samples=400, seed=404)
+                                  mode="sampled", samples=400, seed=404)
     assert mc.residual <= 3 * mc.stderr + 1e-9
     print(f"PASS criterion 4: splitting identity exact residual "
           f"{exact.residual:.2e}, MC residual within 3 stderr")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tensortraffic import sampling
+from tensortraffic import graphs, sampling
 from tensortraffic.cli import _load_operand, _state_for, build_parser, main
 from tensortraffic.errors import TensorTrafficError
 from tensortraffic.graphs import load_graph
@@ -269,6 +269,23 @@ def test_malformed_input_exits_2(argv, tmp_path, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 2, err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"vertices": 100_001, "edges": [[0, 0]]},
+    {"vertices": 1, "edges": [[0, 0]] * 100_001},
+], ids=("vertices", "edges"))
+def test_oversized_graph_exits_3_before_building_it(doc, tmp_path, capsys,
+                                                    monkeypatch):
+    def no_graph(*args):
+        raise AssertionError("a LinearGraph was built")
+
+    monkeypatch.setattr(graphs, "LinearGraph", no_graph)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["invariants", "--graph", str(path)], capsys)
+    assert code == 3, err
+    assert out == "" and err.startswith("resource limit: ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every private module-level function or class is used somewhere."""
+"""Source hygiene: every name a module imports is used in that module,
+every private module-level function or class is used somewhere, and every
+module-level function or class is reachable from the package's roots."""
 import ast
 from pathlib import Path
 
@@ -51,6 +52,48 @@ def unused_private_definitions(sources: dict[str, str]) -> list[str]:
     return dead
 
 
+def unreachable_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes, as "module.name", that no root
+    reaches. The roots are the names `__init__` imports, every module's
+    __all__, `cli.main` and the names module-level code reads; a reachable
+    definition reaches every name it reads, followed through relative
+    `from .module import name` statements (also those inside functions).
+    Mutual references alone keep nothing alive.
+    """
+    trees = {name[:-3]: ast.parse(source) for name, source in sources.items()}
+    defs, imports, roots = {}, {}, [("cli", "main")]
+    for mod, tree in trees.items():
+        imports[mod] = {a.asname or a.name: (node.module, a.name)
+                        for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom)
+                        and node.level == 1 and node.module
+                        for a in node.names}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[(mod, node.name)] = node
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__"
+                          for t in node.targets)):
+                roots += [(mod, elt.value) for elt in node.value.elts]
+            else:
+                roots += [(mod, name) for name in _names_read(node)]
+    roots += imports.get("__init__", {}).values()
+    reached = set()
+    while roots:
+        mod, name = roots.pop()
+        while (mod, name) not in defs and name in imports.get(mod, {}):
+            mod, name = imports[mod][name]
+        if (mod, name) in defs and (mod, name) not in reached:
+            reached.add((mod, name))
+            roots += [(mod, n) for n in _names_read(defs[(mod, name)])]
+    return sorted(f"{mod}.{name}" for mod, name in defs
+                  if (mod, name) not in reached)
+
+
+def _names_read(node) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
 def test_unused_import_scan_flags_only_unused_names():
     source = ("from __future__ import annotations\n"
               "import os, sys\nfrom json import dumps, loads as ld\n"
@@ -83,3 +126,29 @@ def test_no_unused_imports_in_package():
     found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     assert not {k: v for k, v in found.items() if v}, found
+
+
+def test_reachability_scan_flags_only_unreachable_definitions():
+    sources = {
+        "__init__.py": "from .a import public\n",
+        "cli.py": "from .a import helper as h\ndef main():\n    h()\n",
+        "a.py": ("from .b import shared\n__all__ = ['listed']\n"
+                 "def public():\n    return shared()\n"
+                 "def helper():\n    pass\n"
+                 "def listed():\n    pass\n"
+                 "def _ping():\n    return _pong()\n"
+                 "def _pong():\n    return _ping()\n"
+                 "LIMIT = startup()\n"
+                 "def startup():\n    pass\n"),
+        "b.py": ("def shared():\n    from .c import late\n    return late\n"
+                 "def orphan():\n    return shared()\n"),
+        "c.py": "class late:\n    pass\nclass Unused:\n    pass\n",
+    }
+    assert unreachable_definitions(sources) == \
+        ["a._ping", "a._pong", "b.orphan", "c.Unused"]
+
+
+def test_every_definition_in_package_is_reachable():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert unreachable_definitions(sources) == []

@@ -12,13 +12,13 @@ from tensortraffic.invariants import (NOT_ALTERNATED, NOT_CACTUS,
                                       ccg_balance, classify_labeling,
                                       colored_component_graph, cutting_edges,
                                       eta, forest_of_tec,
-                                      is_forest_of_cacti,
-                                      is_forest_of_cacti_by_enumeration,
-                                      is_valid, is_well_oriented, leaf_count,
-                                      leaf_monotonicity_check, prune,
-                                      simple_cycles)
+                                      is_forest_of_cacti, is_valid,
+                                      is_well_oriented, leaf_count,
+                                      leaf_monotonicity_check, prune)
 from tensortraffic.partitions import SetPartition, enumerate_partitions, leq
 from tensortraffic.words import StarWord
+
+from oracles import is_forest_of_cacti_by_enumeration, simple_cycles
 
 
 def brute_force_bridges(graph):
@@ -69,6 +69,15 @@ def test_forest_of_tec():
     forest = forest_of_tec(dumbbell)
     assert len(forest.components) == 2 and len(forest.forest_edges) == 1
     assert forest.forest_edges[0][2] == 2
+    for pi in enumerate_partitions(6):
+        g = quotient(minimal_graph(3), pi)
+        forest = forest_of_tec(g)
+        ends = [g.edges[eid][end] for _, _, eid in forest.forest_edges
+                for end in (0, 1)]
+        assert forest.degrees == tuple(sum(v in comp for v in ends)
+                                       for comp in forest.components)
+        assert leaf_count(g) == sum(2 if d == 0 else d == 1
+                                    for d in forest.degrees)
 
 
 def test_forest_partitions_vertices_and_is_acyclic():

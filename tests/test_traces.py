@@ -12,12 +12,13 @@ from tensortraffic.operands import StateSpec, TensorOperand
 from tensortraffic.partitions import (SetPartition, enumerate_partitions, leq,
                                       mobius)
 from tensortraffic.traces import (apply_state, contraction_plan,
-                                  decompose_invariant_state,
-                                  extract_expectation_exact, graph_trace,
+                                  decompose_invariant_state, graph_trace,
                                   injective_graph_trace, injective_trace_stack,
                                   ms_optimality_witness, naive_graph_trace,
                                   randomized_coefficient_extract,
                                   reconstruction_value, tau_trace, zeta_trace)
+
+from oracles import extract_expectation_exact
 
 
 def random_operand(rng, n, k):
@@ -73,8 +74,7 @@ def test_engine_matches_naive_enumeration():
 def test_sum_of_factored_linearity(rng):
     n = 4
     a1, a2, b = (rng.standard_normal((n, n)) for _ in range(3))
-    combo = TensorOperand.sum_of_factored(
-        n, 2, [(2.0, [a1, b]), (-1.5j, [a2, b])])
+    combo = TensorOperand(n, 2, [(2.0, [a1, b]), (-1.5j, [a2, b])])
     g = quotient(minimal_graph(2), SetPartition.from_string("0,1,1,0"))
     direct = 2.0 * graph_trace(g, TensorOperand.factored([a1, b])) \
         - 1.5j * graph_trace(g, TensorOperand.factored([a2, b]))

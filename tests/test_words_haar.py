@@ -5,13 +5,13 @@ import pytest
 
 from tensortraffic.errors import InvalidArgumentError, ResourceLimitError
 from tensortraffic.graphs import LinearGraph, canonical_form
-from tensortraffic.haar import (circuit_words, cycle_limit_coefficient,
-                                doubled, haar_limit_injective, linearize,
-                                path_word, paths_intact,
-                                predict_freeness_limit, split_graphs,
-                                splitting_identity_check, t1_labels)
-from tensortraffic.operands import TensorOperand
+from tensortraffic.haar import (cycle_limit_coefficient, haar_limit_injective,
+                                linearize, predict_freeness_limit,
+                                split_graphs, splitting_identity_check,
+                                t1_labels)
+from tensortraffic.operands import StateSpec, TensorOperand
 from tensortraffic.partitions import SetPartition, enumerate_partitions
+from tensortraffic.traces import randomized_coefficient_extract
 from tensortraffic.words import StarWord, all_words, free_reduce, is_trivial
 
 LOOP1 = LinearGraph(1, [(0, 0)])
@@ -91,22 +91,6 @@ def test_linearize_block_mismatch():
         linearize(LOOP1, StarWord.parse("1"), 1, 1, 0)
 
 
-def test_path_words_spell_word_and_mirror():
-    word = StarWord.parse("1,2,2,1*")
-    base = LinearGraph(1, tuple((0, 0) for _ in range(3)))
-    lin = linearize(base, word, 1, 1, 1)
-    assert path_word(lin, 1) == word                 # u block
-    assert path_word(lin, 2) == word.mirrored()      # t block
-    assert path_word(lin, 3) == word                 # v block
-
-
-def test_path_words_on_doubled_graph():
-    word = StarWord.parse("1,2")
-    lin = doubled(linearize(LOOP2, word, 1, 1, 0))
-    assert path_word(lin, 3) == word.inverse()
-    assert path_word(lin, 4) == word.mirrored().inverse()
-
-
 def test_split_graphs_orders_and_union():
     word = StarWord.parse("1,2")
     base = LinearGraph(1, tuple((0, 0) for _ in range(3)))
@@ -120,28 +104,6 @@ def test_split_graphs_orders_and_union():
     assert t1.vertex_count == t2.vertex_count == tprime.vertex_count
     merged = sorted(ids1 + ids2)
     assert merged == list(range(tprime.order))
-
-
-def test_discrete_quotient_path_integrity():
-    word = StarWord.parse("1,2,1*")
-    lin = linearize(LOOP2, word, 1, 1, 0)
-    disc = SetPartition.discrete(lin.graph.vertex_count)
-    assert paths_intact(lin, disc)
-    words = circuit_words(lin, disc)
-    # single base vertex: each path closes into its own circuit
-    assert words is not None
-    reduced = {w.to_string() for w in words}
-    assert reduced == {free_reduce(word).to_string(),
-                       free_reduce(word.mirrored()).to_string()}
-
-
-def test_doubled_merge_gives_trivial_circuit():
-    lin = doubled(linearize(LOOP1, StarWord.parse("1"), 1, 0, 0))
-    merged = SetPartition.full(2)
-    words = circuit_words(lin, merged)
-    assert words is not None
-    # the two loops close separately; each word is a single letter
-    assert sorted(w.to_string() for w in words) == ["1", "1*"]
 
 
 # --- exact limit coefficients ------------------------------------------------
@@ -284,6 +246,24 @@ def test_splitting_mc_n20(rng):
     b2 = TensorOperand.factored(
         [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
          for _ in range(2)])
-    rep = splitting_identity_check(tprime, (1, 1, 2, 2), b1, b2, mode="mc",
-                                   samples=250, seed=4)
+    rep = splitting_identity_check(tprime, (1, 1, 2, 2), b1, b2,
+                                   mode="sampled", samples=250, seed=4)
     assert rep.residual <= 3 * rep.stderr + 1e-9
+
+
+def test_sampled_checks_validate_their_arguments(rng):
+    tprime = LinearGraph(2, [(0, 1), (1, 0), (1, 1)])
+    b1 = TensorOperand.factored([rng.standard_normal((4, 4))] * 2)
+    b2 = TensorOperand.factored([rng.standard_normal((4, 4))])
+    with pytest.raises(InvalidArgumentError, match="unknown mode"):
+        splitting_identity_check(tprime, (1, 1, 2), b1, b2, mode="exakt")
+    with pytest.raises(InvalidArgumentError, match="need samples >= 2"):
+        splitting_identity_check(tprime, (1, 1, 2), b1, b2, mode="sampled",
+                                 samples=1)
+    with pytest.raises(InvalidArgumentError, match="need samples >= 2"):
+        randomized_coefficient_extract(StateSpec("tracial", k=1, n=4),
+                                       SetPartition.full(2), 1, 4, samples=1)
+    for mode in ("exact", "sampled"):
+        rep = splitting_identity_check(tprime, (1, 1, 2), b1, b2, mode=mode,
+                                       samples=8)
+        assert type(rep.residual) is float
