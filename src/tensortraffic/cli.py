@@ -36,6 +36,7 @@ MC_CSV_COLUMNS = ("N", "estimate_re", "estimate_im", "stderr", "variance",
 CHARACTER_CSV_COLUMNS = ("N", "mean_abs", "mean_re", "mean_im", "stderr",
                          "ref_error", "samples")
 AMALGAM_CSV_COLUMNS = ("N", "norm_mean", "stderr", "samples")
+DIMENSION_CAP = 4096  # one complex N x N matrix is 256 MiB at the cap
 
 
 def _emit(args, text: str):
@@ -65,8 +66,15 @@ def _parse_ints(text: str) -> list[int]:
             from exc
 
 
+def _check_dimension(n: int) -> int:
+    if n > DIMENSION_CAP:
+        raise ResourceLimitError(
+            f"N is capped at {DIMENSION_CAP} (requested {n})")
+    return n
+
+
 def _parse_dims(text: str) -> list[int]:
-    dims = _parse_ints(text)
+    dims = [_check_dimension(n) for n in _parse_ints(text)]
     if not dims:
         raise InvalidArgumentError(f"--dims needs at least one N: {text!r}")
     return dims
@@ -194,6 +202,7 @@ def _cmd_mobius(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    _check_dimension(args.n)
     state = _state_for(args.state, args.k, args.n)
     coeffs = decompose_invariant_state(state, args.k, args.n, seed=args.seed)
     rng = RngStream(args.seed, 10 ** 6).generator()
@@ -403,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-mode", choices=("perm", "haar"), default="perm",
                    help="third-block family: permutation tensors or Haar")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads (results do not depend on this)")
+                   help="worker threads, 1 to 64 (results do not depend on this)")
     common(p, fmt_default="csv")
     p.set_defaults(func=_cmd_mc)
 

@@ -108,15 +108,11 @@ def doubled(lin: Linearization) -> Linearization:
 def split_graphs(tprime: LinearGraph, lin: Linearization):
     """Colored subgraphs of a quotient of the linearized graph: T1 keeps the
     u/t-block edges, T2 the v-block edges; both keep the full vertex set.
-    Returns (t1, t2, edge ids of t1, edge ids of t2).
     """
     if tprime.order != lin.graph.order:
         raise InvalidArgumentError("quotient must preserve the edge list")
-    color = tuple(2 if m.block == "v" else 1 for m in lin.meta)
-    t1, t2 = split_by_color(tprime, color)
-    ids1 = tuple(i for i, c in enumerate(color) if c == 1)
-    ids2 = tuple(i for i, c in enumerate(color) if c == 2)
-    return t1, t2, ids1, ids2
+    return split_by_color(tprime, tuple(2 if m.block == "v" else 1
+                                        for m in lin.meta))
 
 
 def t1_labels(lin: Linearization):
@@ -235,7 +231,7 @@ def predict_freeness_limit(word: StarWord, base: LinearGraph, k1: int,
         if key in ledger:
             ledger[key].multiplicity += 1
             continue
-        t1, t2, _, _ = split_graphs(tprime, lin)
+        t1, t2 = split_graphs(tprime, lin)
         validity = classify_labeling(t1, delta, eps)
         coeff = haar_limit_injective(t1, delta, eps) if validity == VALID \
             else Fraction(0)

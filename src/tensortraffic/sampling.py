@@ -19,6 +19,8 @@ from .operands import TensorOperand, permutation_matrix
 from .traces import apply_state  # re-exported: states live next to traces
 from .words import StarWord, is_trivial
 
+THREAD_CAP = 64  # worker threads of one sweep; results do not depend on it
+
 __all__ = [
     "RngStream", "MCReport", "sample_haar_unitary", "haar_sweep",
     "build_w_family", "evaluate_word", "apply_state", "mc_expectation",
@@ -140,6 +142,11 @@ def haar_sweep(fn, n: int, letters: int, samples: int, seed: int,
     """
     if samples < 2:
         raise InvalidArgumentError("need samples >= 2")
+    if threads < 1:
+        raise InvalidArgumentError(f"need threads >= 1 (got {threads})")
+    if threads > THREAD_CAP:
+        raise ResourceLimitError(
+            f"threads are capped at {THREAD_CAP} (requested {threads})")
 
     def one(s):
         rng = RngStream(seed, s).generator()
@@ -176,7 +183,7 @@ def mc_run(state, word: StarWord, blocks, n: int, samples: int,
     t0 = time.perf_counter()
     if is_trivial(word):
         ident = apply_state(state, TensorOperand.identity(n, sum(blocks)))
-        values = haar_sweep(lambda us, rng: ident, n, 0, samples, seed)
+        values = haar_sweep(lambda us, rng: ident, n, 0, samples, seed, threads)
     else:
         values = haar_sweep(
             lambda us, rng: _sample_value(state, word, blocks, v_mode, us, rng),

@@ -8,8 +8,9 @@ inversion over the partition lattice of the vertex set.
 
 Evaluation is routed through a small contraction engine that eliminates
 one vertex at a time, pairing tensors via batched matrix products (BLAS)
-instead of generic einsum calls. All arrays may carry one leading sample
-axis, which makes Monte-Carlo sweeps cheap.
+instead of generic einsum calls. Every array carries one leading sample
+axis, which makes Monte-Carlo sweeps cheap; an operand term is a stack of
+one sample.
 """
 from __future__ import annotations
 
@@ -82,10 +83,10 @@ def contraction_plan(graph: LinearGraph) -> ContractionPlan:
     return ContractionPlan(tuple(order), width)
 
 
-def _pair_merge(a_arr, a_idx, b_arr, b_idx, sum_over, batched):
+def _pair_merge(a_arr, a_idx, b_arr, b_idx, sum_over):
     """Contract two tensors over `sum_over`, batching other shared labels.
 
-    All non-batch axes have the same length; shapes are (B?, N, N, ...).
+    Axis 0 is the sample axis; every other axis has length N.
     """
     bset = set(b_idx)
     shared = [l for l in a_idx if l in bset]
@@ -94,16 +95,14 @@ def _pair_merge(a_arr, a_idx, b_arr, b_idx, sum_over, batched):
     free_a = [l for l in a_idx if l not in bset]
     aset = set(a_idx)
     free_b = [l for l in b_idx if l not in aset]
-    off = 1 if batched else 0
-    apos = {l: off + p for p, l in enumerate(a_idx)}
-    bpos = {l: off + p for p, l in enumerate(b_idx)}
-    lead = [0] if batched else []
-    a_perm = lead + [apos[l] for l in batch_sh] + [apos[l] for l in free_a] \
+    apos = {l: p for p, l in enumerate(a_idx, start=1)}  # axis 0: samples
+    bpos = {l: p for p, l in enumerate(b_idx, start=1)}
+    a_perm = [0] + [apos[l] for l in batch_sh] + [apos[l] for l in free_a] \
         + [apos[l] for l in con]
-    b_perm = lead + [bpos[l] for l in batch_sh] + [bpos[l] for l in con] \
+    b_perm = [0] + [bpos[l] for l in batch_sh] + [bpos[l] for l in con] \
         + [bpos[l] for l in free_b]
     n = a_arr.shape[-1] if a_idx else (b_arr.shape[-1] if b_idx else 1)
-    bdim = a_arr.shape[0] if batched else 1
+    bdim = a_arr.shape[0]
     g, fa, fb, c = (n ** len(batch_sh), n ** len(free_a),
                     n ** len(free_b), n ** len(con))
     at = a_arr.transpose(a_perm).reshape((bdim, g, fa, c))
@@ -118,20 +117,16 @@ def _pair_merge(a_arr, a_idx, b_arr, b_idx, sum_over, batched):
     else:
         out = np.matmul(at, bt)
     new_idx = tuple(batch_sh + free_a + free_b)
-    shape = (bdim,) + (n,) * len(new_idx) if batched else (n,) * len(new_idx)
-    return out.reshape(shape), new_idx
+    return out.reshape((bdim,) + (n,) * len(new_idx)), new_idx
 
 
-def _contract_graph(graph: LinearGraph, mats, order, batched):
-    """Value of the elementary form over the touched vertices.
+def _contract_graph(graph: LinearGraph, mats, order):
+    """Value of the elementary form over the touched vertices, per sample.
 
-    `mats` holds one array per edge, shape (N, N) or (B, N, N). Isolated
-    vertices are NOT accounted for here.
+    `mats` holds one (B, N, N) array per edge; an edgeless graph gives
+    shape (1,). Isolated vertices are NOT accounted for here.
     """
-    if graph.order == 0:
-        return complex(1.0)
-    bdim = mats[0].shape[0] if batched else 1
-    acc = np.ones(bdim, dtype=np.complex128) if batched else complex(1.0)
+    acc = np.ones(mats[0].shape[0] if mats else 1, dtype=np.complex128)
     pool: list[tuple[np.ndarray, tuple[int, ...]]] = []
     for eid, (s, t) in enumerate(graph.edges):
         arr = np.asarray(mats[eid])
@@ -154,8 +149,7 @@ def _contract_graph(graph: LinearGraph, mats, order, batched):
             changed = False
             occ = occurrences()
             for i, (arr, idx) in enumerate(pool):
-                axes = tuple(p + (1 if batched else 0)
-                             for p, l in enumerate(idx) if occ[l] == 1)
+                axes = tuple(p + 1 for p, l in enumerate(idx) if occ[l] == 1)
                 if axes:
                     keep = tuple(l for l in idx if occ[l] > 1)
                     pool[i] = (arr.sum(axis=axes), keep)
@@ -192,23 +186,13 @@ def _contract_graph(graph: LinearGraph, mats, order, batched):
             _, ia, ib, sum_over = best
             b_arr, b_idx = pool.pop(ib)
             a_arr, a_idx = pool.pop(ia)
-            merged = _pair_merge(a_arr, a_idx, b_arr, b_idx, sum_over, batched)
+            merged = _pair_merge(a_arr, a_idx, b_arr, b_idx, sum_over)
             pool.append(merged)
             sweep()
         sweep()
     if pool:  # only possible if `order` missed a vertex
         raise InvalidArgumentError("elimination order does not cover the graph")
     return acc
-
-
-def _trace_factors(graph: LinearGraph, mats, n, batched=False):
-    """Elementary form with one matrix per edge (arrays, not operands)."""
-    if graph.order and any(m.shape[-1] != n for m in mats):
-        raise InvalidArgumentError("matrix dimension does not match N")
-    iso = graph.vertex_count - len(graph.touched_vertices())
-    plan = contraction_plan(graph)
-    val = _contract_graph(graph, mats, plan.order, batched)
-    return val * (n ** iso)
 
 
 # --------------------------------------------------------------------------
@@ -230,6 +214,17 @@ def _resolve_letters(graph: LinearGraph, operand: TensorOperand, letter_of_edge)
     return letters
 
 
+def _sum_over_terms(stack_form, graph, operand, letter_of_edge) -> complex:
+    """sum_terms weight * stack_form(graph, factors), each term's factors
+    passed as a one-sample stack of views."""
+    letters = _resolve_letters(graph, operand, letter_of_edge)
+    total = 0.0 + 0.0j
+    for weight, factors in operand.terms:
+        mats = [factors[l][None] for l in letters]
+        total += weight * stack_form(graph, mats, operand.n)[0]
+    return complex(total)
+
+
 def graph_trace(graph: LinearGraph, operand: TensorOperand,
                 letter_of_edge=None) -> complex:
     """Elementary linear form of the graph, evaluated on the operand.
@@ -238,12 +233,28 @@ def graph_trace(graph: LinearGraph, operand: TensorOperand,
     A(label(w), label(v)), i.e. row = target. Each isolated vertex
     contributes a factor N.
     """
-    letters = _resolve_letters(graph, operand, letter_of_edge)
-    total = 0.0 + 0.0j
-    for weight, factors in operand.terms:
-        mats = [factors[l] for l in letters]
-        total += weight * _trace_factors(graph, mats, operand.n)
-    return complex(total)
+    return _sum_over_terms(graph_trace_stack, graph, operand, letter_of_edge)
+
+
+def injective_graph_trace(graph: LinearGraph, operand: TensorOperand,
+                          letter_of_edge=None) -> complex:
+    """Injective linear form: the elementary sum restricted to injective
+    vertex labelings, computed by Möbius inversion over quotients.
+    """
+    if graph.vertex_count > operand.n:
+        return 0.0 + 0.0j  # pigeonhole: no injective labeling exists
+    return _sum_over_terms(injective_trace_stack, graph, operand,
+                           letter_of_edge)
+
+
+def graph_trace_stack(graph: LinearGraph, mats, n) -> np.ndarray:
+    """Elementary form per sample: `mats` has one (B, N, N) array per edge.
+    An edgeless graph gives shape (1,), which broadcasts over samples."""
+    if any(m.shape[-1] != n for m in mats):
+        raise InvalidArgumentError("matrix dimension does not match N")
+    iso = graph.vertex_count - len(graph.touched_vertices())
+    return _contract_graph(graph, mats, contraction_plan(graph).order) \
+        * (n ** iso)
 
 
 @lru_cache(maxsize=None)
@@ -260,33 +271,14 @@ def _injective_expansion(graph: LinearGraph):
     return tuple(out)
 
 
-def injective_graph_trace(graph: LinearGraph, operand: TensorOperand,
-                          letter_of_edge=None) -> complex:
-    """Injective linear form: the elementary sum restricted to injective
-    vertex labelings, computed by Möbius inversion over quotients.
-    """
-    if graph.vertex_count > operand.n:
-        return 0.0 + 0.0j  # pigeonhole: no injective labeling exists
-    letters = _resolve_letters(graph, operand, letter_of_edge)
-    total = 0.0 + 0.0j
-    for mob, q in _injective_expansion(graph):
-        total += mob * graph_trace(q, operand, letters)
-    return complex(total)
-
-
-def graph_trace_stack(graph: LinearGraph, mats, n) -> np.ndarray:
-    """Batched elementary form: `mats` has one (B, N, N) array per edge."""
-    return _trace_factors(graph, mats, n, batched=True)
-
-
 def injective_trace_stack(graph: LinearGraph, mats, n) -> np.ndarray:
-    """Batched injective form (same Möbius expansion as the scalar path)."""
-    bdim = mats[0].shape[0] if graph.order else 1
+    """Injective form per sample, by Möbius inversion over the quotients of
+    the vertex set; `mats` as for graph_trace_stack."""
+    total = np.zeros(mats[0].shape[0] if mats else 1, dtype=np.complex128)
     if graph.vertex_count > n:
-        return np.zeros(bdim, dtype=np.complex128)
-    total = np.zeros(bdim, dtype=np.complex128)
+        return total
     for mob, q in _injective_expansion(graph):
-        total += mob * _trace_factors(q, mats, n, batched=True)
+        total += mob * graph_trace_stack(q, mats, n)
     return total
 
 

@@ -53,15 +53,6 @@ class StarWord:
     def __str__(self) -> str:
         return self.to_string() if self.letters else "(empty)"
 
-    def mirrored(self) -> "StarWord":
-        """Letters in reversed order, exponents unchanged."""
-        return StarWord(tuple(reversed(self.letters)), self.alphabet)
-
-    def inverse(self) -> "StarWord":
-        """Group inverse: reversed order with flipped exponents."""
-        return StarWord(tuple((idx, not star) for idx, star
-                              in reversed(self.letters)), self.alphabet)
-
 
 def free_reduce(word: StarWord) -> StarWord:
     """Fully reduced representative in the free group (stack scan)."""

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import json
 import subprocess
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tensortraffic import graphs, sampling
+from tensortraffic import cli, graphs, sampling
 from tensortraffic.cli import _load_operand, _state_for, build_parser, main
 from tensortraffic.errors import TensorTrafficError
 from tensortraffic.graphs import load_graph
@@ -302,7 +303,41 @@ def test_amalgam_guards_fire_before_sampling(argv, capsys, monkeypatch):
     assert out == "" and err.startswith("resource limit: ")
 
 
-SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+MC_ARGS = ["mc", "--state", "tracial", "--blocks", "1,0,0"]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (MC_ARGS + ["--word", "1", "--dims", "4", "--samples", "4",
+                "--threads", "0"], 2),
+    (MC_ARGS + ["--word", "1", "--dims", "4", "--samples", "4",
+                "--threads", "-3"], 2),
+    (MC_ARGS + ["--word", "1,1*", "--dims", "4", "--samples", "4",
+                "--threads", "0"], 2),
+    (MC_ARGS + ["--word", "1", "--dims", "4", "--samples", "100000",
+                "--threads", "100000"], 3),
+    (MC_ARGS + ["--word", "1", "--dims", "4", "--samples", "4",
+                "--threads", "65"], 3),
+    (MC_ARGS + ["--word", "1", "--dims", "60000", "--samples", "4"], 3),
+    (["character", "--lambda", "1", "--dims", "8,60000", "--samples", "4"], 3),
+    (["amalgam", "--d", "1", "--word", "1,2", "--dims", "60000",
+      "--samples", "4"], 3),
+    (["decompose", "--state", "tracial", "--k", "1", "--n", "60000"], 3),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_thread_and_dimension_guards_fire_before_any_work(argv, code, capsys,
+                                                          monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started behind a guard")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(sampling, "sample_haar_unitary", refuse)
+    monkeypatch.setattr(cli, "decompose_invariant_state", refuse)
+    got, out, err = run_cli(argv, capsys)
+    assert got == code, err
+    prefix = "error: " if code == 2 else "resource limit: "
+    assert out == "" and err.startswith(prefix)
+
+
+SCALARS = (st.none()| st.booleans() | st.integers() | st.floats()
            | st.sampled_from([10 ** 400, -(10 ** 400), float("inf"),
                               float("nan")])
            | st.text(alphabet="0123,-.ejsux", max_size=6))

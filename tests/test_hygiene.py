@@ -1,6 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module,
-every private module-level function or class is used somewhere, and every
-module-level function or class is reachable from the package's roots."""
+"""Source hygiene: every name a module imports is used in that module, and
+every module-level function or class is reachable from the package's
+roots."""
 import ast
 from pathlib import Path
 
@@ -28,28 +28,6 @@ def unused_imports(source: str) -> list[str]:
                         for t in node.targets)):
             used |= {elt.value for elt in node.value.elts}
     return [name for name in imported if name not in used]
-
-
-def unused_private_definitions(sources: dict[str, str]) -> list[str]:
-    """Module-level functions and classes named `_...` that no module
-    references outside their own definition (a recursive call keeps nothing
-    alive). A reference is a Name or an attribute of that name.
-    """
-    trees = [ast.parse(source) for source in sources.values()]
-    refs = [(node, node.id if isinstance(node, ast.Name) else node.attr)
-            for tree in trees for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))]
-    dead = []
-    for tree in trees:
-        for defn in tree.body:
-            if not (isinstance(defn, (ast.FunctionDef, ast.ClassDef))
-                    and defn.name.startswith("_")):
-                continue
-            inside = {id(node) for node in ast.walk(defn)}
-            if not any(name == defn.name and id(node) not in inside
-                       for node, name in refs):
-                dead.append(defn.name)
-    return dead
 
 
 def unreachable_definitions(sources: dict[str, str]) -> list[str]:
@@ -100,26 +78,6 @@ def test_unused_import_scan_flags_only_unused_names():
               "import numpy.linalg\n"
               "__all__ = ['dumps']\nprint(sys.argv, numpy.linalg.norm)\n")
     assert unused_imports(source) == ["os", "ld"]
-
-
-def test_private_definition_scan_flags_only_unreferenced_names():
-    sources = {
-        "a.py": ("def _used():\n    pass\n"
-                 "def _dead():\n    return _used()\n"
-                 "def _recursive(m):\n    return _recursive(m - 1)\n"
-                 "class _Dead:\n    pass\n"
-                 "def public():\n    def _inner():\n        pass\n"),
-        "b.py": "import a\nclass _Kept:\n    pass\na._by_attr(_Kept)\n",
-        "c.py": "def _by_attr():\n    pass\n",
-    }
-    assert unused_private_definitions(sources) == \
-        ["_dead", "_recursive", "_Dead"]
-
-
-def test_no_unused_private_definitions_in_package():
-    sources = {path.name: path.read_text(encoding="utf-8")
-               for path in sorted(SRC.glob("*.py"))}
-    assert unused_private_definitions(sources) == []
 
 
 def test_no_unused_imports_in_package():

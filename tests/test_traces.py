@@ -6,14 +6,16 @@ import pytest
 
 from tensortraffic.errors import (InvalidArgumentError, NotInvariantError,
                                   ProbeFailureError)
-from tensortraffic.graphs import LinearGraph, minimal_graph, quotient
+from tensortraffic.graphs import (LinearGraph, component_count, minimal_graph,
+                                  quotient)
 from tensortraffic.invariants import leaf_count
 from tensortraffic.operands import StateSpec, TensorOperand
 from tensortraffic.partitions import (SetPartition, enumerate_partitions, leq,
                                       mobius)
 from tensortraffic.traces import (apply_state, contraction_plan,
                                   decompose_invariant_state, graph_trace,
-                                  injective_graph_trace, injective_trace_stack,
+                                  graph_trace_stack, injective_graph_trace,
+                                  injective_trace_stack,
                                   ms_optimality_witness, naive_graph_trace,
                                   randomized_coefficient_extract,
                                   reconstruction_value, tau_trace, zeta_trace)
@@ -58,17 +60,67 @@ def test_isolated_vertices_scale_by_n(rng):
     assert np.isclose(padded, n ** 2 * bare)
 
 
+def random_edges(rng, lo, hi, count):
+    return [(int(rng.integers(lo, hi)), int(rng.integers(lo, hi)))
+            for _ in range(count)]
+
+
 def test_engine_matches_naive_enumeration():
+    """The one contraction engine (the sample-stack forms, which the scalar
+    forms run as one-sample stacks) against direct summation over labelings.
+    """
     rng = np.random.default_rng(77)
     n = 3
+
+    def close(a, b):
+        return np.isclose(a, b, rtol=1e-9, atol=1e-9)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
     for _ in range(100):
         nv = int(rng.integers(1, 6))
         ne = int(rng.integers(1, 7))
-        g = LinearGraph(nv, tuple((int(rng.integers(nv)), int(rng.integers(nv)))
-                                  for _ in range(ne)))
+        g = LinearGraph(nv, tuple(random_edges(rng, 0, nv, ne)))
         op = random_operand(rng, n, ne)
-        assert np.isclose(graph_trace(g, op), naive_graph_trace(g, op),
-                          rtol=1e-9, atol=1e-9)
+        assert close(graph_trace(g, op), naive_graph_trace(g, op))
+    # weighted sums of several terms, read through an edge-to-leg map; half
+    # of the graphs have two components that carry edges
+    for trial in range(40):
+        nv, split = int(rng.integers(2, 5)), trial % 2 == 0
+        cut = int(rng.integers(1, nv)) if split else nv
+        edges = random_edges(rng, 0, cut, int(rng.integers(1, 4)))
+        if split:
+            edges += random_edges(rng, cut, nv, int(rng.integers(1, 3)))
+        g = LinearGraph(nv, tuple(edges))
+        if split:
+            assert component_count(g) >= 2
+        legs = int(rng.integers(1, 4))
+        op = TensorOperand(n, legs, [
+            (complex(*rng.standard_normal(2)),
+             [cplx(n, n) for _ in range(legs)])
+            for _ in range(int(rng.integers(2, 4)))])
+        letters = [int(l) for l in rng.integers(0, legs, size=g.order)]
+        assert close(graph_trace(g, op, letters),
+                     naive_graph_trace(g, op, letters))
+        assert close(injective_graph_trace(g, op, letters),
+                     naive_graph_trace(g, op, letters, injective=True))
+        # every row of a sample stack, on the same graph
+        mats = [cplx(4, n, n) for _ in range(g.order)]
+        elementary = graph_trace_stack(g, mats, n)
+        injective = injective_trace_stack(g, mats, n)
+        for row in range(4):
+            sample = TensorOperand.factored([m[row] for m in mats])
+            assert close(elementary[row], naive_graph_trace(g, sample))
+            assert close(injective[row],
+                         naive_graph_trace(g, sample, injective=True))
+    # edgeless graphs: the bare weight times N per vertex
+    op = TensorOperand.scalar(n, weight=2.0 - 0.5j)
+    for nv in (1, 2, 3):
+        g = LinearGraph(nv, ())
+        assert close(graph_trace(g, op), naive_graph_trace(g, op))
+        assert close(injective_graph_trace(g, op),
+                     naive_graph_trace(g, op, injective=True))
 
 
 def test_sum_of_factored_linearity(rng):
