@@ -151,7 +151,7 @@ def _state_for(name: str, k: int, n: int):
 def _cmd_trace(args) -> int:
     graph, labels = load_graph(args.graph)
     operand = _load_operand(args.operand)
-    letters = _parse_ints(args.letters) if args.letters else None
+    letters = None if args.letters is None else _parse_ints(args.letters)
     if args.injective:
         value = injective_graph_trace(graph, operand, letters)
     elif args.zeta:

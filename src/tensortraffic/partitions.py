@@ -128,18 +128,16 @@ def enumerate_partitions(n: int) -> list[SetPartition]:
         raise ResourceLimitError(
             f"enumerating P({n}) needs Bell({n}) = {bell_number(n)} partitions; "
             f"the cap is n = {ENUMERATION_CAP}")
-    out = []
-    rgs = [0] * n
+    return [SetPartition(rgs) for rgs in restricted_growth_strings(n)]
 
-    def rec(k: int, mx: int):
-        if k == n:
-            out.append(SetPartition(tuple(rgs)))
-            return
-        for b in range(mx + 2):
-            rgs[k] = b
-            rec(k + 1, max(mx, b))
 
-    rec(0, -1)
+def restricted_growth_strings(n: int) -> list[tuple[int, ...]]:
+    """All B(n) restricted-growth strings of length n in lexicographic order;
+    n = 0 gives the one empty string, the partition of the empty set."""
+    out = [()]
+    for _ in range(n):
+        out = [rgs + (b,) for rgs in out
+               for b in range(max(rgs, default=-1) + 2)]
     return out
 
 
@@ -216,9 +214,15 @@ def mobius(p: SetPartition, q: SetPartition) -> int:
     counts: dict[int, set[int]] = {}
     for pos in range(p.n):
         counts.setdefault(q.rgs[pos], set()).add(p.rgs[pos])
+    return mobius_of_sizes(len(sub) for sub in counts.values())
+
+
+def mobius_of_sizes(sizes) -> int:
+    """prod_m (-1)^(m - 1) (m - 1)! over the sizes m: mu(discrete, pi) for a
+    partition pi with these block sizes, and the factor of one block of q in
+    mobius(p, q)."""
     result = 1
-    for sub in counts.values():
-        m = len(sub)
+    for m in sizes:
         result *= (-1) ** (m - 1) * factorial(m - 1)
     return result
 

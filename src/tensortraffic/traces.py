@@ -15,6 +15,7 @@ one sample.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,9 +28,11 @@ from .errors import (InvalidArgumentError, NotInvariantError,
 from .graphs import LinearGraph, component_count, minimal_graph, quotient
 from .invariants import forest_of_tec, leaf_count
 from .operands import StateSpec, TensorOperand, permutation_matrix
-from .partitions import SetPartition, enumerate_partitions, interval, mobius
+from .partitions import (SetPartition, enumerate_partitions, find_root,
+                         interval, mobius, mobius_of_sizes,
+                         restricted_growth_strings, union_roots)
 
-INJECTIVE_VERTEX_CAP = 9  # Bell(9) = 21147 quotient evaluations
+INJECTIVE_VERTEX_CAP = 9  # Bell(9) = 21147 partitions of the vertex set
 
 
 # --------------------------------------------------------------------------
@@ -257,28 +260,106 @@ def graph_trace_stack(graph: LinearGraph, mats, n) -> np.ndarray:
         * (n ** iso)
 
 
-@lru_cache(maxsize=None)
-def _injective_expansion(graph: LinearGraph):
-    """(mobius coefficient, quotient graph) per partition of the vertex set."""
-    if graph.vertex_count > INJECTIVE_VERTEX_CAP:
-        raise ResourceLimitError(
-            f"injective traces are capped at {INJECTIVE_VERTEX_CAP} vertices "
-            f"(requested {graph.vertex_count})")
-    discrete = SetPartition.discrete(graph.vertex_count)
-    out = []
-    for pi in enumerate_partitions(graph.vertex_count):
-        out.append((mobius(discrete, pi), quotient(graph, pi)))
+def _edge_classes(mats) -> tuple[int, ...]:
+    """Class of each edge, numbered by first appearance: two edges share one
+    iff their arrays are one object or equal in shape and value, so an
+    array holding NaN shares a class only with itself."""
+    reps, out = [], []
+    for m in mats:
+        for c, r in enumerate(reps):
+            if m is r or np.array_equal(m, r):
+                break
+        else:
+            c = len(reps)
+            reps.append(m)
+        out.append(c)
     return tuple(out)
+
+
+def _automorphism_generators(graph: LinearGraph, classes) -> list[list[int]]:
+    """Generators of Aut(graph, classes): the vertex permutations that map
+    the multiset of (class, source, target) edges onto itself.
+
+    A stabiliser chain, deepest level first: level i needs one automorphism
+    fixing 0..i-1 for each vertex of the orbit of i that the generators
+    found so far do not reach, so every level's orbit comes out whole and
+    the generators span the group (Schreier-Sims).
+    """
+    nv, labeled = graph.vertex_count, list(zip(classes, graph.edges))
+    between = {pair: sorted(c for c, e in labeled if e == pair)
+               for pair in set(graph.edges)}  # classes of the edges s -> t
+    signature = [sorted((c, s == v, t == v) for c, (s, t) in labeled
+                        if v in (s, t))
+                 for v in range(nv)]  # loops at v included
+
+    def fits(img, w):  # may the partial map img extend by len(img) -> w?
+        v = len(img)
+        return (w not in img and signature[v] == signature[w]
+                and all(between.get((u, v)) == between.get((img[u], w))
+                        and between.get((v, u)) == between.get((w, img[u]))
+                        for u in range(v)))
+
+    def extend(img, choices=range(nv)):
+        if len(img) == nv:
+            return img
+        for w in choices:
+            full = extend(img + [w]) if fits(img, w) else None
+            if full:
+                return full
+        return None
+
+    gens: list[list[int]] = []
+    for i in reversed(range(nv)):
+        for j in range(i + 1, nv):
+            orbit = list(range(nv))
+            for g in gens:
+                for v in range(nv):
+                    union_roots(orbit, v, g[v])
+            if find_root(orbit, j) != find_root(orbit, i):
+                found = extend(list(range(i)), (j,))
+                if found:
+                    gens.append(found)
+    return gens
+
+
+@lru_cache(maxsize=None)
+def _orbit_terms(graph: LinearGraph, classes: tuple[int, ...]):
+    """(mu(discrete, pi) * orbit size, quotient by pi) for the first pi of
+    each orbit of Aut(graph, classes) on the partitions of the vertex set.
+
+    Quotients in one orbit are isomorphic by a map that keeps every edge's
+    class, so their elementary forms agree and one contraction serves all;
+    mu depends only on the block sizes, which the orbit keeps.
+    """
+    parts = restricted_growth_strings(graph.vertex_count)
+    index = {rgs: k for k, rgs in enumerate(parts)}
+    parent = list(range(len(parts)))
+    for g in _automorphism_generators(graph, classes):
+        inverse = sorted(range(len(g)), key=g.__getitem__)
+        for k, rgs in enumerate(parts):
+            seen: dict[int, int] = {}
+            image = tuple(seen.setdefault(rgs[u], len(seen)) for u in inverse)
+            union_roots(parent, k, index[image])
+    size = Counter(find_root(parent, k) for k in range(len(parts)))
+    return tuple((mobius_of_sizes(Counter(rgs).values()) * size[k],
+                  LinearGraph(len(set(rgs)),
+                              tuple((rgs[s], rgs[t]) for s, t in graph.edges)))
+                 for k, rgs in enumerate(parts) if k in size)
 
 
 def injective_trace_stack(graph: LinearGraph, mats, n) -> np.ndarray:
     """Injective form per sample, by Möbius inversion over the quotients of
-    the vertex set; `mats` as for graph_trace_stack."""
+    the vertex set, one contraction per symmetry orbit of quotients;
+    `mats` as for graph_trace_stack."""
     total = np.zeros(mats[0].shape[0] if mats else 1, dtype=np.complex128)
     if graph.vertex_count > n:
         return total
-    for mob, q in _injective_expansion(graph):
-        total += mob * graph_trace_stack(q, mats, n)
+    if graph.vertex_count > INJECTIVE_VERTEX_CAP:  # before comparing arrays
+        raise ResourceLimitError(
+            f"injective traces are capped at {INJECTIVE_VERTEX_CAP} vertices "
+            f"(requested {graph.vertex_count})")
+    for coeff, q in _orbit_terms(graph, _edge_classes(mats)):
+        total += coeff * graph_trace_stack(q, mats, n)
     return total
 
 

@@ -62,6 +62,19 @@ def test_trace_json_output(capsys, loop_json, operand_npy):
     assert doc["value_re"] == 3.0 and doc["L"] == 2 and doc["c"] == 1
 
 
+def test_trace_edgeless_graph_with_empty_letter_map(capsys, tmp_path,
+                                                   operand_npy):
+    # an empty --letters is a map of no edges, not a missing map; the one
+    # operand weight times N^3 labelings, or N(N-1)(N-2) injective ones
+    graph = tmp_path / "edgeless.json"
+    graph.write_text(json.dumps({"vertices": 3, "edges": []}))
+    for flags, value in (([], 27.0), (["--injective"], 6.0)):
+        code, out, _ = run_cli(["trace", "--graph", str(graph), "--operand",
+                                operand_npy, "--letters", ""] + flags, capsys)
+        assert code == 0
+        assert json.loads(out)["value_re"] == value
+
+
 def test_trace_operand_json_format(capsys, loop_json, tmp_path):
     op = tmp_path / "op.json"
     op.write_text(json.dumps([[[1, [0, 2]], [[0, -2], 1]]]))

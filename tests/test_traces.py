@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tensortraffic import traces
 from tensortraffic.errors import (InvalidArgumentError, NotInvariantError,
-                                  ProbeFailureError)
+                                  ProbeFailureError, ResourceLimitError)
 from tensortraffic.graphs import (LinearGraph, component_count, minimal_graph,
                                   quotient)
 from tensortraffic.invariants import leaf_count
@@ -65,6 +66,15 @@ def random_edges(rng, lo, hi, count):
             for _ in range(count)]
 
 
+def cycle_edges(v):
+    return tuple((i, (i + 1) % v) for i in range(v))
+
+
+def adjoint_stack(m):
+    """A new array on each call, as a Haar word's starred letters."""
+    return m.conj().transpose(0, 2, 1)
+
+
 def test_engine_matches_naive_enumeration():
     """The one contraction engine (the sample-stack forms, which the scalar
     forms run as one-sample stacks) against direct summation over labelings.
@@ -114,9 +124,41 @@ def test_engine_matches_naive_enumeration():
             assert close(elementary[row], naive_graph_trace(g, sample))
             assert close(injective[row],
                          naive_graph_trace(g, sample, injective=True))
-    # edgeless graphs: the bare weight times N per vertex
+    # edges that share a class (one array, or arrays equal by value), so the
+    # injective form contracts one quotient per symmetry orbit
+    n = 6
+    u, w = cplx(4, n, n), cplx(4, n, n)
+    u_adj, w_adj = adjoint_stack(u), adjoint_stack(w)
+    for g, mats in [
+            (LinearGraph(6, cycle_edges(6)),
+             [u if e % 2 == 0 else adjoint_stack(u) for e in range(6)]),
+            (LinearGraph(4, cycle_edges(4)), [u, u_adj] * 2),
+            (LinearGraph(3, cycle_edges(3)), [u, u, u]),
+            (LinearGraph(3, cycle_edges(3)), [u, u.copy(), u.copy()]),
+            (LinearGraph(4, cycle_edges(3)), [u, w, u]),
+            (LinearGraph(5, ((0, 1), (1, 0))), [u, u_adj]),
+            (LinearGraph(5, ((0, 1), (2, 3), (3, 3))), [u, u_adj, u]),
+            (LinearGraph(4, ((0, 1), (2, 3), (1, 0))), [w, w, w_adj])]:
+        injective = injective_trace_stack(g, mats, n)
+        for row in range(4):
+            sample = TensorOperand.factored([m[row] for m in mats])
+            assert np.isclose(injective[row],
+                              naive_graph_trace(g, sample, injective=True),
+                              rtol=1e-10, atol=1e-10)
+    # two letters whose factors are equal by value, read through a letter map
+    a = cplx(n, n)
+    op = TensorOperand.factored([a, a.copy(), cplx(n, n)])
+    g = LinearGraph(5, cycle_edges(4))
+    for letters in ((0, 1, 0, 1), (0, 1, 2, 1), (1, 1, 0, 0)):
+        assert np.isclose(injective_graph_trace(g, op, letters),
+                          naive_graph_trace(g, op, letters, injective=True),
+                          rtol=1e-10, atol=1e-10)
+    # edgeless graphs: the bare weight times N per vertex; the one labeling
+    # of no vertices is injective
+    n = 3
     op = TensorOperand.scalar(n, weight=2.0 - 0.5j)
-    for nv in (1, 2, 3):
+    assert injective_trace_stack(LinearGraph(0, ()), [], n).tolist() == [1]
+    for nv in (0, 1, 2, 3):
         g = LinearGraph(nv, ())
         assert close(graph_trace(g, op), naive_graph_trace(g, op))
         assert close(injective_graph_trace(g, op),
@@ -149,6 +191,18 @@ def test_injective_pigeonhole(rng):
     op = random_operand(rng, 2, 2)
     g = LinearGraph(3, [(0, 1), (1, 2)])
     assert injective_graph_trace(g, op) == 0
+
+
+def test_injective_vertex_cap_fires_before_edge_classes(monkeypatch):
+    def fail(mats):
+        raise AssertionError("edge arrays compared above the vertex cap")
+
+    monkeypatch.setattr(traces, "_edge_classes", fail)
+    g = LinearGraph(10, cycle_edges(10))
+    mats = [np.zeros((1, 10, 10))] * 10
+    with pytest.raises(ResourceLimitError):
+        injective_trace_stack(g, mats, 10)
+    assert injective_trace_stack(g, mats, 9).tolist() == [0]  # pigeonhole
 
 
 def test_injective_matches_naive(rng):
@@ -188,6 +242,46 @@ def test_batched_stack_matches_scalar(rng):
         single = injective_graph_trace(
             g, TensorOperand.factored([mats[0][i], mats[1][i]]))
         assert np.isclose(stacked[i], single)
+
+
+def test_one_contraction_per_symmetry_orbit(rng, monkeypatch):
+    """Quotients that an automorphism of the edge-classed graph maps onto
+    each other are contracted once. The alternating 2-, 4- and 6-cycles with
+    U, U* classes have 2, 11 and 73 orbits among B(2), B(4), B(6) = 2, 15,
+    203 partitions. At the vertex cap the edgeless graph has p(9) = 30 (its
+    group is S_9) and the one-letter directed 9-cycle 2,361 (rotations)."""
+    real, calls = traces.graph_trace_stack, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(traces, "graph_trace_stack", counted)
+
+    def contractions(graph, mats, n):
+        calls.clear()
+        injective_trace_stack(graph, mats, n)
+        return len(calls)
+
+    def cplx():
+        shape = (1, 9, 9)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    u = cplx()
+    for half, orbits, parts in ((1, 2, 2), (2, 11, 15), (3, 73, 203)):
+        g = LinearGraph(2 * half, cycle_edges(2 * half))
+        assert contractions(g, [u if e % 2 == 0 else adjoint_stack(u)
+                                for e in range(2 * half)], 9) == orbits
+        assert contractions(g, [cplx() for _ in range(2 * half)], 9) == parts
+    assert contractions(LinearGraph(9, ()), [], 9) == 30
+    assert contractions(LinearGraph(9, cycle_edges(9)), [u] * 9, 9) == 2361
+    # one object shares its class even when it holds NaN; equal copies of it
+    # do not, since NaN != NaN
+    nan = u.copy()
+    nan[0, 0, 0] = np.nan
+    assert contractions(LinearGraph(3, cycle_edges(3)), [nan] * 3, 9) == 3
+    assert contractions(LinearGraph(3, cycle_edges(3)),
+                        [nan.copy() for _ in range(3)], 9) == 5
 
 
 # --- contraction plans ----------------------------------------------------
