@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import tokenize
 
 import numpy as np
 
@@ -114,7 +115,10 @@ def _load_operand(path: str) -> TensorOperand:
                     rows.append([complex(v[0], v[1]) if isinstance(v, list)
                                  else complex(v) for v in row])
                 mats.append(np.array(rows, dtype=np.complex128))
-    except (OSError, IndexError, OverflowError, TypeError, ValueError) as exc:
+    # numpy re-tokenizes a version-1 header it cannot parse, and an
+    # unbalanced bracket there escapes as tokenize.TokenError
+    except (OSError, IndexError, OverflowError, TypeError, ValueError,
+            tokenize.TokenError) as exc:
         raise InvalidArgumentError(f"malformed operand file {path!r}: {exc}") \
             from exc
     return TensorOperand.factored(mats)

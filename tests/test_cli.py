@@ -285,6 +285,22 @@ def test_malformed_input_exits_2(argv, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_npy_header_with_unbalanced_bracket_exits_2(tmp_path, capsys,
+                                                    loop_json):
+    # numpy retries an unparsable version-1 header through tokenize, which
+    # raises its own TokenError on an unclosed bracket
+    buf = io.BytesIO()
+    np.save(buf, np.eye(2))
+    data = buf.getvalue()
+    path = tmp_path / "torn.npy"
+    # the header's closing newline (byte 127) becomes an opening brace
+    path.write_bytes(data[:127] + b"{" + data[128:])
+    code, out, err = run_cli(["trace", "--graph", loop_json,
+                              "--operand", str(path)], capsys)
+    assert code == 2, err
+    assert out == "" and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("doc", [
     {"vertices": 100_001, "edges": [[0, 0]]},
     {"vertices": 1, "edges": [[0, 0]] * 100_001},
