@@ -59,6 +59,15 @@ def _csv_text(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _emit_rows(args, columns, rows, header: dict):
+    """The rows as CSV, or as objects under "rows" next to the header."""
+    if args.format == "csv":
+        _emit(args, _csv_text(columns, rows))
+    else:
+        _emit(args, _json_text({**header, "rows": [dict(zip(columns, r))
+                                                   for r in rows]}))
+
+
 def _parse_ints(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
@@ -274,14 +283,9 @@ def _cmd_mc(args) -> int:
         rows.append((n, float(expect.estimate.real), float(expect.estimate.imag),
                      float(expect.stderr), float(variance.estimate.real),
                      args.samples))
-    if args.format == "json":
-        _emit(args, _json_text({"word": word.to_string(),
-                                "blocks": [k1, k2, k3],
-                                "state": args.state, "seed": args.seed,
-                                "rows": [dict(zip(MC_CSV_COLUMNS, r))
-                                         for r in rows]}))
-    else:
-        _emit(args, _csv_text(MC_CSV_COLUMNS, rows))
+    _emit_rows(args, MC_CSV_COLUMNS, rows,
+               {"word": word.to_string(), "blocks": [k1, k2, k3],
+                "state": args.state, "seed": args.seed})
     return 0
 
 
@@ -296,13 +300,9 @@ def _cmd_character(args) -> int:
                                                    args.seed, word)
         rows.append((n, mean_abs, chi.estimate.real, chi.estimate.imag,
                      chi.stderr, ref_error, args.samples))
-    if args.format == "json":
-        _emit(args, _json_text({"lambda": list(lam), "mu": list(mu),
-                                "word": args.word, "seed": args.seed,
-                                "rows": [dict(zip(CHARACTER_CSV_COLUMNS, r))
-                                         for r in rows]}))
-    else:
-        _emit(args, _csv_text(CHARACTER_CSV_COLUMNS, rows))
+    _emit_rows(args, CHARACTER_CSV_COLUMNS, rows,
+               {"lambda": list(lam), "mu": list(mu), "word": args.word,
+                "seed": args.seed})
     return 0
 
 
@@ -312,13 +312,8 @@ def _cmd_amalgam(args) -> int:
     for n in _parse_dims(args.dims):
         rep = amalgam_sweep(word, args.d, n, args.samples, args.seed)
         rows.append((n, rep.estimate.real, rep.stderr, args.samples))
-    if args.format == "json":
-        _emit(args, _json_text({"word": word.to_string(), "d": args.d,
-                                "seed": args.seed,
-                                "rows": [dict(zip(AMALGAM_CSV_COLUMNS, r))
-                                         for r in rows]}))
-    else:
-        _emit(args, _csv_text(AMALGAM_CSV_COLUMNS, rows))
+    _emit_rows(args, AMALGAM_CSV_COLUMNS, rows,
+               {"word": word.to_string(), "d": args.d, "seed": args.seed})
     return 0
 
 
@@ -350,10 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="json"):
+    def common(p, formats=("json",)):  # the first format is the default
         p.add_argument("--out", help="also write the primary output to a file")
-        p.add_argument("--format", choices=("json", "csv"), default=fmt_default,
-                       help="primary output format")
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0],
+                           help="primary output format")
 
     p = sub.add_parser("trace", help="evaluate a graph trace on an operand")
     p.add_argument("--graph", required=True, help="graph JSON file")
@@ -376,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mobius", help="Möbius function table over partitions")
     p.add_argument("--n", type=int, required=True, help="ground-set size")
-    common(p)
+    common(p, formats=("json", "csv"))
     p.set_defaults(func=_cmd_mobius)
 
     p = sub.add_parser("decompose",
@@ -417,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="third-block family: permutation tensors or Haar")
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads, 1 to 64 (results do not depend on this)")
-    common(p, fmt_default="csv")
+    common(p, formats=("csv", "json"))
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("character",
@@ -430,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--word", help="optional word over the Haar letters "
                                   "U_1..U_K, K the highest letter used")
-    common(p, fmt_default="csv")
+    common(p, formats=("csv", "json"))
     p.set_defaults(func=_cmd_character)
 
     p = sub.add_parser("amalgam",
@@ -440,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", required=True)
     p.add_argument("--samples", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    common(p, fmt_default="csv")
+    common(p, formats=("csv", "json"))
     p.set_defaults(func=_cmd_amalgam)
 
     p = sub.add_parser("normdemo", help="operator-norm absorption demo")
@@ -453,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_normdemo)
 
     p = sub.add_parser("selftest", help="run the exact-identity suite")
-    common(p)
+    common(p, formats=())
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -16,12 +16,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .graphs import (LinearGraph, adjoint_graph, canonical_form,
-                     disjoint_union, quotient)
-from .invariants import (VALID, cactus_cycles, classify_labeling, leaf_count,
+from .graphs import LinearGraph, adjoint_graph, disjoint_union, quotient
+from .invariants import (VALID, _blocks, _classify, _leaves, leaf_count,
                          split_by_color, splitting_exponent)
 from .operands import TensorOperand, permutation_matrix
-from .partitions import enumerate_partitions
+from .partitions import _normalize, enumerate_partitions
 from .traces import injective_graph_trace
 from .words import StarWord, is_trivial
 
@@ -143,12 +142,18 @@ def haar_limit_injective(graph: LinearGraph, delta, eps) -> Fraction:
     well-oriented forest of cacti, in which case it is the product of the
     per-cycle signed Catalan coefficients.
     """
-    if classify_labeling(graph, delta, eps) != VALID:
-        return Fraction(0)
-    out = Fraction(1)
-    for cyc in cactus_cycles(graph):
+    return _labeled_limit(graph.edges, _blocks(graph.vertex_count, graph.edges),
+                          tuple(delta), tuple(eps))[1]
+
+
+def _labeled_limit(edges, blocks, delta, eps) -> tuple[str, Fraction]:
+    """Validity and Haar limit of a labeled graph from its blocks; only a
+    VALID labeling has cycles, and its limit is their weights' product."""
+    validity, cycles = _classify(edges, blocks, delta, eps)
+    out = Fraction(int(validity == VALID))
+    for cyc in cycles:
         out *= cycle_limit_coefficient(len(cyc))
-    return out
+    return validity, out
 
 
 # --------------------------------------------------------------------------
@@ -201,6 +206,12 @@ class FreenessCertificate:
         }
 
 
+def _quotient_class(pi, touched) -> tuple:
+    """Equal iff the quotients have equal canonical forms: the edges fix pi
+    on the touched vertices; isolated vertices only add blocks."""
+    return pi.num_blocks, _normalize([pi.rgs[v] for v in touched])
+
+
 def predict_freeness_limit(word: StarWord, base: LinearGraph, k1: int,
                            k2: int, k3: int, *,
                            include_variance_graph: bool = False) -> FreenessCertificate:
@@ -223,23 +234,31 @@ def predict_freeness_limit(word: StarWord, base: LinearGraph, k1: int,
             f"quotient enumeration capped at {PREDICT_VERTEX_CAP} vertices "
             f"(linearized graph has {graph.vertex_count})")
     delta, eps = t1_labels(lin)
+    ids1 = [i for i, m in enumerate(lin.meta) if m.block != "v"]
+    ids2 = [i for i, m in enumerate(lin.meta) if m.block == "v"]
+    touched = sorted(graph.touched_vertices())
     base_leaves = leaf_count(graph)
-    ledger: dict = {}  # canonical form -> entry of its first quotient
+    ledger: dict = {}  # isomorphism class -> entry of its first quotient
     for pi in enumerate_partitions(graph.vertex_count):
         tprime = quotient(graph, pi)
-        key = canonical_form(tprime)
+        key = _quotient_class(pi, touched)
         if key in ledger:
             ledger[key].multiplicity += 1
             continue
-        t1, t2 = split_graphs(tprime, lin)
-        validity = classify_labeling(t1, delta, eps)
-        coeff = haar_limit_injective(t1, delta, eps) if validity == VALID \
-            else Fraction(0)
-        lt, l1, l2 = leaf_count(tprime), leaf_count(t1), leaf_count(t2)
+        nv, edges = tprime.vertex_count, tprime.edges
+        blocks = _blocks(nv, edges)
+        lt = _leaves(nv, edges, blocks)
+        if ids2:
+            e1, e2 = (tuple(edges[i] for i in ids) for ids in (ids1, ids2))
+            blocks1 = _blocks(nv, e1)
+            l1, l2 = _leaves(nv, e1, blocks1), _leaves(nv, e2, _blocks(nv, e2))
+        else:  # no V block: T1 is T' and T2 is edgeless
+            e1, blocks1, l1, l2 = edges, blocks, lt, 2 * nv
+        validity, coeff = _labeled_limit(e1, blocks1, delta, eps)
         ledger[key] = QuotientEntry(
             partition=pi.to_string(),
             multiplicity=1,
-            eta=splitting_exponent(lt, l1, l2, tprime.vertex_count),
+            eta=splitting_exponent(lt, l1, l2, nv),
             leaves_total=lt, leaves_t1=l1, leaves_t2=l2,
             leaf_defect=base_leaves - lt,
             validity=validity,

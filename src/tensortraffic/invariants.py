@@ -17,22 +17,21 @@ from .partitions import SetPartition, find_root, leq, union_roots
 
 # --- blocks (biconnected components), bridges and the leaf count --------------
 
-def _blocks(graph: LinearGraph) -> list[list[int]]:
+def _blocks(n: int, edges) -> list[list[int]]:
     """Edge ids grouped into biconnected blocks; each loop is its own block.
 
     Iterative depth-first search with low-links and an edge stack (Tarjan,
     SIAM J. Comput. 1972); re-entering a vertex through a parallel copy of
     the entry edge closes a two-edge block.
     """
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.vertex_count)]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     blocks: list[list[int]] = []
-    for eid, (s, t) in enumerate(graph.edges):
+    for eid, (s, t) in enumerate(edges):
         if s == t:
             blocks.append([eid])
         else:
             adj[s].append((eid, t))
             adj[t].append((eid, s))
-    n = graph.vertex_count
     order = [-1] * n
     low = [0] * n
     counter = 0
@@ -77,10 +76,10 @@ def _blocks(graph: LinearGraph) -> list[list[int]]:
     return blocks
 
 
-def _is_cycle(graph: LinearGraph, block: list[int]) -> bool:
+def _is_cycle(edges, block: list[int]) -> bool:
     """A block is a cycle iff it has as many edges as vertices; a loop is a
     length-one cycle, a single non-loop edge (a bridge) is not."""
-    verts = {v for eid in block for v in graph.edges[eid]}
+    verts = {v for eid in block for v in edges[eid]}
     return len(block) == len(verts)
 
 
@@ -90,7 +89,7 @@ def cutting_edges(graph: LinearGraph) -> frozenset[int]:
     neither loops nor parallel edges are ever bridges.
     """
     edges = graph.edges
-    return frozenset(b[0] for b in _blocks(graph)
+    return frozenset(b[0] for b in _blocks(graph.vertex_count, edges)
                      if len(b) == 1 and edges[b[0]][0] != edges[b[0]][1])
 
 
@@ -131,27 +130,45 @@ def forest_leaves(degrees) -> int:
     return 2 * degrees.count(0) + degrees.count(1)
 
 
+def _leaves(n: int, edges, blocks: list[list[int]]) -> int:
+    """Leaf count from a block decomposition: the one-edge non-loop blocks
+    are the bridges; the others join two-edge-connected components."""
+    parent, bridge_ends = list(range(n)), []
+    for block in blocks:
+        s, t = edges[block[0]]
+        if len(block) == 1 and s != t:
+            bridge_ends += (s, t)
+        else:
+            for eid in block:
+                union_roots(parent, *edges[eid])
+    degree = [0] * n  # bridge endpoints per component root
+    for v in bridge_ends:
+        degree[find_root(parent, v)] += 1
+    return forest_leaves([degree[v] for v in range(n) if parent[v] == v])
+
+
 def leaf_count(graph: LinearGraph) -> int:
     """Number of leaves of the forest of two-edge-connected components."""
-    return forest_leaves(forest_of_tec(graph).degrees)
+    n, edges = graph.vertex_count, graph.edges
+    return _leaves(n, edges, _blocks(n, edges))
 
 
 # --- cactus predicates -------------------------------------------------------
 
-def _is_directed(graph: LinearGraph, block: list[int]) -> bool:
+def _is_directed(edges, block: list[int]) -> bool:
     """For a cycle block: every vertex has in- and out-degree one, that is,
     no two edges leave the same vertex."""
-    return len({graph.edges[eid][0] for eid in block}) == len(block)
+    return len({edges[eid][0] for eid in block}) == len(block)
 
 
-def _walk(graph: LinearGraph, block: list[int]) -> list[int]:
+def _walk(edges, block: list[int]) -> list[int]:
     """Edge ids of a directed cycle block in cyclic order, from the least."""
-    out_of = {graph.edges[eid][0]: eid for eid in block}
+    out_of = {edges[eid][0]: eid for eid in block}
     walk = [min(block)]
-    first, cur = graph.edges[walk[0]]
+    first, cur = edges[walk[0]]
     while cur != first:
         walk.append(out_of[cur])
-        cur = graph.edges[walk[-1]][1]
+        cur = edges[walk[-1]][1]
     return walk
 
 
@@ -159,24 +176,14 @@ def is_forest_of_cacti(graph: LinearGraph) -> bool:
     """True iff every edge lies on exactly one simple cycle, that is, every
     biconnected block is a cycle. Isolated vertices are permitted.
     """
-    return all(_is_cycle(graph, block) for block in _blocks(graph))
+    return all(_is_cycle(graph.edges, block)
+               for block in _blocks(graph.vertex_count, graph.edges))
 
 
 def is_well_oriented(graph: LinearGraph) -> bool:
     """True iff the graph is a forest of cacti whose cycles are all directed."""
-    return all(_is_cycle(graph, block) and _is_directed(graph, block)
-               for block in _blocks(graph))
-
-
-def cactus_cycles(graph: LinearGraph) -> list[list[int]]:
-    """The cycles of a well-oriented forest of cacti, as edge-id lists in
-    cyclic order following the orientation, each starting at its least edge
-    id. Raises unless the graph is well-oriented.
-    """
-    blocks = _blocks(graph)
-    if not all(_is_cycle(graph, b) and _is_directed(graph, b) for b in blocks):
-        raise InvalidArgumentError("graph is not a well-oriented forest of cacti")
-    return [_walk(graph, block) for block in blocks]
+    return all(_is_cycle(graph.edges, b) and _is_directed(graph.edges, b)
+               for b in _blocks(graph.vertex_count, graph.edges))
 
 
 VALID = "valid"
@@ -191,26 +198,30 @@ def classify_labeling(graph: LinearGraph, delta, eps) -> str:
     failure among: cactus, orientation, constant letters per cycle, even
     length with alternating stars per cycle.
     """
-    delta = tuple(delta)
-    eps = tuple(eps)
-    if len(delta) != graph.order or len(eps) != graph.order:
+    edges = graph.edges
+    return _classify(edges, _blocks(graph.vertex_count, edges),
+                     tuple(delta), tuple(eps))[0]
+
+
+def _classify(edges, blocks: list[list[int]], delta: tuple,
+              eps: tuple) -> tuple[str, list[list[int]]]:
+    """`classify_labeling` from a block decomposition of the edges; a VALID
+    labeling comes with its cycles in cyclic order, any other with none."""
+    if len(delta) != len(edges) or len(eps) != len(edges):
         raise InvalidArgumentError("label arity does not match edge count")
-    blocks = _blocks(graph)
-    if not all(_is_cycle(graph, block) for block in blocks):
-        return NOT_CACTUS
-    if not all(_is_directed(graph, block) for block in blocks):
-        return NOT_WELL_ORIENTED
-    cycles = [_walk(graph, block) for block in blocks]
+    if not all(_is_cycle(edges, block) for block in blocks):
+        return NOT_CACTUS, []
+    if not all(_is_directed(edges, block) for block in blocks):
+        return NOT_WELL_ORIENTED, []
+    cycles = [_walk(edges, block) for block in blocks]
     for cyc in cycles:
         if len({delta[eid] for eid in cyc}) > 1:
-            return NOT_WELL_COLORED
-    for cyc in cycles:
-        if len(cyc) % 2 == 1:
-            return NOT_ALTERNATED
+            return NOT_WELL_COLORED, []
+    for cyc in cycles:  # an odd cycle always has two equal neighbours
         stars = [eps[eid] for eid in cyc]
-        if any(stars[i] == stars[(i + 1) % len(stars)] for i in range(len(stars))):
-            return NOT_ALTERNATED
-    return VALID
+        if any(stars[i - 1] == stars[i] for i in range(len(stars))):
+            return NOT_ALTERNATED, []
+    return VALID, cycles
 
 
 def is_valid(graph: LinearGraph, delta, eps) -> bool:

@@ -3,13 +3,19 @@
 Each is exponential and shares no code with the routine it checks.
 """
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
 from tensortraffic.errors import InvalidArgumentError, ResourceLimitError
-from tensortraffic.graphs import LinearGraph
+from tensortraffic.graphs import LinearGraph, canonical_form, quotient
+from tensortraffic.haar import (FreenessCertificate, QuotientEntry,
+                                cycle_limit_coefficient, doubled, linearize,
+                                split_graphs, t1_labels)
+from tensortraffic.invariants import (VALID, classify_labeling, forest_leaves,
+                                      forest_of_tec, splitting_exponent)
 from tensortraffic.operands import TensorOperand
-from tensortraffic.partitions import SetPartition
+from tensortraffic.partitions import SetPartition, enumerate_partitions
 from tensortraffic.traces import apply_state
 
 SIMPLE_CYCLE_EDGE_CAP = 16
@@ -102,3 +108,62 @@ def extract_expectation_exact(psi, pi: SetPartition, k: int, n: int,
                      for leg in range(k)]) for w, fs in probe.terms])
             acc += apply_state(psi, sandwiched)
     return complex(acc / count)
+
+
+# --- the quotient ledger of `predict`, one quotient graph at a time ----------
+
+def haar_limit_reference(graph: LinearGraph, delta, eps) -> Fraction:
+    """Haar limit of a labeled graph: zero unless it classifies VALID, else
+    the product of the signed Catalan weights of its enumerated simple
+    cycles (the blocks of a forest of cacti)."""
+    if classify_labeling(graph, delta, eps) != VALID:
+        return Fraction(0)
+    out = Fraction(1)
+    for cyc in simple_cycles(graph):
+        out *= cycle_limit_coefficient(len(cyc))
+    return out
+
+
+def _forest_leaf_count(graph: LinearGraph) -> int:
+    return forest_leaves(forest_of_tec(graph).degrees)
+
+
+def predict_ledger_reference(word, base: LinearGraph, k1: int, k2: int,
+                             k3: int, include_variance_graph=False) -> dict:
+    """`predict_freeness_limit(...).to_json()` built graph by graph: each
+    quotient is keyed by its canonical form, split into its colored
+    subgraphs, classified, and its three leaf counts are read off forests of
+    two-edge-connected components. It shares linearization and
+    `classify_labeling` with `predict`; the dedup key, the leaf counts and
+    the cycle weights are computed independently. No vertex cap."""
+    lin = linearize(base, word, k1, k2, k3)
+    if include_variance_graph:
+        lin = doubled(lin)
+    graph = lin.graph
+    delta, eps = t1_labels(lin)
+    base_leaves = _forest_leaf_count(graph)
+    ledger = {}
+    for pi in enumerate_partitions(graph.vertex_count):
+        tprime = quotient(graph, pi)
+        key = canonical_form(tprime)
+        if key in ledger:
+            ledger[key].multiplicity += 1
+            continue
+        t1, t2 = split_graphs(tprime, lin)
+        validity = classify_labeling(t1, delta, eps)
+        coeff = haar_limit_reference(t1, delta, eps) if validity == VALID \
+            else Fraction(0)
+        lt, l1, l2 = (_forest_leaf_count(tprime), _forest_leaf_count(t1),
+                      _forest_leaf_count(t2))
+        ledger[key] = QuotientEntry(
+            partition=pi.to_string(), multiplicity=1,
+            eta=splitting_exponent(lt, l1, l2, tprime.vertex_count),
+            leaves_total=lt, leaves_t1=l1, leaves_t2=l2,
+            leaf_defect=base_leaves - lt, validity=validity,
+            limit_coefficient=coeff)
+    entries = sorted(ledger.values(), key=lambda e: e.partition)
+    verdict = "VANISHES" if not any(e.dangerous for e in entries) \
+        else "INCONCLUSIVE"
+    return FreenessCertificate(word.to_string(), (k1, k2, k3),
+                               include_variance_graph, verdict, base_leaves,
+                               entries).to_json()

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import io
 import json
 import subprocess
@@ -177,6 +178,67 @@ def test_selftest_passes(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines and all(line.startswith("PASS") for line in lines)
+
+
+# SHA-256 of `predict` stdout: a change to how quotients are scored must
+# leave the ledger byte-identical.
+PREDICT_STDOUT_SHA256 = [
+    (["--word", "1,2,1*,2*", "--blocks", "1,1,0"], None,
+     "71919c5b1b9f136341759a0779ea23eb32b66a0383f5c8eccc39804a6f494ae3"),
+    (["--word", "1,2,1*", "--blocks", "1,0,1"], None,
+     "ced836b69374654597c4c0c5ddf59d7e4c63b4186c7c5869473dd845ce511b30"),
+    (["--word", "1,2", "--blocks", "1,1,0", "--variance"], None,
+     "1aa7685497ef69f47abaf37067da6c49a7f2a7590195a53a48d3aedb8ff1ac29"),
+    (["--word", "1,2*", "--blocks", "1,1,0"],
+     {"vertices": 3, "edges": [[0, 0], [0, 0]]},
+     "541423e24cf03511ff0f2c7b322841d2d6770ed8c04151cf116c535d5da099ba"),
+    # a bridge doubled: the only small case with VALID entries
+    (["--word", "1,2*", "--blocks", "1,0,0", "--variance"],
+     {"vertices": 2, "edges": [[0, 1]]},
+     "dfdd0bd2c7625e7c7ea55f35baf5b377eab9c6acef662b4bfde60d29a6a382b1"),
+]
+
+
+@pytest.mark.parametrize("argv,graph,digest", PREDICT_STDOUT_SHA256)
+def test_predict_stdout_is_pinned(argv, graph, digest, capsys, tmp_path):
+    if graph is not None:
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(graph))
+        argv = argv + ["--graph", str(path)]
+    code, out, _ = run_cli(["predict"] + argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--graph", "g.json", "--operand", "o.npy", "--format", "csv"],
+    ["invariants", "--graph", "g.json", "--format", "csv"],
+    ["decompose", "--state", "tracial", "--k", "2", "--n", "4",
+     "--format", "csv"],
+    ["predict", "--word", "1,2", "--blocks", "1,0,0", "--format", "csv"],
+    ["limit", "--graph", "g.json", "--format", "csv"],
+    ["normdemo", "--letters", "2", "--n", "4", "--mode", "haar_pair",
+     "--format", "csv"],
+    ["selftest", "--format", "json"],
+])
+def test_format_offered_only_where_printed(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+def test_both_formats_where_both_are_printed():
+    parser = build_parser()
+    for argv in (["mobius", "--n", "3"],
+                 ["mc", "--state", "tracial", "--word", "1", "--blocks",
+                  "1,0,0", "--dims", "4"],
+                 ["character", "--dims", "4"],
+                 ["amalgam", "--d", "2", "--word", "1", "--dims", "4"]):
+        for fmt in ("json", "csv"):
+            assert parser.parse_args(argv + ["--format", fmt]).format == fmt
+    assert parser.parse_args(["predict", "--word", "1", "--blocks", "1,0,0",
+                              "--format", "json"]).format == "json"
 
 
 def test_exit_code_invalid_argument(capsys):

@@ -1,17 +1,15 @@
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
-from tensortraffic.errors import InvalidArgumentError
 from tensortraffic.graphs import (LinearGraph, component_count, minimal_graph,
                                   quotient)
 from tensortraffic.haar import linearize
 from tensortraffic.invariants import (NOT_ALTERNATED, NOT_CACTUS,
-                                      NOT_WELL_COLORED, VALID, cactus_cycles,
+                                      NOT_WELL_COLORED, VALID, _blocks, _walk,
                                       ccg_balance, classify_labeling,
                                       colored_component_graph, cutting_edges,
-                                      eta, forest_of_tec,
+                                      eta, forest_leaves, forest_of_tec,
                                       is_forest_of_cacti, is_valid,
                                       is_well_oriented, leaf_count,
                                       leaf_monotonicity_check, prune)
@@ -38,6 +36,15 @@ def random_graph(rng, max_v=8, max_e=10):
     ne = int(rng.integers(0, max_e + 1))
     return LinearGraph(nv, tuple((int(rng.integers(nv)), int(rng.integers(nv)))
                                  for _ in range(ne)))
+
+
+def decorated_graph(rng):
+    """A random graph with a loop, a parallel copy of an edge and one or two
+    isolated vertices added."""
+    g = random_graph(rng, max_v=6)
+    v = int(rng.integers(g.vertex_count))
+    edges = g.edges + ((v, v),) + g.edges[:1]
+    return LinearGraph(g.vertex_count + int(rng.integers(1, 3)), edges)
 
 
 def test_bridge_examples():
@@ -78,11 +85,16 @@ def test_forest_of_tec():
                                        for comp in forest.components)
         assert leaf_count(g) == sum(2 if d == 0 else d == 1
                                     for d in forest.degrees)
+    # the count read off the blocks against the forest's degrees
+    rng = np.random.default_rng(17)
+    graphs = [LinearGraph(0, ())] + [decorated_graph(rng) for _ in range(300)]
+    for g in graphs:
+        assert leaf_count(g) == forest_leaves(forest_of_tec(g).degrees)
 
 
 def test_forest_partitions_vertices_and_is_acyclic():
     rng = np.random.default_rng(12)
-    for _ in range(100):
+    for _ in range(5000):
         g = random_graph(rng)
         forest = forest_of_tec(g)
         seen = set()
@@ -90,9 +102,11 @@ def test_forest_partitions_vertices_and_is_acyclic():
             assert not (comp & seen)
             seen |= comp
         assert seen == set(range(g.vertex_count))
-        # acyclic: a forest on m nodes has fewer edges than nodes per component
-        assert len(forest.forest_edges) <= max(0, len(forest.components) - 1) \
-            or component_count(g) > 1
+        # acyclic: a forest has one edge fewer than nodes per tree, and its
+        # trees are the connected components of the graph
+        assert len(forest.forest_edges) == \
+            len(forest.components) - component_count(g)
+        assert leaf_count(g) == forest_leaves(forest.degrees)
 
 
 def test_leaf_count_examples():
@@ -108,16 +122,15 @@ def test_leaf_count_examples():
 
 
 def test_leaf_count_lower_bound():
+    # every tree of the forest has at least two leaves: a one-node tree
+    # counts 2, a longer one has two ends
+    assert leaf_count(LinearGraph(0, ())) == 0
     rng = np.random.default_rng(13)
+    for _ in range(5000):
+        g = random_graph(rng)
+        assert leaf_count(g) >= 2 * component_count(g)
     for _ in range(100):
         g = random_graph(rng)
-        if g.order == 0:
-            continue
-        # every component with at least one edge has >= 2 leaves; isolated
-        # vertices add exactly 2 each
-        assert leaf_count(g) >= 2 * component_count(g) - 2 * len(
-            [v for v in range(g.vertex_count)
-             if all(v not in e for e in g.edges)]) or True
         tec = forest_of_tec(g)
         if not tec.forest_edges:
             assert leaf_count(g) == 2 * len(tec.components)
@@ -160,6 +173,7 @@ def test_well_oriented():
 
 
 def test_cactus_cycles_are_the_directed_simple_cycles():
+    # the blocks of a well-oriented graph, walked, are its simple cycles
     loops = LinearGraph(1, ((0, 0), (0, 0)))
     bases = [minimal_graph(3),
              linearize(loops, StarWord.parse("1,2*"), 1, 1, 0).graph,
@@ -171,10 +185,9 @@ def test_cactus_cycles_are_the_directed_simple_cycles():
             oriented = is_well_oriented(g)
             seen[oriented] += 1
             if not oriented:
-                with pytest.raises(InvalidArgumentError):
-                    cactus_cycles(g)
                 continue
-            cycles = cactus_cycles(g)
+            cycles = [_walk(g.edges, block)
+                      for block in _blocks(g.vertex_count, g.edges)]
             for cyc in cycles:
                 for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                     assert g.edges[a][1] == g.edges[b][0]

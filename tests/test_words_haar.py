@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from tensortraffic.errors import InvalidArgumentError, ResourceLimitError
-from tensortraffic.graphs import LinearGraph, canonical_form
-from tensortraffic.haar import (cycle_limit_coefficient, haar_limit_injective,
-                                linearize, predict_freeness_limit,
-                                split_graphs, splitting_identity_check,
-                                t1_labels)
+from tensortraffic.graphs import LinearGraph, canonical_form, quotient
+from tensortraffic.haar import (_quotient_class, cycle_limit_coefficient,
+                                haar_limit_injective, linearize,
+                                predict_freeness_limit, split_graphs,
+                                splitting_identity_check, t1_labels)
+from tensortraffic.invariants import VALID, classify_labeling
 from tensortraffic.operands import StateSpec, TensorOperand
 from tensortraffic.partitions import SetPartition, enumerate_partitions
 from tensortraffic.traces import randomized_coefficient_extract
 from tensortraffic.words import StarWord, all_words, free_reduce, is_trivial
+
+from oracles import haar_limit_reference, predict_ledger_reference
 
 LOOP1 = LinearGraph(1, [(0, 0)])
 LOOP2 = LinearGraph(1, [(0, 0), (0, 0)])
@@ -141,7 +144,119 @@ def test_haar_limit_product_over_components():
     assert haar_limit_injective(g, delta, eps) == -1
 
 
+def random_labeled_cactus(rng):
+    """Directed cycles of length 1-6 glued at random vertices, with labels
+    that are VALID about half the time, plus now and then a chord or a
+    pendant edge that breaks the cactus."""
+    edges, delta, eps, nv = [], [], [], 1
+    for _ in range(int(rng.integers(1, 4))):
+        length = int(rng.choice([1, 2, 2, 4, 4, 6, 3]))
+        cycle = [int(rng.integers(nv))] + list(range(nv, nv + length - 1))
+        nv += length - 1
+        edges += [(cycle[i], cycle[(i + 1) % length]) for i in range(length)]
+        letter, flip = int(rng.integers(1, 3)), bool(rng.integers(2))
+        delta += [letter] * length
+        eps += [(i % 2 == 1) != flip for i in range(length)]
+    for i in range(len(edges)):
+        if rng.random() < 0.05:
+            delta[i] = 3 - delta[i]
+        if rng.random() < 0.05:
+            eps[i] = not eps[i]
+    if rng.random() < 0.2:
+        edges.append((int(rng.integers(nv)), int(rng.integers(nv + 1))))
+        delta.append(1)
+        eps.append(False)
+        nv += 1
+    return LinearGraph(nv, edges), tuple(delta), tuple(eps)
+
+
+def test_limit_on_random_labeled_cacti_matches_reference():
+    rng = np.random.default_rng(19)
+    weights = set()
+    for _ in range(600):
+        g, delta, eps = random_labeled_cactus(rng)
+        want = haar_limit_reference(g, delta, eps)
+        assert haar_limit_injective(g, delta, eps) == want
+        if classify_labeling(g, delta, eps) == VALID:
+            weights.add(want)
+    assert {1, -1, 2, -2} <= weights  # products over 2-, 4-, 6-cycles
+
+
 # --- the vanishing certificate ----------------------------------------------
+
+LOOPS = {blocks: LinearGraph(1, ((0, 0),) * sum(blocks))
+         for blocks in ((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1), (2, 0, 0))}
+ISOLATED = LinearGraph(3, ((2, 2), (2, 2)))  # base vertices 0, 1 isolated
+EDGE = LinearGraph(2, ((0, 1),))
+BRIDGED = LinearGraph(2, ((0, 1), (1, 1)))
+
+
+def _words(*lengths):
+    """Nontrivial words over two letters that start with letter 1; the ledger
+    sees letters only through equality, so the others repeat these."""
+    return [w for p in lengths for w in all_words(2, p)
+            if w.letters[0][0] == 1 and not is_trivial(w)]
+
+
+@pytest.mark.parametrize("blocks", [(1, 0, 0), (1, 1, 0), (1, 0, 1),
+                                    (1, 1, 1)])
+def test_predict_ledger_matches_reference_on_loops(blocks):
+    for word in _words(1, 2, 3):
+        cert = predict_freeness_limit(word, LOOPS[blocks], *blocks)
+        assert cert.to_json() == predict_ledger_reference(
+            word, LOOPS[blocks], *blocks), word.to_string()
+
+
+def test_predict_ledger_matches_reference_on_other_bases():
+    """Doubled graphs of at most 8 vertices, isolated base vertices and a
+    base with a bridge; some of these quotients have a VALID T1."""
+    cases = [(w, LOOPS[(1, 0, 0)], (1, 0, 0), True) for w in _words(1, 2, 3)]
+    cases += [(w, LOOPS[b], b, True) for w in _words(1, 2)
+              for b in ((1, 1, 0), (1, 0, 1), (2, 0, 0))]
+    cases.append((StarWord.parse("1,2,1*,2*"), LOOPS[(1, 0, 0)], (1, 0, 0),
+                  True))
+    cases += [(w, ISOLATED, b, False) for w in _words(1, 2)
+              for b in ((1, 1, 0), (1, 0, 1))]
+    cases += [(w, LinearGraph(2, ((1, 1),)), (1, 0, 0), True)
+              for w in _words(1, 2)]
+    cases += [(w, EDGE, (1, 0, 0), True) for w in _words(1, 2)]
+    cases += [(w, BRIDGED, b, False) for w in _words(1, 2)
+              for b in ((1, 1, 0), (1, 0, 1), (2, 0, 0))]
+    cases += [(w, BRIDGED, (1, 0, 1), False) for w in _words(3)]
+    cases.append((StarWord.parse("1,2"), BRIDGED, (1, 0, 1), True))
+    valid = merged = 0
+    for word, base, blocks, variance in cases:
+        doc = predict_freeness_limit(word, base, *blocks,
+                                     include_variance_graph=variance).to_json()
+        assert doc == predict_ledger_reference(word, base, *blocks, variance), \
+            (word.to_string(), base, blocks, variance)
+        valid += sum(q["validity"] == VALID for q in doc["quotients"])
+        merged += sum(q["multiplicity"] > 1 for q in doc["quotients"])
+    assert valid and merged
+
+
+def test_quotient_class_matches_canonical_form():
+    """The ledger key and the canonical form of the quotient split every
+    B(V) into the same classes, on linearized graphs with 1-3 isolated base
+    vertices."""
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        touched = int(rng.integers(1, 3))
+        k = int(rng.integers(1, 3))
+        base = LinearGraph(touched + int(rng.integers(1, 4)), tuple(
+            (int(rng.integers(touched)), int(rng.integers(touched)))
+            for _ in range(k)))
+        word = StarWord.parse(",".join(
+            str(int(rng.integers(1, 3))) + "*" * int(rng.integers(2))
+            for _ in range(int(rng.integers(1, 3)))))
+        graph = linearize(base, word, k, 0, 0).graph  # at most 7 vertices
+        touched_vertices = sorted(graph.touched_vertices())
+        pairs = {(_quotient_class(pi, touched_vertices),
+                  canonical_form(quotient(graph, pi)))
+                 for pi in enumerate_partitions(graph.vertex_count)}
+        assert len({a for a, _ in pairs}) == len({b for _, b in pairs}) \
+            == len(pairs)
+
 
 def test_predict_single_letter():
     cert = predict_freeness_limit(StarWord.parse("1"), LOOP1, 1, 0, 0)
