@@ -5,7 +5,6 @@ conditional expectation onto the span of leg permutations.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,11 +13,10 @@ import numpy as np
 
 from .errors import (IllConditionedError, InvalidArgumentError,
                      ResourceLimitError)
-from .operands import TensorOperand
+from .operands import (TensorOperand, check_dense_size, check_permutation,
+                       compose, cycles_of, inverse_permutation)
 from .sampling import MCReport, haar_sweep
 from .words import StarWord, is_trivial
-
-LEG_GUARD_BITS = 16  # d * log2(N) <= 16 for dense leg-permutation operators
 
 
 @dataclass(frozen=True)
@@ -139,35 +137,14 @@ def character_sweep(sig: Signature, n: int, samples: int, seed: int = 0,
 # leg permutations of tensor powers
 # --------------------------------------------------------------------------
 
-def _check_perm(sigma) -> tuple[int, ...]:
-    sigma = tuple(int(x) for x in sigma)
-    if sorted(sigma) != list(range(len(sigma))):
-        raise InvalidArgumentError(f"not a permutation of 0..{len(sigma) - 1}: {sigma}")
-    return sigma
-
-
-def inverse_permutation(sigma) -> tuple[int, ...]:
-    """sigma^{-1} of a permutation of 0..d-1, given as its image tuple."""
-    out = [0] * len(sigma)
-    for k, img in enumerate(sigma):
-        out[img] = k
-    return tuple(out)
-
-
-def _check_leg_guard(d: int, n: int):
-    if d * math.log2(n) > LEG_GUARD_BITS and n > 1:
-        raise ResourceLimitError(
-            f"dense leg permutation guarded at d*log2(N) <= {LEG_GUARD_BITS}")
-
-
 def leg_permutation(sigma, n: int) -> np.ndarray:
     """Dense operator permuting the tensor legs: basis vector
     e_{i_1} x ... x e_{i_d} maps to the vector whose k-th leg is leg
     sigma^{-1}(k) of the input.
     """
-    sigma = _check_perm(sigma)
+    sigma = check_permutation(sigma)
     d = len(sigma)
-    _check_leg_guard(d, n)
+    check_dense_size(d, n)
     op = np.eye(n ** d).reshape((n,) * (2 * d))
     # output axis k reads input leg sigma^{-1}(k)
     perm = list(inverse_permutation(sigma)) + list(range(d, 2 * d))
@@ -179,7 +156,7 @@ def permuted_tensor_trace(mats, sigma) -> complex:
     contraction: sum over i of prod_k M_k(i_k, i_{sigma^{-1}(k)}), divided
     by N^d. This is the oracle side of the cycle factorization.
     """
-    sigma = _check_perm(sigma)
+    sigma = check_permutation(sigma)
     d = len(sigma)
     if len(mats) != d:
         raise InvalidArgumentError("need one matrix per leg")
@@ -190,24 +167,7 @@ def permuted_tensor_trace(mats, sigma) -> complex:
         args.append(np.asarray(mats[k], dtype=np.complex128))
         args.append([k, inv[k]])
     val = np.einsum(*args, [])
-    return complex(val) / n ** d
-
-
-def cycles_of(sigma) -> list[list[int]]:
-    sigma = _check_perm(sigma)
-    seen = [False] * len(sigma)
-    out = []
-    for start in range(len(sigma)):
-        if seen[start]:
-            continue
-        cyc = []
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cyc.append(cur)
-            cur = sigma[cur]
-        out.append(cyc)
-    return out
+    return complex(val / n ** d)
 
 
 def _cycle_product(a: np.ndarray, sigma) -> complex:
@@ -222,7 +182,7 @@ def cycle_factorization_check(a: np.ndarray, sigma) -> float:
     """Residual of the exact identity
     tr^{x d}(A^{x d} rho(sigma)) = N^{-d} prod_cycles Tr(A^{|c|}).
     """
-    sigma = _check_perm(sigma)
+    sigma = check_permutation(sigma)
     lhs = permuted_tensor_trace([a] * len(sigma), sigma)
     return float(abs(lhs - _cycle_product(a, sigma)))
 
@@ -241,7 +201,7 @@ class PermutationWord:
     perm: tuple[int, ...]
 
     def __post_init__(self):
-        _check_perm(self.perm)
+        check_permutation(self.perm)
 
     @property
     def trivial(self) -> bool:
@@ -263,7 +223,7 @@ def _evaluate_mixed_letter_matrix(word: StarWord, us) -> np.ndarray:
 
 
 def left_regular_check(word: PermutationWord, k: int, n: int, samples: int,
-                       seed: int = 0, tol: float = 1e-10) -> MCReport:
+                       seed: int = 0) -> MCReport:
     """Monte-Carlo mean of the normalized tensor trace of the represented
     word; each sample is verified against the exact cycle factorization
     N^{-d} prod_c Tr(word^{|c|}) before entering the average.
@@ -276,7 +236,7 @@ def left_regular_check(word: PermutationWord, k: int, n: int, samples: int,
         x = _evaluate_mixed_letter_matrix(word.free_part, us)
         lhs = permuted_tensor_trace([x] * d, word.perm)
         rhs = _cycle_product(x, word.perm)
-        if abs(lhs - rhs) > tol * max(1.0, abs(lhs)):
+        if abs(lhs - rhs) > 1e-10 * max(1.0, abs(lhs)):
             raise IllConditionedError(
                 f"cycle factorization violated: |delta| = {abs(lhs - rhs):.2e}")
         return lhs
@@ -321,24 +281,17 @@ def _operand_legs(a, d, n):
 
 
 def _trace_against_permutations(a, order, n, d):
-    """m_sigma = tr^{x d}(rho(sigma)^* A) for every sigma. A dense matrix is
-    traced against rho(sigma^{-1}); a factored operand goes through the entry
-    sum sum_i prod_k A_k(i_k, i_{sigma(k)}) (adjoint permutation action).
+    """m_sigma = tr^{x d}(rho(sigma)^* A) = tr^{x d}(A rho(sigma^{-1})) for
+    every sigma, of a dense matrix or term by term of a factored operand.
     """
     out = np.zeros(len(order), dtype=np.complex128)
     for si, sigma in enumerate(order):
+        inv = inverse_permutation(sigma)
         if isinstance(a, np.ndarray):
-            rho_inv = leg_permutation(inverse_permutation(sigma), n)
-            out[si] = np.trace(rho_inv @ a) / n ** d
-            continue
-        total = 0j
-        for w, fs in a.terms:
-            args = []
-            for k in range(d):
-                args.append(fs[k])
-                args.append([k, sigma[k]])
-            total += w * np.einsum(*args, [])
-        out[si] = total / n ** d
+            out[si] = np.trace(leg_permutation(inv, n) @ a) / n ** d
+        else:
+            out[si] = sum(w * permuted_tensor_trace(fs, inv)
+                          for w, fs in a.terms)
     return out
 
 
@@ -362,9 +315,8 @@ def conditional_expectation_sd(a, d: int, n: int) -> PermutationSpanOperator:
     gram = np.zeros((len(order), len(order)))
     for i, s in enumerate(order):
         s_inv = inverse_permutation(s)
-        for j, t in enumerate(order):
-            comp = tuple(t[s_inv[k]] for k in range(d))  # s^{-1} t
-            gram[i, j] = float(n) ** (len(cycles_of(comp)) - d)
+        for j, t in enumerate(order):  # #cycles of s^{-1} t
+            gram[i, j] = float(n) ** (len(cycles_of(compose(t, s_inv))) - d)
     m = _trace_against_permutations(a, order, n, d)
     coeffs = np.linalg.solve(gram, m)
     return PermutationSpanOperator({s: complex(c) for s, c in zip(order, coeffs)},
@@ -380,7 +332,7 @@ def amalgam_sweep(word: StarWord, d: int, n: int, samples: int,
     if n <= d:
         raise InvalidArgumentError(f"need N > d (got N = {n}, d = {d})")
     _check_sd_cap(d)  # the guards of every projection, before any sample
-    _check_leg_guard(d, n)
+    check_dense_size(d, n)
     if is_trivial(word):
         raise InvalidArgumentError("the probe word is trivial")
 

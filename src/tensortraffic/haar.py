@@ -8,7 +8,6 @@ contribution vanishes.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,6 +20,7 @@ from .invariants import (VALID, _blocks, _classify, _leaves, leaf_count,
                          split_by_color, splitting_exponent)
 from .operands import TensorOperand, permutation_matrix
 from .partitions import _normalize, enumerate_partitions
+from .sampling import MCReport, symmetrize
 from .traces import injective_graph_trace
 from .words import StarWord, is_trivial
 
@@ -284,19 +284,11 @@ class SplittingReport:
     degenerate: bool      # both sides vanish for dimensional reasons
 
 
-def _joint_operand(b1: TensorOperand, b2: TensorOperand, ids1, ids2,
-                   order: int) -> TensorOperand:
-    """Interleave the factors of b1/b2 into edge positions ids1/ids2."""
-    terms = []
-    for w1, f1 in b1.terms:
-        for w2, f2 in b2.terms:
-            factors = [None] * order
-            for pos, f in zip(ids1, f1):
-                factors[pos] = f
-            for pos, f in zip(ids2, f2):
-                factors[pos] = f
-            terms.append((w1 * w2, factors))
-    return TensorOperand(b1.n, order, terms)
+def _joint_operand(b1: TensorOperand, b2: TensorOperand) -> TensorOperand:
+    """B1 x B2: the legs of b1, then those of b2."""
+    return TensorOperand(b1.n, b1.legs + b2.legs,
+                         [(w1 * w2, f1 + f2) for w1, f1 in b1.terms
+                          for w2, f2 in b2.terms])
 
 
 def splitting_identity_check(tprime: LinearGraph, color, b1: TensorOperand,
@@ -305,7 +297,8 @@ def splitting_identity_check(tprime: LinearGraph, color, b1: TensorOperand,
     """Check that the expected injective trace of an independent pair
     factors: E Tr0_{T'}(B1 x B2) = (N-|V'|)!/N! * Tr0_{T1}(B1) * Tr0_{T2}(B2),
     with B2 averaged over permutation conjugations: all N! of them for
-    mode="exact" (N <= 5), `samples` random ones for mode="sampled".
+    mode="exact" (through `symmetrize`, N <= 5), `samples` random ones for
+    mode="sampled".
     """
     if mode not in ("exact", "sampled"):
         raise InvalidArgumentError(f"unknown mode {mode!r}")
@@ -321,20 +314,20 @@ def splitting_identity_check(tprime: LinearGraph, color, b1: TensorOperand,
     nv = tprime.vertex_count
     if nv > n:
         return SplittingReport(0j, 0j, 0.0, None, True)
+    letters = [ids1.index(e) if c == 1 else b1.legs + ids2.index(e)
+               for e, c in enumerate(color)]
+    stderr = None
+    if mode == "exact":  # the trace is linear in the operand
+        lhs = injective_graph_trace(
+            tprime, _joint_operand(b1, symmetrize(b2, n)), letters)
+    else:
+        rng = np.random.default_rng(seed)
+        vals = np.array([injective_graph_trace(tprime, _joint_operand(
+            b1, b2.conjugated_by(permutation_matrix(rng.permutation(n)))),
+            letters) for _ in range(samples)])
+        rep = MCReport.from_samples(vals, n, 0.0)
+        lhs, stderr = rep.estimate, rep.stderr
     weight = math.factorial(n - nv) / math.factorial(n)
     rhs = weight * injective_graph_trace(t1, b1, letter_of_edge=range(b1.legs)) \
         * injective_graph_trace(t2, b2, letter_of_edge=range(b2.legs))
-    if mode == "exact":
-        if n > 5:
-            raise ResourceLimitError("exact permutation averaging capped at N = 5")
-        perms = list(itertools.permutations(range(n)))
-    else:
-        rng = np.random.default_rng(seed)
-        perms = [rng.permutation(n) for _ in range(samples)]
-    vals = np.array([injective_graph_trace(tprime, _joint_operand(
-        b1, b2.conjugated_by(permutation_matrix(perm)), ids1, ids2,
-        tprime.order)) for perm in perms])
-    lhs = complex(vals.mean())
-    stderr = None if mode == "exact" \
-        else float(vals.std(ddof=1) / np.sqrt(samples))
     return SplittingReport(lhs, complex(rhs), abs(lhs - rhs), stderr, False)

@@ -1,4 +1,4 @@
-"""Tensor operands and state descriptions on tensor matrix spaces.
+"""Tensor operands, state descriptions and permutations of indices or legs.
 
 An operand is an element of the K-fold tensor power of N x N matrices,
 stored as a weighted sum of elementary tensor products (one term covers the
@@ -12,10 +12,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ResourceLimitError
 from .partitions import SetPartition
 
-DENSE_GUARD_BITS = 16  # K * log2(N) <= 16 for to_dense
+DENSE_GUARD_BITS = 16  # K * log2(N) <= 16 for an N^K x N^K dense operator
+
+
+def check_dense_size(legs: int, n: int):
+    """Refuse a dense operator on K = legs tensor legs of C^N beyond the
+    guard, before anything of that size is allocated."""
+    if legs * math.log2(n) > DENSE_GUARD_BITS and n > 1:
+        raise ResourceLimitError(
+            f"dense operators guarded at K*log2(N) <= {DENSE_GUARD_BITS}")
 
 
 def permutation_matrix(perm) -> np.ndarray:
@@ -24,6 +32,44 @@ def permutation_matrix(perm) -> np.ndarray:
     p = np.zeros((n, n))
     p[np.asarray(perm), np.arange(n)] = 1.0
     return p
+
+
+def check_permutation(sigma) -> tuple[int, ...]:
+    sigma = tuple(int(x) for x in sigma)
+    if sorted(sigma) != list(range(len(sigma))):
+        raise InvalidArgumentError(f"not a permutation of 0..{len(sigma) - 1}: {sigma}")
+    return sigma
+
+
+def inverse_permutation(sigma) -> tuple[int, ...]:
+    """sigma^{-1} of a permutation of 0..d-1, given as its image tuple."""
+    out = [0] * len(sigma)
+    for k, img in enumerate(sigma):
+        out[img] = k
+    return tuple(out)
+
+
+def compose(a, b) -> tuple[int, ...]:
+    """a after b, as image tuples."""
+    return tuple(a[i] for i in b)
+
+
+def cycles_of(sigma) -> list[list[int]]:
+    """Cycles of a permutation of 0..d-1, each from its smallest element."""
+    sigma = check_permutation(sigma)
+    seen = [False] * len(sigma)
+    out = []
+    for start in range(len(sigma)):
+        if seen[start]:
+            continue
+        cyc = []
+        cur = start
+        while not seen[cur]:
+            seen[cur] = True
+            cyc.append(cur)
+            cur = sigma[cur]
+        out.append(cyc)
+    return out
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -74,8 +120,7 @@ class TensorOperand:
 
     def to_dense(self) -> np.ndarray:
         """Materialize as an N^K x N^K matrix (guarded)."""
-        if self.legs * math.log2(self.n) > DENSE_GUARD_BITS and self.n > 1:
-            raise InvalidArgumentError("operand too large to densify")
+        check_dense_size(self.legs, self.n)
         total = np.zeros((self.n ** self.legs, self.n ** self.legs),
                          dtype=np.complex128)
         for weight, factors in self.terms:

@@ -66,8 +66,8 @@ class MCReport:
             stderr = float(values.std(ddof=1) / math.sqrt(samples))
         return cls(complex(values.mean()), stderr, samples, n, wallclock)
 
-    def within(self, target: complex, k: float = 3.0, floor: float = 1e-12) -> bool:
-        return abs(self.estimate - target) <= k * self.stderr + floor
+    def within(self, target: complex, k: float = 3.0) -> bool:
+        return abs(self.estimate - target) <= k * self.stderr + 1e-12
 
 
 def sample_haar_unitary(n: int, rng) -> np.ndarray:
@@ -109,23 +109,18 @@ def evaluate_word(family, word: StarWord) -> TensorOperand:
     """Word of factored unitary tensors, multiplied leg by leg."""
     if not family:
         raise InvalidArgumentError("empty family")
-    n = family[0].n
-    legs = family[0].legs
     if any(idx > len(family) for idx, _ in word.letters):
         raise InvalidArgumentError("word uses letters outside the family")
-    chains = [np.eye(n, dtype=np.complex128)] * legs
-    first = True
+    chains = None
     for idx, star in word.letters:
         terms = family[idx - 1].terms
         if len(terms) != 1:
             raise InvalidArgumentError("family entries must be plain factored")
         _, factors = terms[0]
         mats = [f.conj().T if star else f for f in factors]
-        if first:
-            chains = list(mats)
-            first = False
-        else:
-            chains = [c @ m for c, m in zip(chains, mats)]
+        chains = mats if chains is None else [c @ m for c, m in zip(chains, mats)]
+    if chains is None:  # the empty word
+        chains = [np.eye(family[0].n, dtype=np.complex128)] * family[0].legs
     return TensorOperand.factored(chains)
 
 
@@ -217,7 +212,7 @@ def mc_variance(state, word: StarWord, blocks, n: int, samples: int,
 # --------------------------------------------------------------------------
 
 def symmetrize(target, n: int, group: str = "sn_exact", samples: int = 200,
-               seed: int = 0, k: int | None = None):
+               seed: int = 0):
     """Average a state callable or a factored operand over a group action.
 
     group: "sn_exact" (all N! permutations, N <= 5), "sn_sampled", or

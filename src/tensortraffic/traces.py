@@ -27,7 +27,8 @@ from .errors import (InvalidArgumentError, NotInvariantError,
                      ProbeFailureError, ResourceLimitError)
 from .graphs import LinearGraph, component_count, minimal_graph, quotient
 from .invariants import forest_of_tec, leaf_count
-from .operands import StateSpec, TensorOperand, permutation_matrix
+from .operands import (StateSpec, TensorOperand, inverse_permutation,
+                       permutation_matrix)
 from .partitions import (SetPartition, enumerate_partitions, find_root,
                          interval, mobius, mobius_of_sizes,
                          restricted_growth_strings, union_roots)
@@ -244,8 +245,6 @@ def injective_graph_trace(graph: LinearGraph, operand: TensorOperand,
     """Injective linear form: the elementary sum restricted to injective
     vertex labelings, computed by Möbius inversion over quotients.
     """
-    if graph.vertex_count > operand.n:
-        return 0.0 + 0.0j  # pigeonhole: no injective labeling exists
     return _sum_over_terms(injective_trace_stack, graph, operand,
                            letter_of_edge)
 
@@ -335,7 +334,7 @@ def _orbit_terms(graph: LinearGraph, classes: tuple[int, ...]):
     index = {rgs: k for k, rgs in enumerate(parts)}
     parent = list(range(len(parts)))
     for g in _automorphism_generators(graph, classes):
-        inverse = sorted(range(len(g)), key=g.__getitem__)
+        inverse = inverse_permutation(g)
         for k, rgs in enumerate(parts):
             seen: dict[int, int] = {}
             image = tuple(seen.setdefault(rgs[u], len(seen)) for u in inverse)
@@ -352,7 +351,7 @@ def injective_trace_stack(graph: LinearGraph, mats, n) -> np.ndarray:
     the vertex set, one contraction per symmetry orbit of quotients;
     `mats` as for graph_trace_stack."""
     total = np.zeros(mats[0].shape[0] if mats else 1, dtype=np.complex128)
-    if graph.vertex_count > n:
+    if graph.vertex_count > n:  # pigeonhole: no injective labeling exists
         return total
     if graph.vertex_count > INJECTIVE_VERTEX_CAP:  # before comparing arrays
         raise ResourceLimitError(
@@ -516,20 +515,19 @@ def apply_state(spec, operand: TensorOperand) -> complex:
     return complex(total)
 
 
-def decompose_invariant_state(psi, k: int, n: int, *, check_invariance=True,
-                              seed=0, checks=3, tol=1e-9) -> dict:
+def decompose_invariant_state(psi, k: int, n: int, *, seed=0) -> dict:
     """Coefficients of a permutation-invariant state over the elementary
     forms indexed by partitions of [2K].
 
     The state is probed on one elementary matrix tensor per kernel class,
     then Möbius inversion over each interval [discrete, pi] turns the table
     into coefficients. Requires N >= 2K so that every kernel class has a
-    representative multi-index.
+    representative multi-index. The state is first checked for invariance
+    under three random permutation conjugations.
     """
     if n < 2 * k:
         raise InvalidArgumentError(f"need N >= 2K = {2 * k} (got N = {n})")
-    if check_invariance:
-        _check_invariance(psi, k, n, seed, checks, tol)
+    _check_invariance(psi, k, n, seed)
     parts = enumerate_partitions(2 * k)
     probes = {}
     for pi in parts:
@@ -545,15 +543,15 @@ def decompose_invariant_state(psi, k: int, n: int, *, check_invariance=True,
                     for pi2 in interval(discrete, pi)) for pi in parts}
 
 
-def _check_invariance(psi, k, n, seed, checks, tol):
+def _check_invariance(psi, k, n, seed):
     rng = np.random.default_rng(seed)
-    for _ in range(checks):
+    for _ in range(3):
         factors = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                    for _ in range(k)]
         a = TensorOperand.factored(factors)
         conj = a.conjugated_by(permutation_matrix(rng.permutation(n)))
         base, moved = apply_state(psi, a), apply_state(psi, conj)
-        if abs(base - moved) > tol * max(1.0, abs(base)):
+        if abs(base - moved) > 1e-9 * max(1.0, abs(base)):
             raise NotInvariantError(
                 f"state is not permutation invariant: |delta| = {abs(base - moved):.2e}")
 
@@ -617,6 +615,7 @@ def randomized_coefficient_extract(psi, pi: SetPartition, k: int, n: int,
         raise InvalidArgumentError("partition must live on [2K]")
     if samples < 2:
         raise InvalidArgumentError("need samples >= 2")
+    from .sampling import MCReport  # sampling imports this module
     if probe is None:
         probe = ms_optimality_witness(pi, n)
     base = quotient(minimal_graph(k), pi)
@@ -631,7 +630,6 @@ def randomized_coefficient_extract(psi, pi: SetPartition, k: int, n: int,
         values[s] = apply_state(psi, TensorOperand(probe.n, k, [
             (w, [diags[leg][:, None] * fs[leg] * diags[k + leg][None, :]
                  for leg in range(k)]) for w, fs in probe.terms]))
-    mean = values.mean()
-    spread = values.std(ddof=1) / np.sqrt(samples)
-    return ExtractReport(complex(mean / reference), float(spread / abs(reference)),
+    rep = MCReport.from_samples(values, n, 0.0)
+    return ExtractReport(rep.estimate / reference, rep.stderr / abs(reference),
                          samples, complex(reference))

@@ -15,10 +15,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from .characters import cycles_of, inverse_permutation
 from .errors import InvalidArgumentError, ResourceLimitError
 from .graphs import LinearGraph, component_count
-from .operands import StateSpec
+from .operands import StateSpec, compose, cycles_of, inverse_permutation
 from .words import StarWord
 
 __all__ = ["WG_TERM_CAP", "weingarten", "exact_expectation"]
@@ -31,11 +30,6 @@ EXACT_KINDS = ("tracial", "max_entangled_vector", "diagonal_uniform")
 def _cycle_type(sigma) -> tuple[int, ...]:
     """Cycle lengths of a permutation of 0..p-1, longest first."""
     return tuple(sorted((len(c) for c in cycles_of(sigma)), reverse=True))
-
-
-def _compose(a, b) -> tuple[int, ...]:
-    """a after b."""
-    return tuple(a[i] for i in b)
 
 
 def _solve(rows, rhs) -> list[Fraction]:
@@ -75,7 +69,7 @@ def _class_table(p: int, n: int) -> dict[tuple[int, ...], Fraction]:
     for t in types:
         row = [Fraction(0)] * len(types)
         for tau in perms:
-            rho = _compose(reps[t], inverse_permutation(tau))
+            rho = compose(reps[t], inverse_permutation(tau))
             row[column[_cycle_type(rho)]] += n ** len(cycles_of(tau))
         rows.append(row)
     identity = (1,) * p
@@ -161,7 +155,7 @@ def exact_expectation(state: StateSpec, word: StarWord, blocks,
             rows = [(ps[i][0], qs[sigma[i]][0]) for i in range(p)]
             sigma_inv = inverse_permutation(sigma)
             for tau in perms:
-                weight = table[_cycle_type(_compose(tau, sigma_inv))]
+                weight = table[_cycle_type(compose(tau, sigma_inv))]
                 cols = [(ps[i][1], qs[tau[i]][1]) for i in range(p)]
                 options.append((weight, rows + cols))
         choices.append(options)

@@ -153,7 +153,10 @@ def test_criterion_04_splitting_identity():
 
 
 def _mc_scaled_injective(graph, delta, eps, n, samples, seed, chunk=100):
-    """Monte-Carlo mean/stderr of N^(-c) Tr0 of a Haar word tensor."""
+    """Monte-Carlo mean/stderr of N^(-c) Tr0 of a Haar word tensor. The
+    per-sample loop and the stderr formula are kept independent of
+    `sampling.haar_sweep` on purpose, as a reference for the library's
+    sampling core."""
     letters = max(delta)
     scale = float(n) ** (-component_count(graph))
     base = RngStream(seed)
@@ -250,6 +253,8 @@ def test_criterion_07_decay_across_dimensions():
     decreases in N for every state.
     (c) The median |MC mean| at N=128 stays below 0.15, and the median
     sample variance at N=128 is at most a quarter of that at N=16.
+    The per-sample loop is kept independent of `sampling.haar_sweep` on
+    purpose, as a reference for the library's sampling core.
     """
     t0 = time.perf_counter()
     dims = (16, 32, 64, 128)
@@ -336,7 +341,9 @@ def test_criterion_08_vanishing_certificates():
 
 def test_criterion_09_character_freeness():
     """Normalized characters of words of (U, conj U) decay with N, and the
-    finite-N character error halves from N=32 to N=64."""
+    finite-N character error halves from N=32 to N=64. The sampling loops
+    are kept independent of `sampling.haar_sweep` on purpose, as a
+    reference for the library's sampling core."""
     t0 = time.perf_counter()
     sigs = [Signature((1,), (1,)), Signature((2,), ())]
     # letters 1..K are the Haar matrices, K+1..2K their entrywise conjugates

@@ -189,6 +189,12 @@ def test_leg_permutation_guard():
         leg_permutation(tuple(range(9)), 8)
 
 
+def test_dense_operand_guard_is_the_leg_permutation_guard():
+    # K * log2(N) = 27 > 16: a resource limit (exit 3), as for leg_permutation
+    with pytest.raises(ResourceLimitError):
+        TensorOperand.identity(8, 9).to_dense()
+
+
 def test_permuted_trace_matches_dense():
     n = 3
     rng = np.random.default_rng(1)

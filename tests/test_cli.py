@@ -210,6 +210,82 @@ def test_predict_stdout_is_pinned(argv, graph, digest, capsys, tmp_path):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# SHA-256 of stdout and the exit code of one fast command per remaining
+# subcommand. Every N stays <= 64: from N ~ 100 on, the QR inside a Haar draw
+# returns bytes that depend on the BLAS thread count.
+SUBCOMMAND_STDOUT_SHA256 = [
+    ("mc --state tracial --word 1,2,1*,2* --blocks 1,0,1 --dims 8,16 "
+     "--samples 40 --seed 3 --v-mode haar",
+     0, "ec75a3fe68b4afffe672b2d5a257bb778de1d610deeeb9fb636dd1c2928fcb11"),
+    ("mc --state entangled --word 1,2,1*,2* --blocks 1,0,1 --dims 8,16 "
+     "--samples 40 --seed 3 --v-mode haar",
+     0, "2cdab3fd220e88807e62b48d7dc9c2d0d042bee7066127482e98da183b9363ac"),
+    ("mc --state diagonal --word 1,2,1*,2* --blocks 1,0,1 --dims 8,16 "
+     "--samples 40 --seed 3 --v-mode haar --format json",
+     0, "a06cbde242af1b4f4cfb0e081c9028dd75eae3b46d3d2bd3a85f1f5847a0fa11"),
+    ("character --lambda 2,1 --mu 1 --dims 8,16 --samples 40 --seed 5",
+     0, "39a98ccf120fa532603d07e1bd58257dc088c4e050d6bb8cbe0d081547be7086"),
+    ("character --lambda 1 --word 1,2*,1 --dims 8,16 --samples 40 "
+     "--seed 5 --format json",
+     0, "78bb12e6ad5716a599605510ee2003f823059887c09c24dfc3c39e7a75cd2341"),
+    ("amalgam --d 2 --word 1,2,1*,2* --dims 4,6 --samples 4 --seed 2",
+     0, "628d5f1ae31c1935a0f994045ac4c13b083e79a04e837d8133b391416f9a4f4c"),
+    ("amalgam --d 3 --word 1,2* --dims 5 --samples 3 --seed 2 "
+     "--format json",
+     0, "baf92ba01843402f82f38e76cb516638f23bf77d8dc0ecb33454aa234b56cb9e"),
+    ("decompose --state entangled --k 2 --n 5 --seed 4",
+     0, "870a51578a595969448749f55468fc6a88320c5590e1d15cced82848522ce902"),
+    ("decompose --state diagonal --k 3 --n 6 --seed 4",
+     0, "4d8142d73413ecbefdf330c5e231e5e9dfb36a4b2581bdf39665e98d308ce6b7"),
+    ("trace --graph {graph} --operand {op4}",
+     0, "9f4be8246c8c25d512f45781fe2e515b269021d28d39b511c8f08f79ce9f8865"),
+    ("trace --graph {graph} --operand {op4} --injective",
+     0, "5afbb8ee3f5a5479352673e4709d23aed0bf5120bab202ed99ca4fcec4d48c9f"),
+    ("trace --graph {graph} --operand {op4} --zeta",
+     0, "4a9941f2e2b5afadc61c90aa785700fda53d0a85283ddfc32d48162bf11bb79d"),
+    ("trace --graph {graph} --operand {op4} --tau",
+     0, "970e46a91e1a796a1aa6bb4e8bd9c18c3c798d6e8eb937740c167ce196904b12"),
+    ("trace --graph {graph} --operand {op2} --letters 0,1,1,0 --injective",
+     0, "a2f2bc725727d18ad94463fb9f4c51f76a48afed011c39ade3ae5c549d9a6a2d"),
+    ("invariants --graph {labeled}",
+     0, "45c3d70927a9d45aec3285da12e6d398717a3cb3add329a6b69f06d29f18b1b9"),
+    ("limit --graph {labeled}",
+     0, "20077b6760c05aa730b5e763707aef6dadaf032dbafc573bdc65fdaa64863cbf"),
+    ("mobius --n 5",
+     0, "4aeff0bb60c2f2f113b4f38dd8b9113cc9055c517b6487fcc3d38341106d28c8"),
+    ("mobius --n 4 --format csv",
+     0, "12993ef77aa018cdf40546abe62f77ae7e682997314d44775c91110c580af040"),
+    ("normdemo --letters 3 --n 6 --mode haar_pair --seed 1",
+     0, "f0107038eee04f5fc149c86fced139c76c1e06cb8a907c43d53b6e72009b0650"),
+    ("selftest",
+     0, "ab7891509a9d99e7c84799390395582535ea28b7037a90cc337d8004f44697c9"),
+]
+
+
+def _pinned_inputs(tmp_path) -> dict:
+    rng = np.random.default_rng(11)
+    (tmp_path / "graph.json").write_text(json.dumps(
+        {"vertices": 4, "edges": [[0, 1], [0, 2], [3, 0], [1, 1]]}))
+    (tmp_path / "labeled.json").write_text(json.dumps(
+        {"vertices": 3, "edges": [[0, 1], [1, 0], [1, 2], [2, 1]],
+         "labels": {"delta": [1, 1, 2, 2], "eps": ["u", "s", "u", "s"]}}))
+    for name, k in (("op4", 4), ("op2", 2)):
+        np.save(tmp_path / f"{name}.npy", rng.standard_normal((k, 4, 4))
+                + 1j * rng.standard_normal((k, 4, 4)))
+    return {"graph": str(tmp_path / "graph.json"),
+            "labeled": str(tmp_path / "labeled.json"),
+            "op4": str(tmp_path / "op4.npy"), "op2": str(tmp_path / "op2.npy")}
+
+
+@pytest.mark.parametrize("command,rc,digest", SUBCOMMAND_STDOUT_SHA256)
+def test_subcommand_stdout_is_pinned(command, rc, digest, capsys, tmp_path):
+    paths = _pinned_inputs(tmp_path)
+    code, out, _ = run_cli([a.format(**paths) for a in command.split()],
+                           capsys)
+    assert code == rc
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv", [
     ["trace", "--graph", "g.json", "--operand", "o.npy", "--format", "csv"],
     ["invariants", "--graph", "g.json", "--format", "csv"],

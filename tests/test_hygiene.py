@@ -1,6 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
+"""Source hygiene: every name a module imports is used in that module,
 every module-level function or class is reachable from the package's
-roots."""
+roots, and every parameter of a module-level function or method is read."""
 import ast
 from pathlib import Path
 
@@ -68,6 +68,29 @@ def unreachable_definitions(sources: dict[str, str]) -> list[str]:
                   if (mod, name) not in reached)
 
 
+def unused_parameters(source: str) -> list[str]:
+    """Parameters, as "function(name)" or "Class.method(name)", that the
+    body of a module-level function or of a method of a module-level class
+    never reads. A read inside a nested function or lambda counts; the
+    parameters of nested functions (callbacks with a fixed signature) are
+    not checked.
+    """
+    tree = ast.parse(source)
+    funcs = [(node.name, node) for node in tree.body
+             if isinstance(node, ast.FunctionDef)]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        funcs += [(f"{cls.name}.{node.name}", node) for node in cls.body
+                  if isinstance(node, ast.FunctionDef)]
+    out = []
+    for name, fn in funcs:
+        a = fn.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        read = set().union(*(_names_read(stmt) for stmt in fn.body))
+        out += [f"{name}({p})" for p in params if p not in read]
+    return out
+
+
 def _names_read(node) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
@@ -110,3 +133,20 @@ def test_every_definition_in_package_is_reachable():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(SRC.glob("*.py"))}
     assert unreachable_definitions(sources) == []
+
+
+def test_unused_parameter_scan_flags_only_unread_parameters():
+    source = ("def f(a, b, *args, c=1, **kw):\n    return a + kw['x']\n"
+              "def g(n, fn=None):\n"
+              "    def callback(us, rng):\n        return n\n"
+              "    return lambda: fn\n"
+              "class C:\n"
+              "    def m(self, tol):\n        return self\n"
+              "    def ok(self, x):\n        return self.y + x\n")
+    assert unused_parameters(source) == ["f(b)", "f(c)", "f(args)", "C.m(tol)"]
+
+
+def test_every_parameter_in_package_is_read():
+    found = {path.name: unused_parameters(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert not {k: v for k, v in found.items() if v}, found

@@ -231,6 +231,29 @@ def test_symmetrize_operand_becomes_invariant():
 def test_symmetrize_guard():
     with pytest.raises(ResourceLimitError):
         symmetrize(StateSpec("tracial", k=1, n=6), 6, "sn_exact")
+    with pytest.raises(InvalidArgumentError, match="unknown group"):
+        symmetrize(StateSpec("tracial", k=1, n=4), 4, "sn_sampeld")
+
+
+@pytest.mark.parametrize("group", ["sn_sampled", "un_sampled"])
+def test_symmetrize_sampled_groups(group):
+    n = 5
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    op = TensorOperand.factored([a])
+    sym = symmetrize(op, n, group, samples=20, seed=3)
+    assert len(sym.terms) == 20
+    # conjugation preserves the trace of every term
+    assert abs(sum(w * np.trace(fs[0]) for w, fs in sym.terms)
+               - np.trace(a)) <= 1e-10
+    again = symmetrize(op, n, group, samples=20, seed=3)
+    assert np.array_equal(sym.to_dense(), again.to_dense())
+
+    spec = StateSpec("tracial", k=2, n=n)
+    pair = TensorOperand.factored([a, a.T @ a])
+    state = symmetrize(spec, n, group, samples=20, seed=3)
+    assert abs(state(pair) - apply_state(spec, pair)) <= 1e-10
+    assert state(pair) == symmetrize(spec, n, group, samples=20, seed=3)(pair)
 
 
 def test_norm_demo_single_letter_is_one():

@@ -191,6 +191,9 @@ def test_injective_pigeonhole(rng):
     op = random_operand(rng, 2, 2)
     g = LinearGraph(3, [(0, 1), (1, 2)])
     assert injective_graph_trace(g, op) == 0
+    # the letter map is checked even though no injective labeling exists
+    with pytest.raises(InvalidArgumentError, match="letter_of_edge"):
+        injective_graph_trace(g, op, letter_of_edge=[0, 2])
 
 
 def test_injective_vertex_cap_fires_before_edge_classes(monkeypatch):
