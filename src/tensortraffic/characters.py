@@ -49,13 +49,16 @@ class Signature:
         return [padded[j] + n - (j + 1) for j in range(n)]
 
     def dimension(self, n: int) -> Fraction:
-        """Exact dimension: prod_{i<j} (l_i - l_j) / (j - i)."""
+        """Exact dimension: prod_{i<j} (l_i - l_j) / (j - i). Equal padded
+        parts give l_i - l_j = j - i, a factor 1, which is skipped."""
         l = self.composite_weights(n)
-        out = Fraction(1)
+        num = den = 1
         for i in range(n):
             for j in range(i + 1, n):
-                out *= Fraction(l[i] - l[j], j - i)
-        return out
+                if l[i] - l[j] != j - i:
+                    num *= l[i] - l[j]
+                    den *= j - i
+        return Fraction(num, den)
 
 
 def _scalar_multiple_of_identity(u: np.ndarray) -> complex | None:

@@ -356,12 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--operand", required=True,
                    help="operand file (.npy stack or JSON matrix list)")
     p.add_argument("--letters", help="comma-separated edge-to-factor map")
-    p.add_argument("--injective", action="store_true",
-                   help="restrict to injective vertex labelings")
-    p.add_argument("--zeta", action="store_true",
-                   help="scale by N^(-L/2)")
-    p.add_argument("--tau", action="store_true",
-                   help="scale by N^(-c)")
+    form = p.add_mutually_exclusive_group()
+    form.add_argument("--injective", action="store_true",
+                      help="restrict to injective vertex labelings")
+    form.add_argument("--zeta", action="store_true",
+                      help="scale by N^(-L/2)")
+    form.add_argument("--tau", action="store_true",
+                      help="scale by N^(-c)")
     common(p)
     p.set_defaults(func=_cmd_trace)
 

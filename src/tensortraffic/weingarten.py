@@ -1,12 +1,12 @@
 """Exact finite-N Weingarten calculus for Haar word tensors.
 
-Wg(., N) on S_p is the inverse of the Gram matrix N^{#cycles(sigma^-1 tau)}
-in the group algebra; it exists for N >= p and is a class function
-(Collins, IMRN 2003, math-ph/0205010; Collins and Sniady, CMP 2006,
-math-ph/0402073). From it, the expectation of a permutation-invariant state
-on a word in W_l = U_l^{x K1} x (U_l^t)^{x K2} is a finite sum of rationals,
-which serves as the exact reference for Monte-Carlo estimates at every N.
-All arithmetic is exact (`Fraction`); nothing here samples.
+Wg(., N) on S_p is a class function, given by the character expansion of
+Collins and Sniady (CMP 2006, math-ph/0402073); it inverts the Gram matrix
+N^{#cycles(sigma^-1 tau)} for N >= p and is its pseudo-inverse below p, so
+the Weingarten integration formula holds at every N >= 1. From it, the
+expectation of a permutation-invariant state on a word in
+W_l = U_l^{x K1} x (U_l^t)^{x K2} is a finite sum of rationals, the exact
+reference for Monte-Carlo estimates. All arithmetic is exact (`Fraction`).
 """
 from __future__ import annotations
 
@@ -32,53 +32,52 @@ def _cycle_type(sigma) -> tuple[int, ...]:
     return tuple(sorted((len(c) for c in cycles_of(sigma)), reverse=True))
 
 
-def _solve(rows, rhs) -> list[Fraction]:
-    """Gauss-Jordan elimination over the rationals; rows must be regular."""
-    size = len(rows)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        lead = aug[col][col]
-        aug[col] = [x / lead for x in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][size] for r in range(size)]
+def _partitions(p: int, largest: int | None = None):
+    """Partitions of p as weakly decreasing tuples, largest first."""
+    if p == 0:
+        yield ()
+    for first in range(min(p, largest or p), 0, -1):
+        for rest in _partitions(p - first, first):
+            yield (first,) + rest
+
+
+def _character(beta: frozenset, cycle_type: tuple[int, ...]) -> int:
+    """chi^lambda(rho) by Murnaghan-Nakayama on the beta-numbers of lambda: a
+    rim hook of length r is a bead moved r down, sign (-1)^(beads passed)."""
+    if not cycle_type:
+        return 1
+    r, rest = cycle_type[0], cycle_type[1:]
+    total = 0
+    for b in beta:
+        if b >= r and b - r not in beta:
+            passed = sum(1 for c in beta if b - r < c < b)
+            total += (-1) ** passed * _character(beta - {b} | {b - r}, rest)
+    return total
 
 
 @functools.lru_cache(maxsize=64)
 def _class_table(p: int, n: int) -> dict[tuple[int, ...], Fraction]:
-    """Wg(., n) on S_p as a map from cycle type to value.
-
-    Solves the orthogonality relation sum_tau Wg(sigma tau^-1) n^{#cycles(tau)}
-    = delta_{sigma,e} for one sigma per conjugacy class.
-    """
-    if n < p:
-        raise InvalidArgumentError(
-            f"the Gram matrix of S_{p} is singular for N = {n}; "
-            f"exact Weingarten values need N >= {p}")
-    perms = list(itertools.permutations(range(p)))
-    reps: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for s in perms:
-        reps.setdefault(_cycle_type(s), s)
-    types = sorted(reps)
-    column = {t: i for i, t in enumerate(types)}
-    rows = []
-    for t in types:
-        row = [Fraction(0)] * len(types)
-        for tau in perms:
-            rho = compose(reps[t], inverse_permutation(tau))
-            row[column[_cycle_type(rho)]] += n ** len(cycles_of(tau))
-        rows.append(row)
-    identity = (1,) * p
-    values = _solve(rows, [Fraction(int(t == identity)) for t in types])
-    return dict(zip(types, values))
+    """Wg(., n) on S_p as a map from cycle type to value: Wg(rho, N) = (1/p!)
+    sum_{lambda |- p, l(lambda) <= N} chi^lambda(1) chi^lambda(rho) /
+    prod_boxes (N + content), i.e. Collins-Sniady's sum with s_lambda(1^N) =
+    chi^lambda(1) prod_boxes (N + content) / p! substituted."""
+    if n < 1:
+        raise InvalidArgumentError(f"Weingarten values need N >= 1, got {n}")
+    shapes = []
+    for lam in _partitions(p):
+        if len(lam) <= n:
+            beta = frozenset(part + len(lam) - 1 - i
+                             for i, part in enumerate(lam))
+            contents = math.prod(n + j - i for i, part in enumerate(lam)
+                                 for j in range(part))
+            shapes.append((beta, Fraction(_character(beta, (1,) * p),
+                                          contents * math.factorial(p))))
+    return {rho: sum(w * _character(beta, rho) for beta, w in shapes)
+            for rho in _partitions(p)}
 
 
 def weingarten(sigma, n: int) -> Fraction:
-    """Exact Wg(sigma, N) for a permutation of 0..p-1, defined for N >= p."""
+    """Exact Wg(sigma, N) for a permutation of 0..p-1 and any N >= 1."""
     sigma = tuple(sigma)
     return _class_table(len(sigma), n)[_cycle_type(sigma)]
 

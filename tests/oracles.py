@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from tensortraffic.characters import Signature
 from tensortraffic.errors import InvalidArgumentError, ResourceLimitError
 from tensortraffic.graphs import LinearGraph, canonical_form, quotient
 from tensortraffic.haar import (FreenessCertificate, QuotientEntry,
@@ -14,7 +15,8 @@ from tensortraffic.haar import (FreenessCertificate, QuotientEntry,
                                 split_graphs, t1_labels)
 from tensortraffic.invariants import (VALID, classify_labeling, forest_leaves,
                                       forest_of_tec, splitting_exponent)
-from tensortraffic.operands import TensorOperand
+from tensortraffic.operands import (TensorOperand, compose, cycles_of,
+                                    inverse_permutation)
 from tensortraffic.partitions import SetPartition, enumerate_partitions
 from tensortraffic.traces import apply_state
 
@@ -167,3 +169,64 @@ def predict_ledger_reference(word, base: LinearGraph, k1: int, k2: int,
     return FreenessCertificate(word.to_string(), (k1, k2, k3),
                                include_variance_graph, verdict, base_leaves,
                                entries).to_json()
+
+
+# --- Weingarten values by the Gram solve, N >= p -----------------------------
+
+def _cycle_type(sigma) -> tuple[int, ...]:
+    return tuple(sorted((len(c) for c in cycles_of(sigma)), reverse=True))
+
+
+def _solve(rows, rhs) -> list[Fraction]:
+    """Gauss-Jordan elimination over the rationals; rows must be regular."""
+    size = len(rows)
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        lead = aug[col][col]
+        aug[col] = [x / lead for x in aug[col]]
+        for r in range(size):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [aug[r][size] for r in range(size)]
+
+
+def gram_weingarten_table(p: int, n: int) -> dict[tuple[int, ...], Fraction]:
+    """Wg(., n) on S_p, cycle type -> value, by solving the orthogonality
+    relation sum_tau Wg(sigma tau^-1) n^{#cycles(tau)} = delta_{sigma,e} for
+    one sigma per conjugacy class. The Gram matrix is regular for n >= p
+    only; p! ** 2 permutation pairs."""
+    if n < p:
+        raise InvalidArgumentError(f"the Gram matrix of S_{p} is singular "
+                                   f"for N = {n} < {p}")
+    perms = list(itertools.permutations(range(p)))
+    reps: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for s in perms:
+        reps.setdefault(_cycle_type(s), s)
+    types = sorted(reps)
+    column = {t: i for i, t in enumerate(types)}
+    rows = []
+    for t in types:
+        row = [Fraction(0)] * len(types)
+        for tau in perms:
+            rho = compose(reps[t], inverse_permutation(tau))
+            row[column[_cycle_type(rho)]] += n ** len(cycles_of(tau))
+        rows.append(row)
+    identity = (1,) * p
+    values = _solve(rows, [Fraction(int(t == identity)) for t in types])
+    return dict(zip(types, values))
+
+
+# --- dimension of a rational irreducible representation ----------------------
+
+def weyl_dimension(sig: Signature, n: int) -> Fraction:
+    """prod_{i<j} (l_i - l_j) / (j - i) over all N(N-1)/2 pairs, one
+    `Fraction` per factor."""
+    l = sig.composite_weights(n)
+    out = Fraction(1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            out *= Fraction(l[i] - l[j], j - i)
+    return out

@@ -18,6 +18,8 @@ from tensortraffic.operands import TensorOperand
 from tensortraffic.sampling import RngStream, sample_haar_unitary
 from tensortraffic.words import StarWord
 
+from oracles import weyl_dimension
+
 
 def haar(n, seed=0, index=0):
     return sample_haar_unitary(n, RngStream(seed, index))
@@ -76,6 +78,24 @@ def test_character_dimension_exact():
     assert Signature((2,)).dimension(5) == 15
     assert Signature((1, 1)).dimension(5) == 10
     assert Signature((1,), (1,)).dimension(5) == 24
+
+
+def _partitions_up_to(total):
+    """Every partition of 0..total as a weakly decreasing tuple."""
+    return [tuple(sorted(parts, reverse=True))
+            for size in range(total + 1)
+            for parts in itertools.combinations_with_replacement(
+                range(1, total + 1), size)
+            if sum(parts) <= total]
+
+
+def test_character_dimension_matches_weyl_product():
+    signatures = [Signature(lam, mu) for lam in _partitions_up_to(6)
+                  for mu in _partitions_up_to(6 - sum(lam))]
+    assert len(signatures) == 139
+    for sig in signatures:
+        for n in range(max(sig.length, 1), 41):
+            assert sig.dimension(n) == weyl_dimension(sig, n), (sig, n)
 
 
 def test_signature_validation():

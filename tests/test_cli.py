@@ -85,6 +85,20 @@ def test_trace_operand_json_format(capsys, loop_json, tmp_path):
     assert json.loads(out)["value_re"] == 2.0
 
 
+@pytest.mark.parametrize("flags", [["--injective", "--zeta"],
+                                   ["--injective", "--tau"],
+                                   ["--zeta", "--tau"]])
+def test_trace_forms_exclude_each_other(flags, capsys, loop_json,
+                                        operand_npy):
+    # one trace form per call; a pair is a usage error, not the first flag
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--graph", loop_json, "--operand", operand_npy]
+             + flags)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "not allowed with" in out.err
+
+
 def test_invariants_output(capsys, labeled_cycle_json):
     code, out, _ = run_cli(["invariants", "--graph", labeled_cycle_json],
                            capsys)
