@@ -219,15 +219,16 @@ def _cmd_decompose(args) -> int:
     state = _state_for(args.state, args.k, args.n)
     coeffs = decompose_invariant_state(state, args.k, args.n, seed=args.seed)
     rng = RngStream(args.seed, 10 ** 6).generator()
-    worst = 0.0
+    residuals = []
     for _ in range(5):
         probe = TensorOperand.factored(
             [rng.standard_normal((args.n, args.n))
              + 1j * rng.standard_normal((args.n, args.n))
              for _ in range(args.k)])
-        worst = max(worst, abs(apply_state(state, probe)
-                               - reconstruction_value(coeffs, probe)))
-    if worst > 1e-9:
+        residuals.append(abs(apply_state(state, probe)
+                             - reconstruction_value(coeffs, probe)))
+    worst = float(np.max(residuals))  # a NaN survives, unlike in max()
+    if not worst <= 1e-9:
         raise NumericalFailureError(
             f"reconstruction residual {worst:.2e} exceeds 1e-9")
     payload = {

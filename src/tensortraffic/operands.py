@@ -181,6 +181,6 @@ class StateSpec:
             # psi(1) = 1 is checked here; see traces.state_unitality_defect
             from .traces import state_unitality_defect
             defect = state_unitality_defect(self)
-            if defect > 1e-9:
+            if not defect <= 1e-9:  # NaN from non-finite coefficients too
                 raise InvalidArgumentError(
                     f"elementary combination is not unital: |psi(1)-1| = {defect:.2e}")

@@ -7,7 +7,9 @@ The string form "0,0,1,0" therefore denotes {{1,2,4},{3}}.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 from .errors import InvalidArgumentError, ResourceLimitError
@@ -225,6 +227,21 @@ def mobius_of_sizes(sizes) -> int:
     for m in sizes:
         result *= (-1) ** (m - 1) * factorial(m - 1)
     return result
+
+
+@lru_cache(maxsize=None)
+def mobius_table(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(rho, mu(discrete, rho)) for every restricted-growth string rho of
+    length m, in lexicographic order.
+
+    Composed with a partition sigma of m blocks, pi = (rho[b] for b in
+    sigma.rgs) is again a restricted-growth string, rho -> pi is a bijection
+    onto the up-set {pi >= sigma}, and mu(sigma, pi) = mu(discrete, rho):
+    the interval [sigma, pi] is the lattice of partitions of sigma's blocks
+    below rho. Callers must have checked m against ENUMERATION_CAP.
+    """
+    return tuple((rho, mobius_of_sizes(Counter(rho).values()))
+                 for rho in restricted_growth_strings(m))
 
 
 def interval(p: SetPartition, q: SetPartition) -> list[SetPartition]:

@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -30,8 +31,7 @@ from .invariants import forest_of_tec, leaf_count
 from .operands import (StateSpec, TensorOperand, inverse_permutation,
                        permutation_matrix)
 from .partitions import (SetPartition, enumerate_partitions, find_root,
-                         interval, mobius, mobius_of_sizes,
-                         restricted_growth_strings, union_roots)
+                         mobius_table, union_roots)
 
 INJECTIVE_VERTEX_CAP = 9  # Bell(9) = 21147 partitions of the vertex set
 
@@ -330,7 +330,8 @@ def _orbit_terms(graph: LinearGraph, classes: tuple[int, ...]):
     class, so their elementary forms agree and one contraction serves all;
     mu depends only on the block sizes, which the orbit keeps.
     """
-    parts = restricted_growth_strings(graph.vertex_count)
+    table = mobius_table(graph.vertex_count)
+    parts = [rgs for rgs, _ in table]
     index = {rgs: k for k, rgs in enumerate(parts)}
     parent = list(range(len(parts)))
     for g in _automorphism_generators(graph, classes):
@@ -340,10 +341,10 @@ def _orbit_terms(graph: LinearGraph, classes: tuple[int, ...]):
             image = tuple(seen.setdefault(rgs[u], len(seen)) for u in inverse)
             union_roots(parent, k, index[image])
     size = Counter(find_root(parent, k) for k in range(len(parts)))
-    return tuple((mobius_of_sizes(Counter(rgs).values()) * size[k],
+    return tuple((mu * size[k],
                   LinearGraph(len(set(rgs)),
                               tuple((rgs[s], rgs[t]) for s, t in graph.edges)))
-                 for k, rgs in enumerate(parts) if k in size)
+                 for k, (rgs, mu) in enumerate(table) if k in size)
 
 
 def injective_trace_stack(graph: LinearGraph, mats, n) -> np.ndarray:
@@ -519,9 +520,13 @@ def decompose_invariant_state(psi, k: int, n: int, *, seed=0) -> dict:
     """Coefficients of a permutation-invariant state over the elementary
     forms indexed by partitions of [2K].
 
-    The state is probed on one elementary matrix tensor per kernel class,
-    then Möbius inversion over each interval [discrete, pi] turns the table
-    into coefficients. Requires N >= 2K so that every kernel class has a
+    The state is probed on one elementary matrix tensor per kernel class
+    sigma, and Möbius inversion c_pi = sum over sigma <= pi of
+    mu(sigma, pi) v_sigma turns the probes into coefficients. Each nonzero
+    probe is pushed up its own up-set (`mobius_table`); a zero probe adds
+    only signed zeros, which change no sum, so it is skipped. Probes come
+    in ascending order, so every c_pi adds its terms in the order of a scan
+    over P(2K). Requires N >= 2K so that every kernel class has a
     representative multi-index. The state is first checked for invariance
     under three random permutation conjugations.
     """
@@ -529,18 +534,20 @@ def decompose_invariant_state(psi, k: int, n: int, *, seed=0) -> dict:
         raise InvalidArgumentError(f"need N >= 2K = {2 * k} (got N = {n})")
     _check_invariance(psi, k, n, seed)
     parts = enumerate_partitions(2 * k)
-    probes = {}
-    for pi in parts:
-        vals = [pi.rgs[pos] for pos in range(2 * k)]  # one index per block
+    coeffs = {pi.rgs: 0j for pi in parts}
+    for sigma in parts:
         factors = []
-        for leg in range(k):
+        for leg in range(k):  # one index per block of sigma
             arr = np.zeros((n, n))
-            arr[vals[leg], vals[k + leg]] = 1.0
+            arr[sigma.rgs[leg], sigma.rgs[k + leg]] = 1.0
             factors.append(arr)
-        probes[pi] = apply_state(psi, TensorOperand.factored(factors))
-    discrete = SetPartition.discrete(2 * k)
-    return {pi: sum(probes[pi2] * mobius(pi2, pi)
-                    for pi2 in interval(discrete, pi)) for pi in parts}
+        value = apply_state(psi, TensorOperand.factored(factors))
+        if value == 0:
+            continue
+        compose = itemgetter(*sigma.rgs)  # rho -> the pi >= sigma it labels
+        for rho, mu in mobius_table(sigma.num_blocks):
+            coeffs[compose(rho)] += value * mu
+    return {pi: coeffs[pi.rgs] for pi in parts}
 
 
 def _check_invariance(psi, k, n, seed):
@@ -557,10 +564,12 @@ def _check_invariance(psi, k, n, seed):
 
 
 def reconstruction_value(coeffs: dict, operand: TensorOperand) -> complex:
-    """Evaluate sum_pi a_pi Tr_{T0^pi} on an operand."""
+    """Evaluate sum_pi a_pi Tr_{T0^pi} on an operand. A zero a_pi adds a
+    signed zero for a finite trace, which changes no sum, so its trace is
+    never contracted."""
     lookup = _minimal_quotients(operand.legs)
     return complex(sum(a * graph_trace(lookup[pi], operand)
-                       for pi, a in coeffs.items()))
+                       for pi, a in coeffs.items() if a != 0))
 
 
 # --------------------------------------------------------------------------

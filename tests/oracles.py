@@ -1,6 +1,8 @@
 """Reference implementations that the tests compare the package against.
 
 Each is exponential and shares no code with the routine it checks.
+`dense_unital_coefficients` builds an input for them: a state on which no
+probe of the decomposition is zero.
 """
 import itertools
 from fractions import Fraction
@@ -9,7 +11,8 @@ import numpy as np
 
 from tensortraffic.characters import Signature
 from tensortraffic.errors import InvalidArgumentError, ResourceLimitError
-from tensortraffic.graphs import LinearGraph, canonical_form, quotient
+from tensortraffic.graphs import (LinearGraph, canonical_form, component_count,
+                                  minimal_graph, quotient)
 from tensortraffic.haar import (FreenessCertificate, QuotientEntry,
                                 cycle_limit_coefficient, doubled, linearize,
                                 split_graphs, t1_labels)
@@ -17,7 +20,8 @@ from tensortraffic.invariants import (VALID, classify_labeling, forest_leaves,
                                       forest_of_tec, splitting_exponent)
 from tensortraffic.operands import (TensorOperand, compose, cycles_of,
                                     inverse_permutation)
-from tensortraffic.partitions import SetPartition, enumerate_partitions
+from tensortraffic.partitions import (SetPartition, enumerate_partitions, leq,
+                                      mobius)
 from tensortraffic.traces import apply_state
 
 SIMPLE_CYCLE_EDGE_CAP = 16
@@ -110,6 +114,47 @@ def extract_expectation_exact(psi, pi: SetPartition, k: int, n: int,
                      for leg in range(k)]) for w, fs in probe.terms])
             acc += apply_state(psi, sandwiched)
     return complex(acc / count)
+
+
+# --- invariant-state decomposition by a scan over all pairs ----------------
+
+def elementary_probes(psi, k: int, n: int) -> dict:
+    """{pi: psi(E_pi)} over P(2K), E_pi the elementary matrix tensor whose
+    leg l is the unit matrix at (pi(l), pi(K + l))."""
+    probes = {}
+    for pi in enumerate_partitions(2 * k):
+        factors = []
+        for leg in range(k):
+            arr = np.zeros((n, n))
+            arr[pi.rgs[leg], pi.rgs[k + leg]] = 1.0
+            factors.append(arr)
+        probes[pi] = apply_state(psi, TensorOperand.factored(factors))
+    return probes
+
+
+def dense_unital_coefficients(k: int, n: int, seed: int) -> dict:
+    """{pi: a_pi} with a random complex a_pi on every partition of [2K],
+    the discrete partition's chosen so that sum_pi a_pi N^#components = 1:
+    a unital elementary combination on which no probe is zero."""
+    rng = np.random.default_rng(seed)
+    graph = minimal_graph(k)
+    *rest, discrete = sorted(enumerate_partitions(2 * k),
+                             key=lambda pi: pi.num_blocks)
+    coeffs = {pi: complex(*rng.standard_normal(2)) for pi in rest}
+    unit = sum(a * n ** component_count(quotient(graph, pi))
+               for pi, a in coeffs.items())
+    coeffs[discrete] = ((1 - unit)
+                        / n ** component_count(quotient(graph, discrete)))
+    return coeffs
+
+
+def leq_scan_decomposition(psi, k: int, n: int) -> dict:
+    """Reference for `traces.decompose_invariant_state`: the same probes,
+    inverted by scanning all of P(2K) with leq for each pi, every probe
+    kept, each sum started at the integer 0."""
+    probes = elementary_probes(psi, k, n)
+    return {pi: sum(probes[sigma] * mobius(sigma, pi)
+                    for sigma in probes if leq(sigma, pi)) for pi in probes}
 
 
 # --- the quotient ledger of `predict`, one quotient graph at a time ----------

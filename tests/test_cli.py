@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tensortraffic import cli, graphs, sampling
+from tensortraffic import cli, graphs, partitions, sampling, traces
 from tensortraffic.cli import _load_operand, _state_for, build_parser, main
 from tensortraffic.errors import TensorTrafficError
 from tensortraffic.graphs import load_graph
+
+from oracles import dense_unital_coefficients
 
 
 def run_cli(args, capsys):
@@ -141,6 +143,36 @@ def test_decompose_tracial(capsys):
     assert doc["reconstruction_residual"] <= 1e-9
 
 
+@pytest.mark.parametrize("state,k,n", [("tracial", 2, 4),
+                                       ("diagonal", 3, 6)])
+def test_decompose_round_trips_its_own_coefficient_file(state, k, n, tmp_path,
+                                                        capsys):
+    path = str(tmp_path / "coeffs.json")
+    code, out, _ = run_cli(["decompose", "--state", state, "--k", str(k),
+                            "--n", str(n), "--out", path], capsys)
+    assert code == 0
+    code, again, err = run_cli(["decompose", "--state", path, "--k", str(k),
+                                "--n", str(n), "--seed", "5"], capsys)
+    assert code == 0, err
+    assert json.loads(again)["coefficients"] == \
+        json.loads(out)["coefficients"]
+
+
+def test_decompose_round_trips_a_dense_coefficient_file(tmp_path, capsys):
+    n = 5
+    coeffs = dense_unital_coefficients(2, n, seed=2)
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"K": 2, "coefficients": {
+        pi.to_string(): [a.real, a.imag] for pi, a in coeffs.items()}}))
+    code, out, err = run_cli(["decompose", "--state", str(path), "--k", "2",
+                              "--n", str(n)], capsys)
+    assert code == 0, err
+    got = json.loads(out)["coefficients"]
+    assert len(got) == len(coeffs)
+    for pi, a in coeffs.items():
+        assert abs(complex(*got[pi.to_string()]) - a) <= 1e-12
+
+
 def test_mc_csv_columns(capsys):
     code, out, _ = run_cli(["mc", "--state", "tracial", "--word", "1,2",
                             "--blocks", "1,1,0", "--dims", "4,8",
@@ -251,6 +283,10 @@ SUBCOMMAND_STDOUT_SHA256 = [
      0, "870a51578a595969448749f55468fc6a88320c5590e1d15cced82848522ce902"),
     ("decompose --state diagonal --k 3 --n 6 --seed 4",
      0, "4d8142d73413ecbefdf330c5e231e5e9dfb36a4b2581bdf39665e98d308ce6b7"),
+    ("decompose --state tracial --k 4 --n 8 --seed 3",
+     0, "be51eccabb22708d6853d2d68c35a2613d7e4b0197d33af76de036f23bfc691c"),
+    ("decompose --state entangled --k 4 --n 8 --seed 4",
+     0, "6454a6eb2e7db217fb809cf212ed80ba1770689aed6569e251606ee986ba0e78"),
     ("trace --graph {graph} --operand {op4}",
      0, "9f4be8246c8c25d512f45781fe2e515b269021d28d39b511c8f08f79ce9f8865"),
     ("trace --graph {graph} --operand {op4} --injective",
@@ -451,6 +487,55 @@ def test_npy_header_with_unbalanced_bracket_exits_2(tmp_path, capsys,
                               "--operand", str(path)], capsys)
     assert code == 2, err
     assert out == "" and err.startswith("error: ")
+
+
+def test_decompose_beyond_the_enumeration_cap_exits_3_before_enumerating(
+        capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("partitions enumerated beyond the cap")
+
+    monkeypatch.setattr(partitions, "restricted_growth_strings", refuse)
+    monkeypatch.setattr(traces, "mobius_table", refuse)
+    code, out, err = run_cli(["decompose", "--state", "tracial", "--k", "7",
+                              "--n", "14"], capsys)
+    assert code == 3, err
+    assert out == "" and err.startswith("resource limit: ")
+
+
+# NaN > 1e-9 is False, and 1e308 * N - 1e308 * N is inf - inf = NaN
+@pytest.mark.parametrize("text", [
+    '{"K": 1, "coefficients": {"0,0": [NaN, 0], "0,1": [0.1, 0]}}',
+    '{"K": 1, "coefficients": {"0,0": [1e308, 0], "0,1": [-1e308, 0]}}',
+], ids=("nan", "overflow"))
+@pytest.mark.parametrize("command", [
+    ["decompose", "--k", "1", "--n", "4"],
+    ["mc", "--word", "1", "--blocks", "1,0,0", "--dims", "4",
+     "--samples", "4"],
+], ids=lambda argv: argv[0])
+def test_non_finite_coefficient_file_exits_2(text, command, tmp_path, capsys):
+    path = tmp_path / "coeffs.json"
+    path.write_text(text)
+    code, out, err = run_cli(command + ["--state", str(path)], capsys)
+    assert code == 2, err
+    assert out == "" and "not unital" in err
+
+
+def test_decompose_nan_residual_exits_4(capsys, monkeypatch):
+    # max(0.0, nan) is 0.0: the worst residual must keep a NaN from any probe
+    calls = []
+    reconstruct = cli.reconstruction_value
+
+    def nan_first(coeffs, probe):
+        calls.append(probe)
+        return complex("nan") if len(calls) == 1 else reconstruct(coeffs,
+                                                                  probe)
+
+    monkeypatch.setattr(cli, "reconstruction_value", nan_first)
+    code, out, err = run_cli(["decompose", "--state", "tracial", "--k", "1",
+                              "--n", "4"], capsys)
+    assert code == 4, err
+    assert len(calls) == 5
+    assert out == "" and err.startswith("numerical failure: ")
 
 
 @pytest.mark.parametrize("doc", [

@@ -6,7 +6,8 @@ import pytest
 
 from tensortraffic.errors import InvalidArgumentError, ResourceLimitError
 from tensortraffic.partitions import (SetPartition, enumerate_partitions,
-                                      interval, join, leq, meet, mobius)
+                                      interval, join, leq, meet, mobius,
+                                      mobius_table)
 
 
 def brute_force_partitions(n):
@@ -138,6 +139,20 @@ def test_interval_equals_leq_scan_in_enumeration_order():
                 if leq(p, q):
                     assert interval(p, q) == \
                         [s for s in parts if leq(p, s) and leq(s, q)]
+
+
+def test_mobius_table_walks_each_up_set_with_its_mobius_values():
+    # rho o sigma runs once over every pi >= sigma, with mu(sigma, pi)
+    for n in range(1, 7):
+        parts = enumerate_partitions(n)
+        for sigma in parts:
+            walked = {}
+            for rho, mu in mobius_table(sigma.num_blocks):
+                pi = SetPartition(tuple(rho[b] for b in sigma.rgs))
+                assert pi not in walked
+                walked[pi] = mu
+            assert walked == {pi: mobius(sigma, pi) for pi in parts
+                              if leq(sigma, pi)}
 
 
 def test_dual_inversion_roundtrip():

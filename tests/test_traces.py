@@ -11,8 +11,7 @@ from tensortraffic.graphs import (LinearGraph, component_count, minimal_graph,
                                   quotient)
 from tensortraffic.invariants import leaf_count
 from tensortraffic.operands import StateSpec, TensorOperand
-from tensortraffic.partitions import (SetPartition, enumerate_partitions, leq,
-                                      mobius)
+from tensortraffic.partitions import SetPartition, enumerate_partitions, leq
 from tensortraffic.traces import (apply_state, contraction_plan,
                                   decompose_invariant_state, graph_trace,
                                   graph_trace_stack, injective_graph_trace,
@@ -21,7 +20,8 @@ from tensortraffic.traces import (apply_state, contraction_plan,
                                   randomized_coefficient_extract,
                                   reconstruction_value, tau_trace, zeta_trace)
 
-from oracles import extract_expectation_exact
+from oracles import (dense_unital_coefficients, elementary_probes,
+                     extract_expectation_exact, leq_scan_decomposition)
 
 
 def random_operand(rng, n, k):
@@ -394,16 +394,19 @@ def test_decompose_tracial_k1():
     assert abs(coeffs[SetPartition.discrete(2)]) < 1e-12
 
 
-def test_decompose_uniform_entry_functional():
-    n = 6
-
+def uniform_entry_functional(k, n):
+    """A -> (sum of all entries of A) / N^(K+1): every probe is nonzero."""
     def psi(op):
         total = 0j
         for w, fs in op.terms:
             total += w * np.prod([f.sum() for f in fs])
-        return complex(total / n ** 2)
+        return complex(total / n ** (k + 1))
+    return psi
 
-    coeffs = decompose_invariant_state(psi, 1, n)
+
+def test_decompose_uniform_entry_functional():
+    n = 6
+    coeffs = decompose_invariant_state(uniform_entry_functional(1, n), 1, n)
     assert np.isclose(coeffs[SetPartition.discrete(2)], n ** -2)
     assert abs(coeffs[SetPartition.full(2)]) < 1e-12
 
@@ -418,33 +421,53 @@ def test_decompose_reconstructs_entangled_state(rng):
             <= 1e-9
 
 
-def leq_scan_decomposition(psi, k, n):
-    """Reference for decompose_invariant_state: the same probes, inverted by
-    scanning all of P(2K) with leq instead of walking intervals."""
-    parts = enumerate_partitions(2 * k)
-    probes = {}
-    for pi in parts:
-        factors = []
-        for leg in range(k):
-            arr = np.zeros((n, n))
-            arr[pi.rgs[leg], pi.rgs[k + leg]] = 1.0
-            factors.append(arr)
-        probes[pi] = apply_state(psi, TensorOperand.factored(factors))
-    return {pi: sum(probes[pi2] * mobius(pi2, pi)
-                    for pi2 in parts if leq(pi2, pi)) for pi in parts}
+def test_reconstruction_value_equals_the_full_sum_over_zeros(rng):
+    # a zero coefficient's term is a signed zero, which changes no sum
+    k, n = 2, 4
+    lookup = {pi: quotient(minimal_graph(k), pi)
+              for pi in enumerate_partitions(2 * k)}
+    zeros = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
+    x, y = rng.standard_normal(2)
+    nonzeros = (complex(x, y), complex(0.0, x), complex(-0.0, y),
+                complex(x, -0.0))
+    sparse = {pi: nonzeros[i % 4] if i % 3 == 0 else zeros[i % 4]
+              for i, pi in enumerate(lookup)}
+    all_zero = {pi: zeros[i % 4] for i, pi in enumerate(lookup)}
+    for coeffs in (sparse, all_zero):
+        for _ in range(3):
+            op = random_operand(rng, n, k)
+            full = complex(sum(a * graph_trace(lookup[pi], op)
+                               for pi, a in coeffs.items()))
+            got = reconstruction_value(coeffs, op)
+            assert (repr(got.real), repr(got.imag)) == \
+                (repr(full.real), repr(full.imag))
 
 
-# the entangled-pair state needs an even number of legs
+def _reprs(coeffs):
+    return [(pi.rgs, repr(c.real), repr(c.imag)) for pi, c in coeffs.items()]
+
+
+# the entangled-pair state needs an even number of legs; the uniform-entry
+# functional and the random combination are dense: no probe is zero
 @pytest.mark.parametrize("kind,k", [
     ("tracial", 2), ("tracial", 3), ("max_entangled_vector", 2),
-    ("diagonal_uniform", 2), ("diagonal_uniform", 3)])
+    ("diagonal_uniform", 2), ("diagonal_uniform", 3), ("uniform_entry", 2),
+    ("uniform_entry", 3), ("dense_elementary", 2)])
 def test_decompose_equals_leq_scan_reference(kind, k):
     for n in (2 * k, 2 * k + 1):
-        spec = StateSpec(kind, k=k, n=n)
-        coeffs = decompose_invariant_state(spec, k, n)
-        # same keys, same order, and == values: the sums add in one order
-        assert list(coeffs.items()) == \
-            list(leq_scan_decomposition(spec, k, n).items())
+        if kind == "uniform_entry":
+            psi = uniform_entry_functional(k, n)
+        elif kind == "dense_elementary":
+            psi = StateSpec("elementary_combination", k=k, n=n,
+                            coeffs=dense_unital_coefficients(k, n, seed=n))
+        else:
+            psi = StateSpec(kind, k=k, n=n)
+        if kind in ("uniform_entry", "dense_elementary"):
+            assert 0 not in elementary_probes(psi, k, n).values()
+        # same keys in the same order, and the same floats to the sign of
+        # zero: every sum adds the same nonzero terms in the same order
+        assert _reprs(decompose_invariant_state(psi, k, n)) == \
+            _reprs(leq_scan_decomposition(psi, k, n))
 
 
 def test_decompose_rejects_non_invariant():
