@@ -32,8 +32,8 @@ from .haar import (FreenessCertificate, Linearization, haar_limit_injective,
                    linearize, predict_freeness_limit, split_graphs,
                    splitting_identity_check)
 from .sampling import (MCReport, RngStream, apply_state, build_w_family,
-                       evaluate_word, mc_expectation, mc_run, mc_variance,
-                       norm_absorption_demo, sample_haar_unitary, symmetrize)
+                       evaluate_word, mc_run, norm_absorption_demo,
+                       sample_haar_unitary, symmetrize, word_matrix)
 from .characters import (PermutationWord, Signature, conditional_expectation_sd,
                          cycle_factorization_check, leg_permutation,
                          left_regular_check, normalized_character,

@@ -5,7 +5,6 @@ conditional expectation onto the span of leg permutations.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,7 +14,7 @@ from .errors import (IllConditionedError, InvalidArgumentError,
                      ResourceLimitError)
 from .operands import (TensorOperand, check_dense_size, check_permutation,
                        compose, cycles_of, inverse_permutation)
-from .sampling import MCReport, haar_sweep
+from .sampling import MCReport, haar_sweep, word_matrix
 from .words import StarWord, is_trivial
 
 
@@ -121,18 +120,17 @@ def character_sweep(sig: Signature, n: int, samples: int, seed: int = 0,
     chi, the mean of |chi|, the mean of |chi - character_reference|).
     """
     def sample(us, rng):
-        u = us[0] if word is None else _evaluate_mixed_letter_matrix(word, us)
+        u = us[0] if word is None else word_matrix(word, us)
         chi = normalized_character(sig, u)
         return chi, abs(chi - character_reference(sig, u))
 
-    t0 = time.perf_counter()
     letters = 1 if word is None else word.alphabet
     values = haar_sweep(sample, n, letters, samples, seed)
     chis = values[:, 0]
     ref_error = 0.0
     for err in values[:, 1].real:  # np.sum's pairwise order moves last digits
         ref_error += err
-    return (MCReport.from_samples(chis, n, time.perf_counter() - t0),
+    return (MCReport.from_samples(chis, n),
             float(np.mean(np.abs(chis))), float(ref_error / samples))
 
 
@@ -212,19 +210,6 @@ class PermutationWord:
             self.perm == tuple(range(len(self.perm)))
 
 
-def _evaluate_mixed_letter_matrix(word: StarWord, us) -> np.ndarray:
-    """Product of the K Haar letters and their transposes per the word."""
-    k = len(us)
-    n = us[0].shape[0]
-    out = np.eye(n, dtype=np.complex128)
-    for idx, star in word.letters:
-        if not 1 <= idx <= 2 * k:
-            raise InvalidArgumentError("letter outside the 2K alphabet")
-        base = us[idx - 1] if idx <= k else us[idx - k - 1].T
-        out = out @ (base.conj().T if star else base)
-    return out
-
-
 def left_regular_check(word: PermutationWord, k: int, n: int, samples: int,
                        seed: int = 0) -> MCReport:
     """Monte-Carlo mean of the normalized tensor trace of the represented
@@ -236,7 +221,7 @@ def left_regular_check(word: PermutationWord, k: int, n: int, samples: int,
     d = len(word.perm)
 
     def sample(us, rng):
-        x = _evaluate_mixed_letter_matrix(word.free_part, us)
+        x = word_matrix(word.free_part, us + [u.T for u in us])
         lhs = permuted_tensor_trace([x] * d, word.perm)
         rhs = _cycle_product(x, word.perm)
         if abs(lhs - rhs) > 1e-10 * max(1.0, abs(lhs)):
@@ -244,9 +229,7 @@ def left_regular_check(word: PermutationWord, k: int, n: int, samples: int,
                 f"cycle factorization violated: |delta| = {abs(lhs - rhs):.2e}")
         return lhs
 
-    t0 = time.perf_counter()
-    values = haar_sweep(sample, n, k, samples, seed)
-    return MCReport.from_samples(values, n, time.perf_counter() - t0)
+    return MCReport.from_samples(haar_sweep(sample, n, k, samples, seed), n)
 
 
 # --------------------------------------------------------------------------
@@ -352,6 +335,5 @@ def amalgam_sweep(word: StarWord, d: int, n: int, samples: int,
         projected = conditional_expectation_sd(prod, d, n)
         return float(np.linalg.norm(np.array(list(projected.coefficients.values()))))
 
-    t0 = time.perf_counter()
     values = haar_sweep(sample, n, word.alphabet, samples, seed)
-    return MCReport.from_samples(values, n, time.perf_counter() - t0)
+    return MCReport.from_samples(values, n)

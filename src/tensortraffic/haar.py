@@ -12,15 +12,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import InvalidArgumentError, ResourceLimitError
 from .graphs import LinearGraph, adjoint_graph, disjoint_union, quotient
 from .invariants import (VALID, _blocks, _classify, _leaves, leaf_count,
                          split_by_color, splitting_exponent)
 from .operands import TensorOperand, permutation_matrix
 from .partitions import _normalize, enumerate_partitions
-from .sampling import MCReport, symmetrize
+from .sampling import MCReport, haar_sweep, symmetrize
 from .traces import injective_graph_trace
 from .words import StarWord, is_trivial
 
@@ -321,11 +319,10 @@ def splitting_identity_check(tprime: LinearGraph, color, b1: TensorOperand,
         lhs = injective_graph_trace(
             tprime, _joint_operand(b1, symmetrize(b2, n)), letters)
     else:
-        rng = np.random.default_rng(seed)
-        vals = np.array([injective_graph_trace(tprime, _joint_operand(
-            b1, b2.conjugated_by(permutation_matrix(rng.permutation(n)))),
-            letters) for _ in range(samples)])
-        rep = MCReport.from_samples(vals, n, 0.0)
+        rep = MCReport.from_samples(haar_sweep(
+            lambda us, rng: injective_graph_trace(tprime, _joint_operand(
+                b1, b2.conjugated_by(permutation_matrix(rng.permutation(n)))),
+                letters), n, 0, samples, seed), n)
         lhs, stderr = rep.estimate, rep.stderr
     weight = math.factorial(n - nv) / math.factorial(n)
     rhs = weight * injective_graph_trace(t1, b1, letter_of_edge=range(b1.legs)) \

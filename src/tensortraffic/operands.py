@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .partitions import SetPartition
+from .partitions import ENUMERATION_CAP, SetPartition
 
 DENSE_GUARD_BITS = 16  # K * log2(N) <= 16 for an N^K x N^K dense operator
 
@@ -172,6 +172,9 @@ class StateSpec:
             raise InvalidArgumentError(
                 "the entangled-pair state needs an even number of legs")
         if self.kind == "elementary_combination":
+            if 2 * self.k > ENUMERATION_CAP:
+                raise ResourceLimitError(
+                    f"coefficient states are capped at 2K <= {ENUMERATION_CAP}")
             if not self.coeffs:
                 raise InvalidArgumentError("elementary_combination needs coefficients")
             for pi in self.coeffs:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import concurrent.futures
 import itertools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +22,8 @@ THREAD_CAP = 64  # worker threads of one sweep; results do not depend on it
 
 __all__ = [
     "RngStream", "MCReport", "sample_haar_unitary", "haar_sweep",
-    "build_w_family", "evaluate_word", "apply_state", "mc_expectation",
-    "mc_variance", "mc_run", "symmetrize", "norm_absorption_demo",
-    "NormDemoReport",
+    "build_w_family", "word_matrix", "evaluate_word", "apply_state",
+    "mc_run", "symmetrize", "norm_absorption_demo", "NormDemoReport",
 ]
 
 
@@ -51,11 +49,9 @@ class MCReport:
     stderr: float
     samples: int
     n: int
-    wallclock: float  # informational; never part of primary outputs
 
     @classmethod
-    def from_samples(cls, values: np.ndarray, n: int,
-                     wallclock: float) -> "MCReport":
+    def from_samples(cls, values: np.ndarray, n: int) -> "MCReport":
         """Sample mean with its standard error; complex samples add the
         variances of their real and imaginary parts."""
         samples = len(values)
@@ -64,7 +60,7 @@ class MCReport:
                                + values.imag.var(ddof=1) / samples)
         else:
             stderr = float(values.std(ddof=1) / math.sqrt(samples))
-        return cls(complex(values.mean()), stderr, samples, n, wallclock)
+        return cls(complex(values.mean()), stderr, samples, n)
 
     def within(self, target: complex, k: float = 3.0) -> bool:
         return abs(self.estimate - target) <= k * self.stderr + 1e-12
@@ -105,23 +101,29 @@ def build_w_family(u_family, v_family, k1: int, k2: int, k3: int):
     return out
 
 
+def word_matrix(word: StarWord, mats) -> np.ndarray:
+    """Product of the word's letters: letter l is mats[l - 1], a starred
+    letter is its adjoint, and the empty word is the identity."""
+    out = None
+    for idx, star in word.letters:
+        if idx > len(mats):
+            raise InvalidArgumentError("word uses letters outside the family")
+        m = mats[idx - 1].conj().T if star else mats[idx - 1]
+        out = m if out is None else out @ m
+    return np.eye(len(mats[0]), dtype=np.complex128) if out is None else out
+
+
 def evaluate_word(family, word: StarWord) -> TensorOperand:
     """Word of factored unitary tensors, multiplied leg by leg."""
     if not family:
         raise InvalidArgumentError("empty family")
-    if any(idx > len(family) for idx, _ in word.letters):
-        raise InvalidArgumentError("word uses letters outside the family")
-    chains = None
-    for idx, star in word.letters:
-        terms = family[idx - 1].terms
-        if len(terms) != 1:
+    legs = []
+    for entry in family:
+        if len(entry.terms) != 1:
             raise InvalidArgumentError("family entries must be plain factored")
-        _, factors = terms[0]
-        mats = [f.conj().T if star else f for f in factors]
-        chains = mats if chains is None else [c @ m for c, m in zip(chains, mats)]
-    if chains is None:  # the empty word
-        chains = [np.eye(family[0].n, dtype=np.complex128)] * family[0].legs
-    return TensorOperand.factored(chains)
+        legs.append(entry.terms[0][1])
+    return TensorOperand.factored([word_matrix(word, mats)
+                                   for mats in zip(*legs)])
 
 
 # --------------------------------------------------------------------------
@@ -175,7 +177,6 @@ def mc_run(state, word: StarWord, blocks, n: int, samples: int,
     (expectation, variance). The variance report carries the spread of the
     variance estimator itself as its standard error.
     """
-    t0 = time.perf_counter()
     if is_trivial(word):
         ident = apply_state(state, TensorOperand.identity(n, sum(blocks)))
         values = haar_sweep(lambda us, rng: ident, n, 0, samples, seed, threads)
@@ -183,28 +184,10 @@ def mc_run(state, word: StarWord, blocks, n: int, samples: int,
         values = haar_sweep(
             lambda us, rng: _sample_value(state, word, blocks, v_mode, us, rng),
             n, word.alphabet, samples, seed, threads)
-    elapsed = time.perf_counter() - t0
     sq = np.abs(values - values.mean()) ** 2
-    spread = MCReport.from_samples(sq, n, elapsed).stderr
-    return (MCReport.from_samples(values, n, elapsed),
-            MCReport(float(sq.sum() / (samples - 1)), spread, samples, n,
-                     elapsed))
-
-
-def mc_expectation(state, word: StarWord, blocks, n: int, samples: int,
-                   seed: int = 0, v_mode: str = "perm",
-                   threads: int = 1) -> MCReport:
-    """Mean of state(word(W)) over independent resamplings of the families."""
-    return mc_run(state, word, blocks, n, samples, seed, v_mode, threads)[0]
-
-
-def mc_variance(state, word: StarWord, blocks, n: int, samples: int,
-                seed: int = 0, v_mode: str = "perm",
-                threads: int = 1) -> MCReport:
-    """Sample variance of state(word(W)), with the spread of the variance
-    estimator itself as the reported standard error.
-    """
-    return mc_run(state, word, blocks, n, samples, seed, v_mode, threads)[1]
+    spread = MCReport.from_samples(sq, n).stderr
+    return (MCReport.from_samples(values, n),
+            MCReport(float(sq.sum() / (samples - 1)), spread, samples, n))
 
 
 # --------------------------------------------------------------------------
@@ -283,8 +266,8 @@ def norm_absorption_demo(letters: int, n: int, mode: str,
         raise InvalidArgumentError(f"unknown mode {mode!r}")
     if mode == "conjugate_pair" and letters < 3:
         raise InvalidArgumentError("the counterexample needs L >= 3")
-    if letters < 1:
-        raise InvalidArgumentError("need L >= 1")
+    if letters < 1 or n < 1:
+        raise InvalidArgumentError("need L >= 1 and N >= 1")
     if n * n > 4096:
         raise ResourceLimitError("norm demo capped at N^2 <= 4096")
     rng = RngStream(seed).generator()

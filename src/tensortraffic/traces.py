@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
-from types import MappingProxyType
 
 import numpy as np
 
@@ -421,7 +420,7 @@ def ms_optimality_witness(pi: SetPartition, n: int) -> TensorOperand:
     k = pi.n // 2
     if n < 2 * k:
         raise InvalidArgumentError(f"need N >= 2K = {2 * k}, got {n}")
-    graph = quotient(minimal_graph(k), pi)
+    graph = _minimal_quotient(pi)
     forest = forest_of_tec(graph)
     deg = forest.degrees
     comp_of = {}
@@ -469,19 +468,16 @@ def ms_optimality_witness(pi: SetPartition, n: int) -> TensorOperand:
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _minimal_quotients(k: int) -> MappingProxyType:
-    """{pi: quotient of the minimal graph} over the partitions of [2K], as
-    a read-only view, since every caller shares the cached dict."""
-    return MappingProxyType({pi: quotient(minimal_graph(k), pi)
-                             for pi in enumerate_partitions(2 * k)})
+def _minimal_quotient(pi: SetPartition) -> LinearGraph:
+    """The quotient of the minimal graph on [2K] by pi, built on first use."""
+    return quotient(minimal_graph(pi.n // 2), pi)
 
 
 def state_unitality_defect(spec: StateSpec) -> float:
     """|psi(1) - 1| for an elementary-combination state."""
     total = 0.0 + 0.0j
-    lookup = _minimal_quotients(spec.k)
     for pi, a in spec.coeffs.items():
-        total += a * spec.n ** component_count(lookup[pi])
+        total += a * spec.n ** component_count(_minimal_quotient(pi))
     return abs(total - 1.0)
 
 
@@ -551,7 +547,8 @@ def decompose_invariant_state(psi, k: int, n: int, *, seed=0) -> dict:
 
 
 def _check_invariance(psi, k, n, seed):
-    rng = np.random.default_rng(seed)
+    from .sampling import RngStream  # sampling imports this module
+    rng = RngStream(seed).generator()
     for _ in range(3):
         factors = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                    for _ in range(k)]
@@ -567,8 +564,7 @@ def reconstruction_value(coeffs: dict, operand: TensorOperand) -> complex:
     """Evaluate sum_pi a_pi Tr_{T0^pi} on an operand. A zero a_pi adds a
     signed zero for a finite trace, which changes no sum, so its trace is
     never contracted."""
-    lookup = _minimal_quotients(operand.legs)
-    return complex(sum(a * graph_trace(lookup[pi], operand)
+    return complex(sum(a * graph_trace(_minimal_quotient(pi), operand)
                        for pi, a in coeffs.items() if a != 0))
 
 
@@ -624,21 +620,20 @@ def randomized_coefficient_extract(psi, pi: SetPartition, k: int, n: int,
         raise InvalidArgumentError("partition must live on [2K]")
     if samples < 2:
         raise InvalidArgumentError("need samples >= 2")
-    from .sampling import MCReport  # sampling imports this module
+    from .sampling import MCReport, haar_sweep  # sampling imports this module
     if probe is None:
         probe = ms_optimality_witness(pi, n)
-    base = quotient(minimal_graph(k), pi)
-    reference = injective_graph_trace(base, probe)
+    reference = injective_graph_trace(_minimal_quotient(pi), probe)
     if abs(reference) < 1e-12:
         raise ProbeFailureError(
             "probe operand has vanishing injective trace; supply another probe")
-    rng = np.random.default_rng(seed)
-    values = np.empty(samples, dtype=np.complex128)
-    for s in range(samples):
+
+    def sample(us, rng):
         diags = _product_diagonals(pi, n, rng)
-        values[s] = apply_state(psi, TensorOperand(probe.n, k, [
+        return apply_state(psi, TensorOperand(probe.n, k, [
             (w, [diags[leg][:, None] * fs[leg] * diags[k + leg][None, :]
                  for leg in range(k)]) for w, fs in probe.terms]))
-    rep = MCReport.from_samples(values, n, 0.0)
+
+    rep = MCReport.from_samples(haar_sweep(sample, n, 0, samples, seed), n)
     return ExtractReport(rep.estimate / reference, rep.stderr / abs(reference),
                          samples, complex(reference))

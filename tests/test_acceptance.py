@@ -29,7 +29,7 @@ from tensortraffic.words import StarWord, all_words, is_trivial
 from tensortraffic.haar import (haar_limit_injective, predict_freeness_limit,
                                 splitting_identity_check)
 from tensortraffic.sampling import (RngStream, build_w_family, evaluate_word,
-                                    mc_expectation, norm_absorption_demo,
+                                    mc_run, norm_absorption_demo,
                                     sample_haar_unitary)
 from tensortraffic.characters import (PermutationWord, Signature,
                                       character_reference,
@@ -231,8 +231,8 @@ def test_criterion_06_exact_commutator_moment():
     """E[tr(U1 U2 U1* U2*)] = 1/N^2 exactly; MC must sit inside 3 stderr."""
     n = 20
     spec = StateSpec("tracial", k=1, n=n)
-    rep = mc_expectation(spec, StarWord.parse("1,2,1*,2*"), (1, 0, 0), n,
-                         10_000, seed=606)
+    rep = mc_run(spec, StarWord.parse("1,2,1*,2*"), (1, 0, 0), n,
+                 10_000, seed=606)[0]
     assert rep.within(1.0 / n ** 2)
     print(f"PASS criterion 6: commutator moment {rep.estimate.real:.6f} vs "
           f"exact {1.0 / n ** 2:.6f} within 3 x {rep.stderr:.2e}")

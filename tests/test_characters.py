@@ -293,6 +293,21 @@ def test_transpose_letters_supported():
     assert np.isfinite(rep.estimate.real)
 
 
+def test_left_regular_letters_beyond_k_are_transposes():
+    # with K = 2, letter 3* is conj(U1); letter 5 is outside the 2K alphabet
+    n, samples, seed = 5, 4, 7
+    word = PermutationWord(StarWord.parse("1,3*,2", alphabet=4), (1, 0))
+    rep = left_regular_check(word, k=2, n=n, samples=samples, seed=seed)
+    vals = []
+    for s in range(samples):
+        u1, u2 = _reference_letters(n, 2, seed, s)
+        vals.append(permuted_tensor_trace([u1 @ u1.conj() @ u2] * 2, (1, 0)))
+    assert rep.estimate == complex(np.mean(vals))
+    with pytest.raises(InvalidArgumentError):
+        left_regular_check(PermutationWord(StarWord.parse("1,5"), (1, 0)),
+                           k=2, n=n, samples=samples)
+
+
 # --- conditional expectation --------------------------------------------------
 
 def test_condexp_fixes_every_leg_permutation():

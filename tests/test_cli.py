@@ -461,6 +461,7 @@ MALFORMED_ARRAYS = {
     ["character", "--lambda", "1", "--dims", ",", "--samples", "4"],
     ["amalgam", "--d", "2", "--word", "1,2", "--dims", ",", "--samples", "4"],
     ["amalgam", "--d", "2", "--word", "1,2", "--dims", "2", "--samples", "4"],
+    ["normdemo", "--letters", "3", "--n", "-70", "--mode", "haar_pair"],
 ], ids=lambda argv: " ".join(argv))
 def test_malformed_input_exits_2(argv, tmp_path, capsys):
     for name, doc in MALFORMED_FILES.items():

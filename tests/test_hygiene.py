@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
 every module-level function or class is reachable from the package's
-roots, and every parameter of a module-level function or method is read."""
+roots, every parameter of a module-level function or method is read, and
+every random draw comes from the counter-based streams of `RngStream`."""
 import ast
 from pathlib import Path
 
@@ -91,6 +92,21 @@ def unused_parameters(source: str) -> list[str]:
     return out
 
 
+def random_outside_streams(source: str) -> list[int]:
+    """Lines that reach `np.random` (or `numpy.random`) outside the method
+    `RngStream.generator`, the one place a random generator is built."""
+    tree = ast.parse(source)
+    allowed = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+               and cls.name == "RngStream" for fn in cls.body
+               if isinstance(fn, ast.FunctionDef) and fn.name == "generator"
+               for node in ast.walk(fn)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "random"
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in ("np", "numpy")
+                  and id(node) not in allowed)
+
+
 def _names_read(node) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
@@ -148,5 +164,23 @@ def test_unused_parameter_scan_flags_only_unread_parameters():
 
 def test_every_parameter_in_package_is_read():
     found = {path.name: unused_parameters(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert not {k: v for k, v in found.items() if v}, found
+
+
+def test_random_scan_flags_only_draws_outside_rng_stream():
+    source = ("import numpy as np\n"
+              "class RngStream:\n"
+              "    def generator(self) -> np.random.Generator:\n"
+              "        return np.random.Generator(np.random.Philox(1))\n"
+              "    def child(self):\n"
+              "        return np.random.default_rng(1)\n"
+              "def generator(rng=np.random):\n"
+              "    return numpy.random.rand(2), rng.random(), np.linalg.norm\n")
+    assert random_outside_streams(source) == [6, 7, 8]
+
+
+def test_every_random_draw_in_package_comes_from_rng_stream():
+    found = {path.name: random_outside_streams(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     assert not {k: v for k, v in found.items() if v}, found

@@ -7,8 +7,7 @@ import pytest
 from tensortraffic.errors import InvalidArgumentError, ResourceLimitError
 from tensortraffic.operands import StateSpec, TensorOperand
 from tensortraffic.sampling import (MCReport, RngStream, apply_state,
-                                    build_w_family, evaluate_word,
-                                    mc_expectation, mc_run, mc_variance,
+                                    build_w_family, evaluate_word, mc_run,
                                     norm_absorption_demo,
                                     sample_haar_unitary, symmetrize)
 from tensortraffic.weingarten import exact_expectation
@@ -75,6 +74,10 @@ def test_evaluate_word_examples():
         assert np.max(np.abs(f - np.eye(n))) <= 1e-12
     single = evaluate_word(fam, StarWord.parse("2"))
     assert np.allclose(single.terms[0][1][0], us[1])
+    vs = [[sample_haar_unitary(n, rng)] for _ in range(2)]
+    empty = evaluate_word(build_w_family(us, vs, 2, 1, 1), StarWord((), 2))
+    assert empty.legs == 4
+    assert all(np.array_equal(f, np.eye(n)) for f in empty.terms[0][1])
 
 
 def test_evaluate_word_matches_dense_kronecker():
@@ -133,7 +136,7 @@ def test_tracial_matches_dense_oracle():
 
 def test_mc_trivial_word():
     spec = StateSpec("tracial", k=2, n=6)
-    rep = mc_expectation(spec, StarWord.parse("1,1*"), (1, 1, 0), 6, 4, seed=0)
+    rep = mc_run(spec, StarWord.parse("1,1*"), (1, 1, 0), 6, 4, seed=0)[0]
     assert rep.estimate == 1.0 and rep.stderr == 0.0
 
 
@@ -144,16 +147,16 @@ def test_mc_commutator_matches_exact_value():
     word = StarWord.parse("1,2,1*,2*")
     exact = exact_expectation(spec, word, (1, 1, 0), n)
     assert exact == Fraction(1, n * n - 1)
-    rep = mc_expectation(spec, word, (1, 1, 0), n, 1500, seed=6)
+    rep = mc_run(spec, word, (1, 1, 0), n, 1500, seed=6)[0]
     assert rep.within(float(exact))
 
 
 def test_mc_reproducible_and_thread_invariant():
     spec = StateSpec("tracial", k=2, n=8)
     word = StarWord.parse("1,2")
-    r1 = mc_expectation(spec, word, (1, 1, 0), 8, 50, seed=3, threads=1)
-    r2 = mc_expectation(spec, word, (1, 1, 0), 8, 50, seed=3, threads=2)
-    r3 = mc_expectation(spec, word, (1, 1, 0), 8, 50, seed=3, threads=1)
+    r1 = mc_run(spec, word, (1, 1, 0), 8, 50, seed=3, threads=1)[0]
+    r2 = mc_run(spec, word, (1, 1, 0), 8, 50, seed=3, threads=2)[0]
+    r3 = mc_run(spec, word, (1, 1, 0), 8, 50, seed=3, threads=1)[0]
     assert r1.estimate == r2.estimate == r3.estimate
     assert r1.stderr == r2.stderr
 
@@ -162,7 +165,7 @@ def test_mc_second_moment_vanishes_under_entangled_state():
     # E[Tr(U^2)]/N = 0 exactly since all pure second moments of Haar vanish
     n = 12
     spec = StateSpec("max_entangled_vector", k=2, n=n)
-    rep = mc_expectation(spec, StarWord.parse("1"), (1, 1, 0), n, 2000, seed=8)
+    rep = mc_run(spec, StarWord.parse("1"), (1, 1, 0), n, 2000, seed=8)[0]
     assert rep.within(0.0)
 
 
@@ -170,15 +173,13 @@ def test_mc_run_consistency():
     spec = StateSpec("tracial", k=2, n=8)
     word = StarWord.parse("1,2")
     expect, variance = mc_run(spec, word, (1, 1, 0), 8, 200, seed=5)
-    direct_var = mc_variance(spec, word, (1, 1, 0), 8, 200, seed=5)
-    assert variance.estimate == direct_var.estimate
-    assert expect.samples == 200
+    assert expect.samples == variance.samples == 200
 
 
 def test_mc_with_haar_v_block():
     spec = StateSpec("tracial", k=3, n=6)
-    rep = mc_expectation(spec, StarWord.parse("1,2"), (1, 1, 1), 6, 50,
-                         seed=2, v_mode="haar")
+    rep = mc_run(spec, StarWord.parse("1,2"), (1, 1, 1), 6, 50,
+                 seed=2, v_mode="haar")[0]
     assert np.isfinite(rep.estimate.real)
 
 

@@ -495,6 +495,33 @@ def test_elementary_combination_state_roundtrip():
     assert np.isclose(apply_state(spec, op), np.mean(np.arange(1.0, n + 1.0)))
 
 
+def test_coefficient_state_builds_only_the_quotients_it_names(monkeypatch):
+    built = []
+
+    def counted(graph, pi):
+        built.append(pi)
+        return quotient(graph, pi)
+
+    monkeypatch.setattr(traces, "quotient", counted)
+    traces._minimal_quotient.cache_clear()
+    k, n = 5, 4
+    full = SetPartition.full(2 * k)
+    spec = StateSpec("elementary_combination", k=k, n=n, coeffs={full: 1 / n})
+    assert np.isclose(apply_state(spec, TensorOperand.identity(n, k)), 1.0)
+    assert built == [full]
+
+
+def test_coefficient_state_beyond_the_enumeration_cap_builds_nothing(
+        monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a quotient was built beyond the cap")
+
+    monkeypatch.setattr(traces, "quotient", refuse)
+    with pytest.raises(ResourceLimitError):
+        StateSpec("elementary_combination", k=7, n=14,
+                  coeffs={SetPartition.full(14): 1 / 14})
+
+
 def test_elementary_combination_unitality_enforced():
     with pytest.raises(InvalidArgumentError):
         StateSpec("elementary_combination", k=1, n=4,

@@ -9,7 +9,7 @@ import pytest
 from tensortraffic.characters import cycles_of
 from tensortraffic.errors import InvalidArgumentError
 from tensortraffic.operands import StateSpec
-from tensortraffic.sampling import mc_expectation
+from tensortraffic.sampling import mc_run
 from tensortraffic.weingarten import exact_expectation, weingarten
 from tensortraffic.words import StarWord, all_words
 
@@ -148,8 +148,8 @@ def test_k2_commutator_matches_mc_small_n():
     for n, values in K2_COMMUTATOR.items():
         for kind, value in zip(KINDS, values):
             spec = StateSpec(kind, k=2, n=n)
-            rep = mc_expectation(spec, COMMUTATOR, (1, 1, 0), n, 40_000,
-                                 seed=99)
+            rep = mc_run(spec, COMMUTATOR, (1, 1, 0), n, 40_000,
+                         seed=99)[0]
             assert rep.within(float(value)), (n, kind, rep.estimate, value)
 
 
@@ -177,7 +177,7 @@ def test_k3_commutator_below_p_matches_mc():
                         ("diagonal_uniform", Fraction(17, 144))):
         spec = StateSpec(kind, k=3, n=2)
         assert exact_expectation(spec, COMMUTATOR, (2, 1, 0), 2) == value
-        rep = mc_expectation(spec, COMMUTATOR, (2, 1, 0), 2, 20_000, seed=5)
+        rep = mc_run(spec, COMMUTATOR, (2, 1, 0), 2, 20_000, seed=5)[0]
         assert rep.within(float(value)), (kind, rep.estimate, value)
 
 
