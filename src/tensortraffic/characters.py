@@ -218,6 +218,12 @@ def left_regular_check(word: PermutationWord, k: int, n: int, samples: int,
     """
     if word.trivial:
         raise InvalidArgumentError("the word is trivial")
+    if k < 1:
+        raise InvalidArgumentError(f"need K >= 1 (got {k})")
+    top = max((idx for idx, _ in word.free_part.letters), default=0)
+    if top > 2 * k:
+        raise InvalidArgumentError(
+            f"letter {top} is outside 1..2K = 1..{2 * k}")
     d = len(word.perm)
 
     def sample(us, rng):

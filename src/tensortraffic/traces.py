@@ -8,9 +8,10 @@ inversion over the partition lattice of the vertex set.
 
 Evaluation is routed through a small contraction engine that eliminates
 one vertex at a time, pairing tensors via batched matrix products (BLAS)
-instead of generic einsum calls. Every array carries one leading sample
-axis, which makes Monte-Carlo sweeps cheap; an operand term is a stack of
-one sample.
+instead of generic einsum calls. Each graph's pairing schedule is planned
+once and replayed into buffers that one call owns. Every array carries
+one leading sample axis, which makes Monte-Carlo sweeps cheap; an operand
+term is a stack of one sample.
 """
 from __future__ import annotations
 
@@ -19,7 +20,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
+from operator import itemgetter, mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,15 +41,19 @@ INJECTIVE_VERTEX_CAP = 9  # Bell(9) = 21147 partitions of the vertex set
 # contraction engine
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContractionPlan:
     order: tuple[int, ...]  # vertex elimination order (touched vertices only)
     width: int              # max rank of any intermediate tensor
+    steps: tuple            # (op, a, b, dst, detail) tuples, replayed in order
+    registers: int          # one per edge, then one per intermediate
+    isolated: int           # untouched vertices, a factor N each
 
 
 @lru_cache(maxsize=None)
 def contraction_plan(graph: LinearGraph) -> ContractionPlan:
-    """Greedy min-degree vertex elimination order.
+    """Greedy min-degree vertex elimination order, and the schedule of
+    pairwise contractions that carries it out.
 
     At each step the vertex producing the smallest intermediate tensor is
     eliminated (ties broken by vertex id, so plans are deterministic).
@@ -56,6 +62,7 @@ def contraction_plan(graph: LinearGraph) -> ContractionPlan:
     for s, t in graph.edges:
         sets.append({s, t})
     alive = sorted(graph.touched_vertices())
+    isolated = graph.vertex_count - len(alive)
     order = []
     width = 0
     while alive:
@@ -83,86 +90,50 @@ def contraction_plan(graph: LinearGraph) -> ContractionPlan:
         merged &= other
         sets = keep + ([merged] if merged else [])
         alive.remove(best)
-    return ContractionPlan(tuple(order), width)
+    steps, registers = _schedule(graph, order)
+    return ContractionPlan(tuple(order), width, steps, registers, isolated)
 
 
-def _pair_merge(a_arr, a_idx, b_arr, b_idx, sum_over):
-    """Contract two tensors over `sum_over`, batching other shared labels.
+# Step codes. (_FOLD, a, 0, 0, None): acc = acc * register a, a label-free
+# (B,) array. (_SUM, a, 0, dst, (axes, rank)): register dst = register a
+# summed over `axes`, `rank` labels left. (_MERGE, a, b, dst, _Merge):
+# register dst = registers a and b contracted.
+_FOLD, _SUM, _MERGE = range(3)
 
-    Axis 0 is the sample axis; every other axis has length N.
+
+def _schedule(graph: LinearGraph, order):
+    """Steps that eliminate the vertices in `order` from a pool of labelled
+    tensors, one register each; registers 0..E-1 hold the edges (row label
+    = target, column = source; a loop keeps its diagonal, one label).
+
+    After every change the labels held by one tensor only are summed out,
+    first tensor first, and label-free tensors are folded into the result,
+    last first. The holders of each vertex are merged two at a time, the
+    pair giving the smallest intermediate first: pairing tensors that share
+    only the kept vertex would inflate the rank.
     """
-    bset = set(b_idx)
-    shared = [l for l in a_idx if l in bset]
-    con = [l for l in shared if l in sum_over]
-    batch_sh = [l for l in shared if l not in sum_over]
-    free_a = [l for l in a_idx if l not in bset]
-    aset = set(a_idx)
-    free_b = [l for l in b_idx if l not in aset]
-    apos = {l: p for p, l in enumerate(a_idx, start=1)}  # axis 0: samples
-    bpos = {l: p for p, l in enumerate(b_idx, start=1)}
-    a_perm = [0] + [apos[l] for l in batch_sh] + [apos[l] for l in free_a] \
-        + [apos[l] for l in con]
-    b_perm = [0] + [bpos[l] for l in batch_sh] + [bpos[l] for l in con] \
-        + [bpos[l] for l in free_b]
-    n = a_arr.shape[-1] if a_idx else (b_arr.shape[-1] if b_idx else 1)
-    bdim = a_arr.shape[0]
-    g, fa, fb, c = (n ** len(batch_sh), n ** len(free_a),
-                    n ** len(free_b), n ** len(con))
-    at = a_arr.transpose(a_perm).reshape((bdim, g, fa, c))
-    bt = b_arr.transpose(b_perm).reshape((bdim, g, c, fb))
-    # matmul degenerates into a python-speed loop of tiny GEMMs when the
-    # matrix block is 1x1-ish and the stacked dimension is large; route
-    # those cases through broadcasting instead
-    if c == 1:
-        out = at * bt  # (bdim, g, fa, 1) x (bdim, g, 1, fb) outer product
-    elif fa == 1 and fb == 1:
-        out = np.einsum("bgoc,bgco->bgo", at, bt)[..., None]
-    else:
-        out = np.matmul(at, bt)
-    new_idx = tuple(batch_sh + free_a + free_b)
-    return out.reshape((bdim,) + (n,) * len(new_idx)), new_idx
-
-
-def _contract_graph(graph: LinearGraph, mats, order):
-    """Value of the elementary form over the touched vertices, per sample.
-
-    `mats` holds one (B, N, N) array per edge; an edgeless graph gives
-    shape (1,). Isolated vertices are NOT accounted for here.
-    """
-    acc = np.ones(mats[0].shape[0] if mats else 1, dtype=np.complex128)
-    pool: list[tuple[np.ndarray, tuple[int, ...]]] = []
-    for eid, (s, t) in enumerate(graph.edges):
-        arr = np.asarray(mats[eid])
-        if s == t:
-            pool.append((np.diagonal(arr, axis1=-2, axis2=-1), (s,)))
-        else:
-            pool.append((arr, (t, s)))  # row = target label, column = source
-
-    def occurrences():
-        occ: dict[int, int] = {}
-        for _, idx in pool:
-            for l in idx:
-                occ[l] = occ.get(l, 0) + 1
-        return occ
+    pool = [(eid, (s,) if s == t else (t, s))
+            for eid, (s, t) in enumerate(graph.edges)]
+    edges, steps = len(pool), []
+    fresh = itertools.count(edges)
 
     def sweep():
-        nonlocal acc
         changed = True
         while changed:
             changed = False
-            occ = occurrences()
-            for i, (arr, idx) in enumerate(pool):
+            occ = Counter(l for _, idx in pool for l in idx)
+            for i, (reg, idx) in enumerate(pool):
                 axes = tuple(p + 1 for p, l in enumerate(idx) if occ[l] == 1)
                 if axes:
                     keep = tuple(l for l in idx if occ[l] > 1)
-                    pool[i] = (arr.sum(axis=axes), keep)
+                    pool[i] = (next(fresh), keep)
+                    steps.append(_step(_SUM, reg, 0, pool[i][0],
+                                       (axes, len(keep))))
                     changed = True
                     break
             for i in range(len(pool) - 1, -1, -1):
-                arr, idx = pool[i]
-                if not idx:
-                    acc = acc * arr
-                    pool.pop(i)
+                if not pool[i][1]:
+                    steps.append(_step(_FOLD, pool.pop(i)[0], 0, 0, None))
                     changed = True
 
     sweep()
@@ -171,31 +142,323 @@ def _contract_graph(graph: LinearGraph, mats, order):
             holders = [i for i, (_, idx) in enumerate(pool) if x in idx]
             if len(holders) < 2:
                 break
-            # merge the pair producing the smallest intermediate: pairing
-            # tensors that share only the kept vertex would inflate the rank
-            occ = occurrences()
-            best = None
-            for ii in range(len(holders)):
-                for jj in range(ii + 1, len(holders)):
-                    a_idx = pool[holders[ii]][1]
-                    b_idx = pool[holders[jj]][1]
-                    shared = set(a_idx) & set(b_idx)
-                    summed = {l for l in shared
-                              if occ[l] == a_idx.count(l) + b_idx.count(l)}
-                    rank = len(set(a_idx) | set(b_idx)) - len(summed)
-                    key = (rank, -len(shared), ii, jj)
-                    if best is None or key < best[0]:
-                        best = (key, holders[ii], holders[jj], summed)
-            _, ia, ib, sum_over = best
-            b_arr, b_idx = pool.pop(ib)
-            a_arr, a_idx = pool.pop(ia)
-            merged = _pair_merge(a_arr, a_idx, b_arr, b_idx, sum_over)
-            pool.append(merged)
+            occ = Counter(l for _, idx in pool for l in idx)
+
+            def summed(pair):  # labels the pair holds and no other tensor
+                a_idx, b_idx = pool[pair[0]][1], pool[pair[1]][1]
+                return {l for l in set(a_idx) & set(b_idx) if occ[l] == 2}
+
+            def size(pair):
+                a_idx, b_idx = pool[pair[0]][1], pool[pair[1]][1]
+                return (len(set(a_idx) | set(b_idx)) - len(summed(pair)),
+                        -len(set(a_idx) & set(b_idx)))
+
+            pair = min(itertools.combinations(holders, 2), key=size)
+            sum_over = summed(pair)
+            (rb, b_idx), (ra, a_idx) = pool.pop(pair[1]), pool.pop(pair[0])
+            # the merge depends on the labels only through their pattern
+            names: dict[int, int] = {}
+            for l in a_idx + b_idx:
+                names.setdefault(l, len(names))
+            dst, label = next(fresh), list(names)
+            steps.append(_step(_MERGE, ra, rb, dst, (
+                tuple(names[l] for l in a_idx), tuple(names[l] for l in b_idx),
+                frozenset(names[l] for l in sum_over), ra >= edges,
+                rb >= edges)))
+            pool.append((dst, tuple(label[l] for l in steps[-1][4].labels)))
             sweep()
         sweep()
-    if pool:  # only possible if `order` missed a vertex
-        raise InvalidArgumentError("elimination order does not cover the graph")
-    return acc
+    return tuple(steps), next(fresh)
+
+
+@lru_cache(maxsize=None)
+def _step(op, a, b, dst, detail):
+    """One step, shared by every plan that takes it: a merge's detail is
+    the label pattern that `_merge_kind` reads."""
+    return op, a, b, dst, _merge_kind(*detail) if op == _MERGE else detail
+
+
+class _Merge(NamedTuple):
+    """A merge of tensors a and b. Their labels fall into four groups:
+    shared and kept (batch), free in a, free in b, and shared and summed
+    (con); `exps` holds the group sizes, the N-exponents of the block
+    shapes, and `labels` the result's labels (batch, free a, free b). The
+    permutations read a as (batch, free a, con) and b as (batch, con, free
+    b); for an outer product (no con, or N = 1) the indices drop con and
+    insert the free axes the other operand lacks, and a product without
+    free labels is a batch of dot products. `into` names a dead
+    intermediate (1: a, 2: b, 0: none) whose labels already read in output
+    order, so that an outer product may overwrite it. For operands of
+    layout classes 0 and 1, `orders[2 * class a + class b]` is the axis
+    order of numpy's outer product, None for C order."""
+    labels: tuple[int, ...]
+    exps: tuple[int, int, int, int]
+    outer: bool
+    dot: bool
+    a_perm: tuple[int, ...]
+    b_perm: tuple[int, ...]
+    a_index: tuple
+    b_index: tuple
+    into: int
+    orders: tuple
+
+
+@lru_cache(maxsize=None)
+def _merge_kind(a_idx, b_idx, sum_over, a_owned, b_owned) -> _Merge:
+    shared = [l for l in a_idx if l in b_idx]
+    con = [l for l in shared if l in sum_over]
+    batch = [l for l in shared if l not in sum_over]
+    free_a = [l for l in a_idx if l not in b_idx]
+    free_b = [l for l in b_idx if l not in a_idx]
+    labels = tuple(batch + free_a + free_b)
+
+    def perm(idx, ls):  # axis 0 holds the samples
+        return (0,) + tuple(idx.index(l) + 1 for l in ls)
+
+    a_perm = perm(a_idx, batch + free_a + con)
+    b_perm = perm(b_idx, batch + con + free_b)
+    # numpy decides views, copies and result layouts the same way at every
+    # N >= 2, so small probes of each layout class stand in for operands
+    eg, ea, eb, ec = (len(batch), len(free_a), len(free_b), len(con))
+    orders = (None,) * 4
+    if not con:
+        orders = tuple(
+            _result_order(_blocked(pa, a_perm, (2, 2 ** eg, 2 ** ea, 1)),
+                          _blocked(pb, b_perm, (2, 2 ** eg, 1, 2 ** eb)))
+            for pa in _probes(len(a_idx)) for pb in _probes(len(b_idx)))
+        orders = tuple(None if o == (0, 1, 2, 3) else o for o in orders)
+    drop = (0,) * len(con)
+    return _Merge(
+        labels, (eg, ea, eb, ec), not con, not free_a and not free_b,
+        a_perm, b_perm,
+        (Ellipsis,) + drop + (None,) * len(free_b),
+        (slice(None),) * (1 + len(batch)) + drop + (None,) * len(free_a),
+        1 if a_owned and a_idx == labels else
+        2 if b_owned and b_idx == labels else 0, orders)
+
+
+def _probes(rank):
+    """Arrays of rank + 1 axes of length 2 in layout classes 0 and 1 (a
+    diagonal of a class 1 stack reads as class 0)."""
+    c = np.empty((2,) * (rank + 1))
+    return c, (c.transpose(0, 2, 1) if rank == 2 else c)
+
+
+# Where numpy allocates a result, it lays the result out in the order of
+# its operands' strides, and a later kernel (BLAS or not, pairwise sums)
+# may round differently on another layout. So the engine lays out every
+# result in an arena buffer as numpy would have, or lets numpy allocate it:
+# every step sees the layouts it always saw. Each register has a layout
+# class: 0, C order (or the diagonal of a class 0 or 1 stack); 1, a
+# (B, N, N) stack with its last two axes swapped, as the adjoint view of a
+# C-order stack; 2, anything else. Reads of classes 0 and 1 are decided
+# when the plan is built; a class 2 array is inspected when it is read.
+
+def _layout_class(arr) -> int:
+    """The layout class of an edge stack or of a result."""
+    if arr.flags.c_contiguous:
+        return 0
+    return 1 if arr.ndim == 3 and arr.transpose(0, 2, 1).flags.c_contiguous \
+        else 2
+
+
+def _c_ordered(arr) -> bool:
+    """Whether the axes of arr longer than 1 have non-increasing strides,
+    so that a result numpy lays out after arr alone is in C order."""
+    if arr.flags.c_contiguous:
+        return True
+    strides = [abs(s) for s, d in zip(arr.strides, arr.shape) if d > 1]
+    return all(x >= y for x, y in zip(strides, strides[1:]))
+
+
+def _blocked(arr, perm, shape) -> tuple:
+    """(shape, strides) of arr with its axes in `perm` order reshaped to
+    `shape`, as numpy forms it: a view where one exists, else a C-order
+    copy."""
+    try:
+        return shape, arr.transpose(perm).reshape(shape, copy=False).strides
+    except ValueError:  # the axes do not merge in place
+        strides = list(itertools.accumulate(shape[:0:-1], mul,
+                                            initial=arr.itemsize))
+        return shape, tuple(reversed(strides))
+
+
+def _result_order(*operands) -> tuple[int, ...]:
+    """The axes, outermost first, of the result numpy allocates for an
+    elementwise operation over operands given as (shape, strides). numpy's
+    iterator sorts its axes, innermost first, by an insertion sort on the
+    strides: an operand with length 1 on either axis has no say, one that
+    keeps C order prevails, and where none has a say C order stays."""
+    nd = len(operands[0][0])
+    strides = [[0 if shape[ax] == 1 else abs(st[ax])
+                for shape, st in operands]
+               for ax in reversed(range(nd))]
+    perm = list(range(nd))
+    for i0 in range(1, nd):
+        pos, s0 = i0, strides[perm[i0]]
+        for i1 in range(i0 - 1, -1, -1):
+            say = [x1 > x0 for x0, x1 in zip(s0, strides[perm[i1]])
+                   if x0 and x1]
+            if say:
+                if all(say):
+                    pos = i1
+                else:
+                    break
+        perm.insert(pos, perm.pop(i0))
+    return tuple(nd - 1 - ax for ax in reversed(perm))
+
+
+class _Arena:
+    """One call's edge layout classes and the C-order (B, N, ..., N)
+    buffers of its intermediates. A buffer given back is handed out again
+    to the next request of its rank and dtype, so a Möbius expansion
+    allocates about as many buffers as one contraction holds at once."""
+
+    def __init__(self, mats, samples: int, n: int):
+        self.samples, self.n, self.free, self.shaped = samples, n, {}, {}
+        self.layouts = [_layout_class(m) for m in mats]
+        self.unit = np.ones(samples, dtype=np.complex128)
+
+    def take(self, rank, dtype) -> np.ndarray:
+        stack = self.free.get((rank, dtype))
+        if stack:
+            return stack.pop()
+        return np.empty((self.samples,) + (self.n,) * rank, dtype=dtype)
+
+    def give(self, arr: np.ndarray):
+        self.free.setdefault((arr.ndim - 1, arr.dtype), []).append(arr)
+
+    def shapes(self, merge):
+        """Shapes of a merge: the blocks of a and b and their outer
+        product; the blocks of a and b and their product as the kernel
+        reads them (without the batch axis when it has length 1: the same
+        BLAS calls, with less looping); and the result."""
+        got = self.shaped.get(merge.exps)
+        if got is None:
+            s, n = self.samples, self.n
+            g, fa, fb, c = (n ** e for e in merge.exps)
+            blocks = (s, g, fa, c), (s, g, c, fb), (s, g, fa, fb)
+            got = self.shaped[merge.exps] = blocks + (
+                blocks[:2] + ((s, g, 1),) if merge.dot else
+                ((s, fa, c), (s, c, fb), (s, fa, fb)) if g == 1 else blocks
+            ) + ((s,) + (n,) * len(merge.labels),)
+        return got
+
+    def blocks(self, arr, perm, shape):
+        """arr with its axes in `perm` order, reshaped to `shape`, as numpy
+        reshapes it, and the buffer of a copy (None for a view) to give
+        back after use."""
+        moved = arr.transpose(perm)
+        try:
+            return moved.reshape(shape, copy=False), None
+        except ValueError:  # the axes do not merge in place
+            pass
+        buf = self.take(arr.ndim - 1, arr.dtype)
+        np.copyto(buf, moved)
+        return buf.reshape(shape), buf
+
+
+def _contract_graph(graph: LinearGraph, mats, n, arena: _Arena):
+    """Elementary form per sample, by replaying the cached schedule of
+    `contraction_plan(graph)`; `mats` holds one checked (B, N, N) array per
+    edge (an edgeless graph gives shape (1,)). A register's result lives in
+    the arena buffer behind it, which goes back to the arena once the
+    register is read; each step reaches the same kernel, on operands of the
+    same layout, as a contraction that allocates every result afresh, so
+    the values agree bit for bit.
+    """
+    plan = contraction_plan(graph)
+    edges = len(mats)
+    regs = [m.diagonal(0, -2, -1) if s == t else m
+            for m, (s, t) in zip(mats, graph.edges)]
+    regs += [None] * (plan.registers - edges)
+    layout = arena.layouts + [0] * (plan.registers - edges)
+    backing = [None] * plan.registers
+    take, give, shaped = arena.take, arena.give, arena.shaped
+    acc = arena.unit
+    for op, ra, rb, dst, how in plan.steps:
+        a, regs[ra] = regs[ra], None
+        if op == _FOLD:
+            acc = acc * a
+            if backing[ra] is not None:
+                give(backing[ra])
+            continue
+        if op == _SUM:
+            axes, rank = how
+            if layout[ra] == 0 and a.dtype.kind in "fc":  # ints widen
+                out = backing[dst] = take(rank, a.dtype)
+                regs[dst] = np.add.reduce(a, axes, None, out)
+            else:
+                regs[dst] = np.add.reduce(a, axes)
+                layout[dst] = 2
+            if backing[ra] is not None:
+                give(backing[ra])
+            continue
+        b, regs[rb] = regs[rb], None
+        la = layout[ra]
+        lb = layout[rb]
+        dtype = a.dtype
+        if dtype != b.dtype:
+            dtype = np.result_type(a, b)
+        a_shape, b_shape, mm, a_kern, b_kern, kern, full = \
+            shaped.get(how.exps) or arena.shapes(how)
+        if how.outer or n == 1:  # an elementwise product, on views
+            if n == 1:
+                order = None
+            elif la < 2 and lb < 2:
+                order = how.orders[2 * la + lb]
+            else:
+                order = _result_order(_blocked(a, how.a_perm, a_shape),
+                                      _blocked(b, how.b_perm, b_shape))
+                if order == (0, 1, 2, 3):
+                    order = None
+            # numpy rounds a one-element product written over its own
+            # input differently, so N = 1 never writes in place
+            if order is None and how.into == 1 and la == 0 and n > 1 \
+                    and a.dtype == dtype:
+                out = a
+                backing[dst] = backing[ra]
+            elif order is None and how.into == 2 and lb == 0 and n > 1 \
+                    and b.dtype == dtype:
+                out = b
+                backing[dst] = backing[rb]
+            else:
+                out = backing[dst] = take(len(how.labels), dtype)
+                if order is not None:  # numpy's layout, in the buffer
+                    out = out.reshape([mm[ax] for ax in order]).transpose(
+                        inverse_permutation(order)).reshape(full)
+                    layout[dst] = _layout_class(out)
+            np.multiply(a.transpose(how.a_perm)[how.a_index],
+                        b.transpose(how.b_perm)[how.b_index], out)
+        else:
+            at, a_buf = arena.blocks(a, how.a_perm, a_kern)
+            bt, b_buf = arena.blocks(b, how.b_perm, b_kern)
+            # the result's sample and batch axes follow the operands'
+            if la < 2 or lb < 2 or not how.exps[0] \
+                    or _c_ordered(at[:, :, 0, 0]) or _c_ordered(bt[:, :, 0, 0]):
+                out = backing[dst] = take(len(how.labels), dtype)
+                res = out.reshape(kern)
+            else:
+                out = res = None
+            # matmul degenerates into a python-speed loop of tiny GEMMs
+            # when the matrix block is 1x1; contract those by einsum
+            if how.dot:
+                res = np.einsum("bgoc,bgco->bgo", at, bt, out=res)
+            else:
+                res = np.matmul(at, bt, res)
+            if out is None:  # numpy allocated it
+                out = res.reshape(full)
+                layout[dst] = 2
+            if a_buf is not None:
+                give(a_buf)
+            if b_buf is not None:
+                give(b_buf)
+        if backing[ra] is not None and backing[ra] is not backing[dst]:
+            give(backing[ra])
+        if backing[rb] is not None and backing[rb] is not backing[dst]:
+            give(backing[rb])
+        regs[dst] = out
+    return acc * (n ** plan.isolated)
 
 
 # --------------------------------------------------------------------------
@@ -249,13 +512,27 @@ def injective_graph_trace(graph: LinearGraph, operand: TensorOperand,
 
 
 def graph_trace_stack(graph: LinearGraph, mats, n) -> np.ndarray:
-    """Elementary form per sample: `mats` has one (B, N, N) array per edge.
-    An edgeless graph gives shape (1,), which broadcasts over samples."""
-    if any(m.shape[-1] != n for m in mats):
-        raise InvalidArgumentError("matrix dimension does not match N")
-    iso = graph.vertex_count - len(graph.touched_vertices())
-    return _contract_graph(graph, mats, contraction_plan(graph).order) \
-        * (n ** iso)
+    """Elementary form per sample: `mats` has one (B, N, N) array per edge,
+    with one B for all (InvalidArgumentError otherwise). An edgeless graph
+    gives shape (1,), which broadcasts over samples."""
+    mats, samples = _checked_stacks(graph, mats, n)
+    return _contract_graph(graph, mats, n, _Arena(mats, samples, n))
+
+
+def _checked_stacks(graph: LinearGraph, mats, n):
+    """The edge arrays as ndarrays, and their common sample count B (1 for
+    an edgeless graph): one array per edge, each of shape (B, N, N)."""
+    mats = [np.asarray(m) for m in mats]
+    if len(mats) != graph.order:
+        raise InvalidArgumentError(
+            f"need one (B, N, N) array per edge: {graph.order} edges, "
+            f"{len(mats)} arrays")
+    shapes = {m.shape for m in mats}
+    if len(shapes) > 1 or any(len(s) != 3 or s[1:] != (n, n) for s in shapes):
+        raise InvalidArgumentError(
+            f"every edge array must have one shape (B, {n}, {n}); got "
+            f"{sorted(shapes)}")
+    return mats, (shapes.pop()[0] if shapes else 1)
 
 
 def _edge_classes(mats) -> tuple[int, ...]:
@@ -348,17 +625,19 @@ def _orbit_terms(graph: LinearGraph, classes: tuple[int, ...]):
 
 def injective_trace_stack(graph: LinearGraph, mats, n) -> np.ndarray:
     """Injective form per sample, by Möbius inversion over the quotients of
-    the vertex set, one contraction per symmetry orbit of quotients;
-    `mats` as for graph_trace_stack."""
-    total = np.zeros(mats[0].shape[0] if mats else 1, dtype=np.complex128)
+    the vertex set, one contraction per symmetry orbit of quotients, all
+    from one arena of buffers; `mats` as for graph_trace_stack."""
+    mats, samples = _checked_stacks(graph, mats, n)
+    total = np.zeros(samples, dtype=np.complex128)
     if graph.vertex_count > n:  # pigeonhole: no injective labeling exists
         return total
     if graph.vertex_count > INJECTIVE_VERTEX_CAP:  # before comparing arrays
         raise ResourceLimitError(
             f"injective traces are capped at {INJECTIVE_VERTEX_CAP} vertices "
             f"(requested {graph.vertex_count})")
+    arena = _Arena(mats, samples, n)
     for coeff, q in _orbit_terms(graph, _edge_classes(mats)):
-        total += coeff * graph_trace_stack(q, mats, n)
+        total += coeff * _contract_graph(q, mats, n, arena)
     return total
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tensortraffic import sampling
 from tensortraffic.characters import (PermutationWord, Signature,
                                       amalgam_sweep, character_reference,
                                       character_sweep,
@@ -306,6 +307,17 @@ def test_left_regular_letters_beyond_k_are_transposes():
     with pytest.raises(InvalidArgumentError):
         left_regular_check(PermutationWord(StarWord.parse("1,5"), (1, 0)),
                            k=2, n=n, samples=samples)
+
+
+def test_left_regular_checks_k_and_letters_before_drawing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Haar unitary was drawn")
+
+    monkeypatch.setattr(sampling, "sample_haar_unitary", refuse)
+    for word, k in ((PermutationWord(StarWord((), 1), (1, 0)), 0),
+                    (PermutationWord(StarWord.parse("1,5"), (1, 0)), 2)):
+        with pytest.raises(InvalidArgumentError):
+            left_regular_check(word, k=k, n=4, samples=2)
 
 
 # --- conditional expectation --------------------------------------------------

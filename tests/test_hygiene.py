@@ -1,7 +1,10 @@
 """Source hygiene: every name a module imports is used in that module,
 every module-level function or class is reachable from the package's
-roots, every parameter of a module-level function or method is read, and
-every random draw comes from the counter-based streams of `RngStream`."""
+roots, every parameter of a module-level function or method is read,
+every random draw comes from the counter-based streams of `RngStream`, and
+no function rebinds a module global, so state that one call needs (such as
+the contraction engine's buffers) stays local to the call and to its
+thread."""
 import ast
 from pathlib import Path
 
@@ -107,6 +110,12 @@ def random_outside_streams(source: str) -> list[int]:
                   and id(node) not in allowed)
 
 
+def global_statements(source: str) -> list[int]:
+    """Lines of `global` statements, at any depth."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Global))
+
+
 def _names_read(node) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
@@ -182,5 +191,19 @@ def test_random_scan_flags_only_draws_outside_rng_stream():
 
 def test_every_random_draw_in_package_comes_from_rng_stream():
     found = {path.name: random_outside_streams(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert not {k: v for k, v in found.items() if v}, found
+
+
+def test_global_scan_flags_only_global_statements():
+    source = ("CACHE = {}\n"
+              "def f():\n    global CACHE\n    CACHE = {}\n"
+              "def g():\n    x = 1\n    def h():\n        nonlocal x\n"
+              "        global y\n")
+    assert global_statements(source) == [3, 9]
+
+
+def test_no_global_statements_in_package():
+    found = {path.name: global_statements(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     assert not {k: v for k, v in found.items() if v}, found

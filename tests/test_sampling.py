@@ -10,6 +10,7 @@ from tensortraffic.sampling import (MCReport, RngStream, apply_state,
                                     build_w_family, evaluate_word, mc_run,
                                     norm_absorption_demo,
                                     sample_haar_unitary, symmetrize)
+from tensortraffic.traces import decompose_invariant_state
 from tensortraffic.weingarten import exact_expectation
 from tensortraffic.words import StarWord
 
@@ -159,6 +160,19 @@ def test_mc_reproducible_and_thread_invariant():
     r3 = mc_run(spec, word, (1, 1, 0), 8, 50, seed=3, threads=1)[0]
     assert r1.estimate == r2.estimate == r3.estimate
     assert r1.stderr == r2.stderr
+
+
+def test_mc_coefficient_state_is_thread_invariant():
+    """A coefficient-file state contracts graphs inside the worker threads;
+    each contraction owns its buffers, so threads cannot mix them."""
+    n = 8
+    coeffs = decompose_invariant_state(StateSpec("tracial", k=2, n=n), 2, n)
+    spec = StateSpec("elementary_combination", k=2, n=n, coeffs=coeffs)
+    word = StarWord.parse("1,2,1*,2*")
+    r1, v1 = mc_run(spec, word, (1, 1, 0), n, 40, seed=5, threads=1)
+    r4, v4 = mc_run(spec, word, (1, 1, 0), n, 40, seed=5, threads=4)
+    assert (r1.estimate, r1.stderr) == (r4.estimate, r4.stderr)
+    assert (v1.estimate, v1.stderr) == (v4.estimate, v4.stderr)
 
 
 def test_mc_second_moment_vanishes_under_entangled_state():

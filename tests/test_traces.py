@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -205,7 +206,8 @@ def test_injective_vertex_cap_fires_before_edge_classes(monkeypatch):
     mats = [np.zeros((1, 10, 10))] * 10
     with pytest.raises(ResourceLimitError):
         injective_trace_stack(g, mats, 10)
-    assert injective_trace_stack(g, mats, 9).tolist() == [0]  # pigeonhole
+    assert injective_trace_stack(g, [np.zeros((1, 9, 9))] * 10, 9).tolist() \
+        == [0]  # pigeonhole
 
 
 def test_injective_matches_naive(rng):
@@ -253,13 +255,13 @@ def test_one_contraction_per_symmetry_orbit(rng, monkeypatch):
     U, U* classes have 2, 11 and 73 orbits among B(2), B(4), B(6) = 2, 15,
     203 partitions. At the vertex cap the edgeless graph has p(9) = 30 (its
     group is S_9) and the one-letter directed 9-cycle 2,361 (rotations)."""
-    real, calls = traces.graph_trace_stack, []
+    real, calls = traces._contract_graph, []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(traces, "graph_trace_stack", counted)
+    monkeypatch.setattr(traces, "_contract_graph", counted)
 
     def contractions(graph, mats, n):
         calls.clear()
@@ -301,6 +303,174 @@ def test_plan_covers_and_is_deterministic():
     plan = contraction_plan(g)
     assert sorted(plan.order) == [0, 1, 2, 3]
     assert plan == contraction_plan(g)
+
+
+def test_stacks_are_checked_before_contracting():
+    """One (B, N, N) array per edge with one B; anything else is refused
+    before any contraction."""
+    g = LinearGraph(3, cycle_edges(3))
+    rng = np.random.default_rng(9)
+
+    def stack(samples):
+        return rng.standard_normal((samples, 3, 3))
+
+    for mats in ([stack(4), stack(1), stack(4)],  # unequal sample counts
+                 [rng.standard_normal((3, 3))] * 3,  # no sample axis
+                 [stack(2), stack(2)],  # two arrays for three edges
+                 [stack(2), stack(2), rng.standard_normal((2, 4, 4))]):
+        for form in (graph_trace_stack, injective_trace_stack):
+            with pytest.raises(InvalidArgumentError):
+                form(g, mats, 3)
+    # also where no injective labeling exists
+    with pytest.raises(InvalidArgumentError):
+        injective_trace_stack(g, [rng.standard_normal((3, 3))] * 3, 2)
+
+
+def test_cached_schedules_replay_without_the_scheduler(monkeypatch):
+    """After one call every quotient's schedule is cached: the same calls
+    give the same values with the scheduler gone."""
+    rng = np.random.default_rng(12)
+    n = 4
+    u = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    g = LinearGraph(5, ((0, 1), (1, 2), (2, 0), (2, 2), (3, 4), (4, 3)))
+    mats = [u, adjoint_stack(u), u, u, adjoint_stack(u), u]
+    first = graph_trace_stack(g, mats, n), injective_trace_stack(g, mats, n)
+
+    def refuse(*args):
+        raise AssertionError("a schedule was built again")
+
+    monkeypatch.setattr(traces, "_schedule", refuse)
+    assert np.array_equal(graph_trace_stack(g, mats, n), first[0])
+    assert np.array_equal(injective_trace_stack(g, mats, n), first[1])
+
+
+def test_engine_matches_naive_on_loops_parallel_edges_and_components():
+    """Sample stacks of B = 3 over loops, parallel edges and (the last two
+    graphs) two components, against direct summation."""
+    rng = np.random.default_rng(21)
+    n, samples = 4, 3
+
+    def cplx():
+        shape = (samples, n, n)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    u, w = cplx(), cplx()
+    for g, mats in [
+            (LinearGraph(2, ((0, 0), (0, 1), (0, 1), (1, 0), (1, 1))),
+             [u, adjoint_stack(u), u, w, adjoint_stack(w)]),
+            (LinearGraph(5, ((0, 1), (1, 0), (1, 1), (2, 3), (3, 4), (4, 2),
+                             (4, 4))),
+             [u, adjoint_stack(u), w, u.real.copy(), w, adjoint_stack(u),
+              u]),
+            (LinearGraph(4, ((0, 1), (0, 1), (2, 3), (3, 2), (3, 3))),
+             [w, adjoint_stack(w), u, u, adjoint_stack(w)])]:
+        elementary = graph_trace_stack(g, mats, n)
+        injective = injective_trace_stack(g, mats, n)
+        for row in range(samples):
+            sample = TensorOperand.factored([m[row] for m in mats])
+            assert np.isclose(elementary[row], naive_graph_trace(g, sample),
+                              rtol=1e-10, atol=1e-10)
+            assert np.isclose(injective[row],
+                              naive_graph_trace(g, sample, injective=True),
+                              rtol=1e-10, atol=1e-10)
+
+
+def allocating_contraction(graph, mats, n):
+    """The elementary form per sample by replaying the cached schedule of
+    `contraction_plan` with every result allocated afresh by numpy, as the
+    engine did before it kept a buffer arena: the arena's results must
+    equal these bit for bit."""
+    plan = contraction_plan(graph)
+    regs = [np.diagonal(m, axis1=-2, axis2=-1) if s == t else m
+            for m, (s, t) in zip(mats, graph.edges)]
+    regs += [None] * (plan.registers - len(regs))
+    acc = np.ones(mats[0].shape[0] if mats else 1, dtype=np.complex128)
+    for op, a, b, dst, how in plan.steps:
+        if op == traces._FOLD:
+            acc = acc * regs[a]
+        elif op == traces._SUM:
+            regs[dst] = regs[a].sum(axis=how[0])
+        else:
+            x, y = regs[a], regs[b]
+            g, fa, fb, c = (n ** e for e in how.exps)
+            xt = x.transpose(how.a_perm).reshape((x.shape[0], g, fa, c))
+            yt = y.transpose(how.b_perm).reshape((x.shape[0], g, c, fb))
+            if c == 1:
+                out = xt * yt
+            elif fa == 1 and fb == 1:
+                out = np.einsum("bgoc,bgco->bgo", xt, yt)[..., None]
+            else:
+                out = np.matmul(xt, yt)
+            regs[dst] = out.reshape((x.shape[0],) + (n,) * len(how.labels))
+    return acc * n ** plan.isolated
+
+
+def test_arena_matches_allocating_contraction_bit_for_bit():
+    """Buffers laid out as numpy would lay out fresh results keep every
+    kernel's rounding: C-order, adjoint, Fortran-order, gapped and real
+    stacks, loops, parallel edges and N = 1 give the same bytes."""
+    rng = np.random.default_rng(40)
+    for trial in range(300):
+        nv, ne = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        g = LinearGraph(nv, tuple(random_edges(rng, 0, nv, ne)))
+        n, samples = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        mats = []
+        for _ in range(ne):
+            m = rng.standard_normal((2 * samples, n, n)) \
+                + 1j * rng.standard_normal((2 * samples, n, n))
+            mats.append([m[:samples], adjoint_stack(m[:samples]),
+                         np.asfortranarray(m[:samples]), m[::2],
+                         m[:samples].real.copy()][int(rng.integers(5))])
+        assert graph_trace_stack(g, mats, n).tobytes() \
+            == allocating_contraction(g, mats, n).tobytes()
+        if nv <= n:
+            total = np.zeros(samples, dtype=np.complex128)
+            for coeff, q in traces._orbit_terms(g, traces._edge_classes(mats)):
+                total += coeff * allocating_contraction(q, mats, n)
+            assert injective_trace_stack(g, mats, n).tobytes() \
+                == total.tobytes()
+
+
+def test_result_order_is_numpys():
+    """The layout the engine gives an outer product is the one numpy
+    allocates, whatever the operands' strides."""
+    rng = np.random.default_rng(41)
+    for _ in range(500):
+        samples, n = int(rng.choice([1, 3])), int(rng.choice([2, 3]))
+        eg, ea, eb = (int(e) for e in rng.integers(0, 3, size=3))
+        blocks = []
+        for free, shape in ((ea, (n ** ea, 1)), (eb, (1, n ** eb))):
+            arr = rng.standard_normal((samples,) + (n,) * (eg + free))
+            perm = (0,) + tuple(1 + rng.permutation(eg + free))
+            if rng.random() < 0.3:
+                arr = np.ascontiguousarray(arr.transpose(perm))
+            blocks.append(arr.transpose(perm).reshape(
+                (samples, n ** eg) + shape))
+        out = blocks[0] * blocks[1]
+        order = traces._result_order(*((b.shape, b.strides) for b in blocks))
+        long = [ax for ax in range(4) if out.shape[ax] > 1]
+        assert sorted(long, key=lambda ax: -out.strides[ax]) \
+            == [ax for ax in order if ax in long]
+
+
+def test_six_cycle_expansion_holds_few_buffers():
+    """The 73 contractions of the alternating 6-cycle draw their
+    intermediates from one arena, which never holds more than about four
+    (B, N, N) buffers at once."""
+    n, samples = 40, 8
+    rng = np.random.default_rng(4)
+    u = rng.standard_normal((samples, n, n)) \
+        + 1j * rng.standard_normal((samples, n, n))
+    g = LinearGraph(6, cycle_edges(6))
+    mats = [u if e % 2 == 0 else adjoint_stack(u) for e in range(6)]
+    injective_trace_stack(g, mats, n)  # builds the orbits and the plans
+    tracemalloc.start()
+    try:
+        injective_trace_stack(g, mats, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * u.nbytes, peak / u.nbytes
 
 
 # --- growth-rate witness ---------------------------------------------------
