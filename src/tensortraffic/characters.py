@@ -321,6 +321,8 @@ def amalgam_sweep(word: StarWord, d: int, n: int, samples: int,
     the conditional expectation of the centered tensor-power word onto the
     span of leg permutations, over Haar letters U_1..U_K.
     """
+    if d < 1:
+        raise InvalidArgumentError(f"need d >= 1 (got d = {d})")
     if n <= d:
         raise InvalidArgumentError(f"need N > d (got N = {n}, d = {d})")
     _check_sd_cap(d)  # the guards of every projection, before any sample

@@ -84,10 +84,10 @@ def _check_dimension(n: int) -> int:
 
 
 def _parse_dims(text: str) -> list[int]:
-    dims = [_check_dimension(n) for n in _parse_ints(text)]
-    if not dims:
-        raise InvalidArgumentError(f"--dims needs at least one N: {text!r}")
-    return dims
+    dims = _parse_ints(text)
+    if not dims or min(dims) < 1:
+        raise InvalidArgumentError(f"--dims needs one or more N >= 1: {text!r}")
+    return [_check_dimension(n) for n in dims]
 
 
 def _parse_blocks(text: str) -> tuple[int, int, int]:

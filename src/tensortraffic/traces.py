@@ -9,9 +9,11 @@ inversion over the partition lattice of the vertex set.
 Evaluation is routed through a small contraction engine that eliminates
 one vertex at a time, pairing tensors via batched matrix products (BLAS)
 instead of generic einsum calls. Each graph's pairing schedule is planned
-once and replayed into buffers that one call owns. Every array carries
-one leading sample axis, which makes Monte-Carlo sweeps cheap; an operand
-term is a stack of one sample.
+once and replayed into C-order buffers that one call owns. Every array
+carries one leading sample axis, which makes Monte-Carlo sweeps cheap; an
+operand term is a stack of one sample. Edge stacks are read in place,
+except that a stack whose sample axis is not its outermost (Fortran order)
+is read as its C-order copy.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -58,9 +60,7 @@ def contraction_plan(graph: LinearGraph) -> ContractionPlan:
     At each step the vertex producing the smallest intermediate tensor is
     eliminated (ties broken by vertex id, so plans are deterministic).
     """
-    sets: list[set[int]] = []
-    for s, t in graph.edges:
-        sets.append({s, t})
+    sets = [{s, t} for s, t in graph.edges]
     alive = sorted(graph.touched_vertices())
     isolated = graph.vertex_count - len(alive)
     order = []
@@ -188,9 +188,7 @@ class _Merge(NamedTuple):
     insert the free axes the other operand lacks, and a product without
     free labels is a batch of dot products. `into` names a dead
     intermediate (1: a, 2: b, 0: none) whose labels already read in output
-    order, so that an outer product may overwrite it. For operands of
-    layout classes 0 and 1, `orders[2 * class a + class b]` is the axis
-    order of numpy's outer product, None for C order."""
+    order, so that an outer product may overwrite it."""
     labels: tuple[int, ...]
     exps: tuple[int, int, int, int]
     outer: bool
@@ -200,7 +198,6 @@ class _Merge(NamedTuple):
     a_index: tuple
     b_index: tuple
     into: int
-    orders: tuple
 
 
 @lru_cache(maxsize=None)
@@ -215,108 +212,31 @@ def _merge_kind(a_idx, b_idx, sum_over, a_owned, b_owned) -> _Merge:
     def perm(idx, ls):  # axis 0 holds the samples
         return (0,) + tuple(idx.index(l) + 1 for l in ls)
 
-    a_perm = perm(a_idx, batch + free_a + con)
-    b_perm = perm(b_idx, batch + con + free_b)
-    # numpy decides views, copies and result layouts the same way at every
-    # N >= 2, so small probes of each layout class stand in for operands
-    eg, ea, eb, ec = (len(batch), len(free_a), len(free_b), len(con))
-    orders = (None,) * 4
-    if not con:
-        orders = tuple(
-            _result_order(_blocked(pa, a_perm, (2, 2 ** eg, 2 ** ea, 1)),
-                          _blocked(pb, b_perm, (2, 2 ** eg, 1, 2 ** eb)))
-            for pa in _probes(len(a_idx)) for pb in _probes(len(b_idx)))
-        orders = tuple(None if o == (0, 1, 2, 3) else o for o in orders)
     drop = (0,) * len(con)
     return _Merge(
-        labels, (eg, ea, eb, ec), not con, not free_a and not free_b,
-        a_perm, b_perm,
+        labels, (len(batch), len(free_a), len(free_b), len(con)), not con,
+        not free_a and not free_b,
+        perm(a_idx, batch + free_a + con), perm(b_idx, batch + con + free_b),
         (Ellipsis,) + drop + (None,) * len(free_b),
         (slice(None),) * (1 + len(batch)) + drop + (None,) * len(free_a),
         1 if a_owned and a_idx == labels else
-        2 if b_owned and b_idx == labels else 0, orders)
+        2 if b_owned and b_idx == labels else 0)
 
 
-def _probes(rank):
-    """Arrays of rank + 1 axes of length 2 in layout classes 0 and 1 (a
-    diagonal of a class 1 stack reads as class 0)."""
-    c = np.empty((2,) * (rank + 1))
-    return c, (c.transpose(0, 2, 1) if rank == 2 else c)
-
-
-# Where numpy allocates a result, it lays the result out in the order of
-# its operands' strides, and a later kernel (BLAS or not, pairwise sums)
-# may round differently on another layout. So the engine lays out every
-# result in an arena buffer as numpy would have, or lets numpy allocate it:
-# every step sees the layouts it always saw. Each register has a layout
-# class: 0, C order (or the diagonal of a class 0 or 1 stack); 1, a
-# (B, N, N) stack with its last two axes swapped, as the adjoint view of a
-# C-order stack; 2, anything else. Reads of classes 0 and 1 are decided
-# when the plan is built; a class 2 array is inspected when it is read.
-
-def _layout_class(arr) -> int:
-    """The layout class of an edge stack or of a result."""
-    if arr.flags.c_contiguous:
-        return 0
-    return 1 if arr.ndim == 3 and arr.transpose(0, 2, 1).flags.c_contiguous \
-        else 2
-
-
-def _c_ordered(arr) -> bool:
-    """Whether the axes of arr longer than 1 have non-increasing strides,
-    so that a result numpy lays out after arr alone is in C order."""
-    if arr.flags.c_contiguous:
-        return True
-    strides = [abs(s) for s, d in zip(arr.strides, arr.shape) if d > 1]
-    return all(x >= y for x, y in zip(strides, strides[1:]))
-
-
-def _blocked(arr, perm, shape) -> tuple:
-    """(shape, strides) of arr with its axes in `perm` order reshaped to
-    `shape`, as numpy forms it: a view where one exists, else a C-order
-    copy."""
-    try:
-        return shape, arr.transpose(perm).reshape(shape, copy=False).strides
-    except ValueError:  # the axes do not merge in place
-        strides = list(itertools.accumulate(shape[:0:-1], mul,
-                                            initial=arr.itemsize))
-        return shape, tuple(reversed(strides))
-
-
-def _result_order(*operands) -> tuple[int, ...]:
-    """The axes, outermost first, of the result numpy allocates for an
-    elementwise operation over operands given as (shape, strides). numpy's
-    iterator sorts its axes, innermost first, by an insertion sort on the
-    strides: an operand with length 1 on either axis has no say, one that
-    keeps C order prevails, and where none has a say C order stays."""
-    nd = len(operands[0][0])
-    strides = [[0 if shape[ax] == 1 else abs(st[ax])
-                for shape, st in operands]
-               for ax in reversed(range(nd))]
-    perm = list(range(nd))
-    for i0 in range(1, nd):
-        pos, s0 = i0, strides[perm[i0]]
-        for i1 in range(i0 - 1, -1, -1):
-            say = [x1 > x0 for x0, x1 in zip(s0, strides[perm[i1]])
-                   if x0 and x1]
-            if say:
-                if all(say):
-                    pos = i1
-                else:
-                    break
-        perm.insert(pos, perm.pop(i0))
-    return tuple(nd - 1 - ax for ax in reversed(perm))
+@lru_cache(maxsize=None)
+def _sum_dtype(dtype):
+    """The dtype of numpy's sum over `dtype`: small integers widen."""
+    return np.add.reduce(np.zeros(1, dtype)).dtype
 
 
 class _Arena:
-    """One call's edge layout classes and the C-order (B, N, ..., N)
-    buffers of its intermediates. A buffer given back is handed out again
-    to the next request of its rank and dtype, so a Möbius expansion
-    allocates about as many buffers as one contraction holds at once."""
+    """The C-order (B, N, ..., N) buffers of one call's intermediates. A
+    buffer given back is handed out again to the next request of its rank
+    and dtype, so a Möbius expansion allocates about as many buffers as one
+    contraction holds at once."""
 
-    def __init__(self, mats, samples: int, n: int):
+    def __init__(self, samples: int, n: int):
         self.samples, self.n, self.free, self.shaped = samples, n, {}, {}
-        self.layouts = [_layout_class(m) for m in mats]
         self.unit = np.ones(samples, dtype=np.complex128)
 
     def take(self, rank, dtype) -> np.ndarray:
@@ -329,134 +249,80 @@ class _Arena:
         self.free.setdefault((arr.ndim - 1, arr.dtype), []).append(arr)
 
     def shapes(self, merge):
-        """Shapes of a merge: the blocks of a and b and their outer
-        product; the blocks of a and b and their product as the kernel
-        reads them (without the batch axis when it has length 1: the same
-        BLAS calls, with less looping); and the result."""
+        """The blocks of a contracting merge's kernel: a, b and their
+        product, without a batch axis of length 1 (less looping)."""
         got = self.shaped.get(merge.exps)
         if got is None:
-            s, n = self.samples, self.n
-            g, fa, fb, c = (n ** e for e in merge.exps)
-            blocks = (s, g, fa, c), (s, g, c, fb), (s, g, fa, fb)
-            got = self.shaped[merge.exps] = blocks + (
-                blocks[:2] + ((s, g, 1),) if merge.dot else
-                ((s, fa, c), (s, c, fb), (s, fa, fb)) if g == 1 else blocks
-            ) + ((s,) + (n,) * len(merge.labels),)
+            s = self.samples
+            g, fa, fb, c = (self.n ** e for e in merge.exps)
+            got = self.shaped[merge.exps] = (
+                ((s, g, fa, c), (s, g, c, fb), (s, g, 1)) if merge.dot else
+                ((s, fa, c), (s, c, fb), (s, fa, fb)) if g == 1 else
+                ((s, g, fa, c), (s, g, c, fb), (s, g, fa, fb)))
         return got
 
     def blocks(self, arr, perm, shape):
         """arr with its axes in `perm` order, reshaped to `shape`, as numpy
         reshapes it, and the buffer of a copy (None for a view) to give
         back after use."""
-        moved = arr.transpose(perm)
         try:
-            return moved.reshape(shape, copy=False), None
+            return arr.transpose(perm).reshape(shape, copy=False), None
         except ValueError:  # the axes do not merge in place
-            pass
-        buf = self.take(arr.ndim - 1, arr.dtype)
-        np.copyto(buf, moved)
-        return buf.reshape(shape), buf
+            buf = self.take(arr.ndim - 1, arr.dtype)
+            np.copyto(buf, arr.transpose(perm))
+            return buf.reshape(shape), buf
 
 
 def _contract_graph(graph: LinearGraph, mats, n, arena: _Arena):
     """Elementary form per sample, by replaying the cached schedule of
-    `contraction_plan(graph)`; `mats` holds one checked (B, N, N) array per
-    edge (an edgeless graph gives shape (1,)). A register's result lives in
-    the arena buffer behind it, which goes back to the arena once the
-    register is read; each step reaches the same kernel, on operands of the
-    same layout, as a contraction that allocates every result afresh, so
-    the values agree bit for bit.
-    """
+    `contraction_plan(graph)` on one checked (B, N, N) array per edge (an
+    edgeless graph gives shape (1,)). Every intermediate is a C-order arena
+    buffer written with `out=`, given back once its register is read."""
     plan = contraction_plan(graph)
     edges = len(mats)
     regs = [m.diagonal(0, -2, -1) if s == t else m
             for m, (s, t) in zip(mats, graph.edges)]
     regs += [None] * (plan.registers - edges)
-    layout = arena.layouts + [0] * (plan.registers - edges)
-    backing = [None] * plan.registers
     take, give, shaped = arena.take, arena.give, arena.shaped
     acc = arena.unit
     for op, ra, rb, dst, how in plan.steps:
         a, regs[ra] = regs[ra], None
         if op == _FOLD:
             acc = acc * a
-            if backing[ra] is not None:
-                give(backing[ra])
+            give(a)  # only intermediates are label-free
             continue
         if op == _SUM:
             axes, rank = how
-            if layout[ra] == 0 and a.dtype.kind in "fc":  # ints widen
-                out = backing[dst] = take(rank, a.dtype)
-                regs[dst] = np.add.reduce(a, axes, None, out)
-            else:
-                regs[dst] = np.add.reduce(a, axes)
-                layout[dst] = 2
-            if backing[ra] is not None:
-                give(backing[ra])
-            continue
-        b, regs[rb] = regs[rb], None
-        la = layout[ra]
-        lb = layout[rb]
-        dtype = a.dtype
-        if dtype != b.dtype:
-            dtype = np.result_type(a, b)
-        a_shape, b_shape, mm, a_kern, b_kern, kern, full = \
-            shaped.get(how.exps) or arena.shapes(how)
-        if how.outer or n == 1:  # an elementwise product, on views
-            if n == 1:
-                order = None
-            elif la < 2 and lb < 2:
-                order = how.orders[2 * la + lb]
-            else:
-                order = _result_order(_blocked(a, how.a_perm, a_shape),
-                                      _blocked(b, how.b_perm, b_shape))
-                if order == (0, 1, 2, 3):
-                    order = None
-            # numpy rounds a one-element product written over its own
-            # input differently, so N = 1 never writes in place
-            if order is None and how.into == 1 and la == 0 and n > 1 \
-                    and a.dtype == dtype:
-                out = a
-                backing[dst] = backing[ra]
-            elif order is None and how.into == 2 and lb == 0 and n > 1 \
-                    and b.dtype == dtype:
-                out = b
-                backing[dst] = backing[rb]
-            else:
-                out = backing[dst] = take(len(how.labels), dtype)
-                if order is not None:  # numpy's layout, in the buffer
-                    out = out.reshape([mm[ax] for ax in order]).transpose(
-                        inverse_permutation(order)).reshape(full)
-                    layout[dst] = _layout_class(out)
-            np.multiply(a.transpose(how.a_perm)[how.a_index],
-                        b.transpose(how.b_perm)[how.b_index], out)
+            out = np.add.reduce(a, axes, None, take(rank, _sum_dtype(a.dtype)))
         else:
-            at, a_buf = arena.blocks(a, how.a_perm, a_kern)
-            bt, b_buf = arena.blocks(b, how.b_perm, b_kern)
-            # the result's sample and batch axes follow the operands'
-            if la < 2 or lb < 2 or not how.exps[0] \
-                    or _c_ordered(at[:, :, 0, 0]) or _c_ordered(bt[:, :, 0, 0]):
-                out = backing[dst] = take(len(how.labels), dtype)
-                res = out.reshape(kern)
+            b, regs[rb] = regs[rb], None
+            dtype = a.dtype if a.dtype == b.dtype else np.result_type(a, b)
+            if how.outer or n == 1:  # an elementwise product, on views
+                # numpy rounds a one-element product written over its own
+                # input differently, so N = 1 never writes in place
+                out = (None, a, b)[how.into] if n > 1 else None
+                if out is None or out.dtype != dtype:
+                    out = take(len(how.labels), dtype)
+                np.multiply(a.transpose(how.a_perm)[how.a_index],
+                            b.transpose(how.b_perm)[how.b_index], out)
             else:
-                out = res = None
-            # matmul degenerates into a python-speed loop of tiny GEMMs
-            # when the matrix block is 1x1; contract those by einsum
-            if how.dot:
-                res = np.einsum("bgoc,bgco->bgo", at, bt, out=res)
-            else:
-                res = np.matmul(at, bt, res)
-            if out is None:  # numpy allocated it
-                out = res.reshape(full)
-                layout[dst] = 2
-            if a_buf is not None:
-                give(a_buf)
-            if b_buf is not None:
-                give(b_buf)
-        if backing[ra] is not None and backing[ra] is not backing[dst]:
-            give(backing[ra])
-        if backing[rb] is not None and backing[rb] is not backing[dst]:
-            give(backing[rb])
+                a_kern, b_kern, kern = shaped.get(how.exps) or arena.shapes(how)
+                at, a_buf = arena.blocks(a, how.a_perm, a_kern)
+                bt, b_buf = arena.blocks(b, how.b_perm, b_kern)
+                out = take(len(how.labels), dtype)
+                # matmul degenerates into a python-speed loop of tiny GEMMs
+                # when the matrix block is 1x1; contract those by einsum
+                if how.dot:
+                    np.einsum("bgoc,bgco->bgo", at, bt, out=out.reshape(kern))
+                else:
+                    np.matmul(at, bt, out.reshape(kern))
+                for buf in (a_buf, b_buf):
+                    if buf is not None:
+                        give(buf)
+            if rb >= edges and b is not out:
+                give(b)
+        if ra >= edges and a is not out:
+            give(a)
         regs[dst] = out
     return acc * (n ** plan.isolated)
 
@@ -516,7 +382,7 @@ def graph_trace_stack(graph: LinearGraph, mats, n) -> np.ndarray:
     with one B for all (InvalidArgumentError otherwise). An edgeless graph
     gives shape (1,), which broadcasts over samples."""
     mats, samples = _checked_stacks(graph, mats, n)
-    return _contract_graph(graph, mats, n, _Arena(mats, samples, n))
+    return _contract_graph(graph, _sample_major(mats), n, _Arena(samples, n))
 
 
 def _checked_stacks(graph: LinearGraph, mats, n):
@@ -533,6 +399,18 @@ def _checked_stacks(graph: LinearGraph, mats, n):
             f"every edge array must have one shape (B, {n}, {n}); got "
             f"{sorted(shapes)}")
     return mats, (shapes.pop()[0] if shapes else 1)
+
+
+def _sample_major(mats):
+    """The edge stacks, each read in place unless it holds B >= 2 samples
+    and its sample axis has a smaller stride than a matrix axis (as in
+    Fortran order): such a stack is read as its C-order copy, made once per
+    array object."""
+    unique = {id(m): m for m in mats}
+    copies = {key: np.ascontiguousarray(m) for key, m in unique.items()
+              if m.shape[0] > 1
+              and 0 < abs(m.strides[0]) < max(map(abs, m.strides[1:]))}
+    return [copies.get(id(m), m) for m in mats]
 
 
 def _edge_classes(mats) -> tuple[int, ...]:
@@ -635,8 +513,9 @@ def injective_trace_stack(graph: LinearGraph, mats, n) -> np.ndarray:
         raise ResourceLimitError(
             f"injective traces are capped at {INJECTIVE_VERTEX_CAP} vertices "
             f"(requested {graph.vertex_count})")
-    arena = _Arena(mats, samples, n)
-    for coeff, q in _orbit_terms(graph, _edge_classes(mats)):
+    terms = _orbit_terms(graph, _edge_classes(mats))
+    mats, arena = _sample_major(mats), _Arena(samples, n)
+    for coeff, q in terms:
         total += coeff * _contract_graph(q, mats, n, arena)
     return total
 

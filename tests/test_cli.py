@@ -462,6 +462,8 @@ MALFORMED_ARRAYS = {
     ["amalgam", "--d", "2", "--word", "1,2", "--dims", ",", "--samples", "4"],
     ["amalgam", "--d", "2", "--word", "1,2", "--dims", "2", "--samples", "4"],
     ["normdemo", "--letters", "3", "--n", "-70", "--mode", "haar_pair"],
+    ["amalgam", "--d", "0", "--word", "1,2", "--dims", "4", "--samples", "4"],
+    ["character", "--lambda", "1", "--dims", "0", "--samples", "4"],
 ], ids=lambda argv: " ".join(argv))
 def test_malformed_input_exits_2(argv, tmp_path, capsys):
     for name, doc in MALFORMED_FILES.items():
@@ -472,6 +474,24 @@ def test_malformed_input_exits_2(argv, tmp_path, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 2, err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["amalgam", "--d", "0", "--word", "1,2", "--dims", "4", "--samples", "4"],
+    ["amalgam", "--d", "-1", "--word", "1,2", "--dims", "4", "--samples", "4"],
+    ["character", "--lambda", "1", "--dims", "0", "--samples", "4"],
+    ["mc", "--state", "tracial", "--word", "1", "--blocks", "1,0,0",
+     "--dims", "4,-2", "--samples", "4"],
+], ids=lambda argv: " ".join(argv))
+def test_invalid_d_and_dims_exit_2_before_any_haar_draw(argv, capsys,
+                                                        monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Haar unitary was drawn")
+
+    monkeypatch.setattr(sampling, "sample_haar_unitary", refuse)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2, err
+    assert out == "" and err.startswith("error: ")
 
 
 def test_npy_header_with_unbalanced_bracket_exits_2(tmp_path, capsys,

@@ -1,10 +1,11 @@
 """Source hygiene: every name a module imports is used in that module,
 every module-level function or class is reachable from the package's
-roots, every parameter of a module-level function or method is read,
-every random draw comes from the counter-based streams of `RngStream`, and
-no function rebinds a module global, so state that one call needs (such as
-the contraction engine's buffers) stays local to the call and to its
-thread."""
+roots, every private method and every method of a private class is read
+as an attribute, every parameter of a module-level function or method is
+read, every random draw comes from the counter-based streams of
+`RngStream`, and no function rebinds a module global, so state that one
+call needs (such as the contraction engine's buffers) stays local to the
+call and to its thread."""
 import ast
 from pathlib import Path
 
@@ -95,6 +96,25 @@ def unused_parameters(source: str) -> list[str]:
     return out
 
 
+def unread_methods(sources: dict[str, str]) -> list[str]:
+    """Methods, as "module.Class.method", that no module reads as an
+    attribute: the private methods (`_name`, dunders aside) of a
+    module-level class, and every method of a private class. The package
+    uses such a method only through an attribute read, so one that none
+    reads is dead, which the reachability scan of names does not see.
+    """
+    trees = {name[:-3]: ast.parse(source) for name, source in sources.items()}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    return sorted(
+        f"{mod}.{cls.name}.{fn.name}" for mod, tree in trees.items()
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if isinstance(fn, ast.FunctionDef)
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and (fn.name.startswith("_") or cls.name.startswith("_"))
+        and fn.name not in read)
+
+
 def random_outside_streams(source: str) -> list[int]:
     """Lines that reach `np.random` (or `numpy.random`) outside the method
     `RngStream.generator`, the one place a random generator is built."""
@@ -175,6 +195,31 @@ def test_every_parameter_in_package_is_read():
     found = {path.name: unused_parameters(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     assert not {k: v for k, v in found.items() if v}, found
+
+
+def test_method_scan_flags_only_unread_private_methods():
+    sources = {
+        "a.py": ("class _Pool:\n"
+                 "    def __init__(self):\n        self.free = []\n"
+                 "    def take(self):\n        return self.free.pop()\n"
+                 "    def spare(self):\n        return self.take()\n"
+                 "    @property\n    def size(self):\n"
+                 "        return len(self.free)\n"
+                 "class Public:\n"
+                 "    def api(self):\n        return self._used()\n"
+                 "    def _used(self):\n        return 1\n"
+                 "    def _helper(self):\n        return 2\n"
+                 "def stray():\n    def _nested():\n        pass\n"),
+        "b.py": ("from .a import _Pool\n"
+                 "def run(pool: _Pool):\n    return pool.size\n"),
+    }
+    assert unread_methods(sources) == ["a.Public._helper", "a._Pool.spare"]
+
+
+def test_every_private_method_in_package_is_read():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert unread_methods(sources) == []
 
 
 def test_random_scan_flags_only_draws_outside_rng_stream():

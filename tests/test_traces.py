@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -406,57 +407,120 @@ def allocating_contraction(graph, mats, n):
 
 
 def test_arena_matches_allocating_contraction_bit_for_bit():
-    """Buffers laid out as numpy would lay out fresh results keep every
-    kernel's rounding: C-order, adjoint, Fortran-order, gapped and real
-    stacks, loops, parallel edges and N = 1 give the same bytes."""
+    """C-order arena buffers keep every kernel's rounding: C-order,
+    adjoint, gapped, negative-stride, broadcast and real stacks, one-sample
+    transposed ones, loops, parallel edges and N = 1 give the bytes of
+    fresh numpy results. A stack of B >= 2 in Fortran order, or with its
+    sample axis in the middle, is read as its C-order copy."""
     rng = np.random.default_rng(40)
     for trial in range(300):
         nv, ne = int(rng.integers(1, 6)), int(rng.integers(1, 7))
         g = LinearGraph(nv, tuple(random_edges(rng, 0, nv, ne)))
         n, samples = int(rng.integers(1, 5)), int(rng.integers(1, 4))
-        mats = []
+        mats, reference = [], []
         for _ in range(ne):
             m = rng.standard_normal((2 * samples, n, n)) \
                 + 1j * rng.standard_normal((2 * samples, n, n))
-            mats.append([m[:samples], adjoint_stack(m[:samples]),
-                         np.asfortranarray(m[:samples]), m[::2],
-                         m[:samples].real.copy()][int(rng.integers(5))])
+            layout = int(rng.integers(9))
+            stack = [m[:samples], adjoint_stack(m[:samples]),
+                     np.asfortranarray(m[:samples]), m[::2],
+                     m[:samples].real.copy(), m[:samples - 1:-1, :, ::-1],
+                     np.broadcast_to(m[0], (samples, n, n)),
+                     m[0].T[None] if samples == 1 else m[samples:],
+                     np.ascontiguousarray(m[:samples].transpose(1, 0, 2))
+                     .transpose(1, 0, 2)][layout]
+            mats.append(stack)
+            reference.append(np.ascontiguousarray(stack)
+                             if samples > 1 and layout in (2, 8) else stack)
         assert graph_trace_stack(g, mats, n).tobytes() \
-            == allocating_contraction(g, mats, n).tobytes()
+            == allocating_contraction(g, reference, n).tobytes()
         if nv <= n:
             total = np.zeros(samples, dtype=np.complex128)
             for coeff, q in traces._orbit_terms(g, traces._edge_classes(mats)):
-                total += coeff * allocating_contraction(q, mats, n)
+                total += coeff * allocating_contraction(q, reference, n)
             assert injective_trace_stack(g, mats, n).tobytes() \
                 == total.tobytes()
 
 
-def test_result_order_is_numpys():
-    """The layout the engine gives an outer product is the one numpy
-    allocates, whatever the operands' strides."""
-    rng = np.random.default_rng(41)
-    for _ in range(500):
-        samples, n = int(rng.choice([1, 3])), int(rng.choice([2, 3]))
-        eg, ea, eb = (int(e) for e in rng.integers(0, 3, size=3))
-        blocks = []
-        for free, shape in ((ea, (n ** ea, 1)), (eb, (1, n ** eb))):
-            arr = rng.standard_normal((samples,) + (n,) * (eg + free))
-            perm = (0,) + tuple(1 + rng.permutation(eg + free))
-            if rng.random() < 0.3:
-                arr = np.ascontiguousarray(arr.transpose(perm))
-            blocks.append(arr.transpose(perm).reshape(
-                (samples, n ** eg) + shape))
-        out = blocks[0] * blocks[1]
-        order = traces._result_order(*((b.shape, b.strides) for b in blocks))
-        long = [ax for ax in range(4) if out.shape[ax] > 1]
-        assert sorted(long, key=lambda ax: -out.strides[ax]) \
-            == [ax for ax in order if ax in long]
+def test_integer_stacks_sum_as_numpy_sums():
+    """A sum over an int8 stack widens as numpy's sum does, so the total
+    of sixteen entries of 100 does not wrap."""
+    m = np.full((2, 4, 4), 100, dtype=np.int8)
+    assert graph_trace_stack(LinearGraph(2, ((0, 1),)), [m], 4).tolist() \
+        == [1600, 1600]
+    assert graph_trace_stack(LinearGraph(1, ((0, 0),)), [m], 4).tolist() \
+        == [400, 400]
+
+
+ENGINE_LAYOUTS = {  # a C-order (6, N, N) stack -> a (3, N, N) edge stack
+    "c_order": lambda m: m[:3],
+    "adjoint": lambda m: adjoint_stack(m[:3]),
+    "gapped": lambda m: m[::2],
+    "negative_stride": lambda m: m[5:2:-1, ::-1],
+    "broadcast": lambda m: np.broadcast_to(m[0], (3,) + m.shape[1:]),
+    "real": lambda m: m[:3].real.copy(),
+}
+
+ENGINE_BYTES_SHA256 = {
+    "c_order":
+        "dadeb21eec750fbec5f9d1de1db964889be63a244efd4687057f437a6a233e50",
+    "adjoint":
+        "9fc2352944592d5c97bd63fd3779d07fa176dc575661ae03f9d35140a0bb4ec9",
+    "gapped":
+        "5f682c5e10c031513e310f73b8bef21e44882b4b80d353430930373de4f6fe06",
+    "negative_stride":
+        "348b14f6eb65a399588bd889b5ae3d9c02320158899cc17d9ea860c5bb96d627",
+    "broadcast":
+        "d6e5741f7a66f3ec077513eaa927df36d802f1e2df64878e615818f27b391a05",
+    "real":
+        "3410230a422ac63ffb432ddd12d4563279be2f2e6c24b96cca8753bc5eb25ef7",
+    "one_sample":
+        "ee83da2378ed966bcb29d85c4bdec0ca4b9162da8190581fd8b7121ce0b28c30",
+}
+
+
+def pinned_engine_bytes() -> dict[str, str]:
+    """SHA-256 of the elementary and injective forms per sample, per stack
+    layout, over the alternating 2-, 4- and 6-cycles (U on even edges, U*
+    on odd ones) and a two-component graph with loops and parallel edges,
+    at N = 7 and 12 with B = 3. "one_sample" feeds the (1, N, N) stacks
+    that scalar traces make of transposed legs, mixed with C-order ones."""
+    rng = np.random.default_rng(2024)
+    mixed = LinearGraph(5, ((0, 0), (0, 1), (0, 1), (1, 0), (2, 3), (3, 4),
+                            (4, 2), (4, 4)))
+    digests = {}
+    for name in list(ENGINE_LAYOUTS) + ["one_sample"]:
+        sha = hashlib.sha256()
+        for n in (7, 12):
+            base = [rng.standard_normal((6, n, n))
+                    + 1j * rng.standard_normal((6, n, n)) for _ in range(2)]
+            if name == "one_sample":
+                u, w = base[0][0].T[None], base[1][:1]
+            else:
+                u, w = (ENGINE_LAYOUTS[name](m) for m in base)
+            cases = [(LinearGraph(v, cycle_edges(v)),
+                      [u if e % 2 == 0 else adjoint_stack(u)
+                       for e in range(v)]) for v in (2, 4, 6)]
+            cases.append((mixed, [u, w, adjoint_stack(u), u, w, u,
+                                  adjoint_stack(w), w]))
+            for g, mats in cases:
+                sha.update(graph_trace_stack(g, mats, n).tobytes())
+                sha.update(injective_trace_stack(g, mats, n).tobytes())
+        digests[name] = sha.hexdigest()
+    return digests
+
+
+def test_engine_bytes_are_pinned():
+    """The engine's outputs on every stack layout the package and the
+    benchmark pass, byte for byte. N stays at most 12, where matmul and
+    einsum bytes do not depend on the BLAS thread count."""
+    assert pinned_engine_bytes() == ENGINE_BYTES_SHA256
 
 
 def test_six_cycle_expansion_holds_few_buffers():
-    """The 73 contractions of the alternating 6-cycle draw their
-    intermediates from one arena, which never holds more than about four
-    (B, N, N) buffers at once."""
+    """The 73 contractions of the alternating 6-cycle write every
+    intermediate into a C-order buffer of one arena, which never holds
+    more than about four (B, N, N) buffers at once."""
     n, samples = 40, 8
     rng = np.random.default_rng(4)
     u = rng.standard_normal((samples, n, n)) \
