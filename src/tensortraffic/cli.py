@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import (InvalidArgumentError, NumericalFailureError,
                      ResourceLimitError, TensorTrafficError)
-from .graphs import LinearGraph, component_count, load_graph
+from .graphs import LinearGraph, _integer, component_count, load_graph
 from .invariants import (classify_labeling, forest_leaves, forest_of_tec,
                          is_forest_of_cacti, is_well_oriented, leaf_count)
 from .operands import StateSpec, TensorOperand
@@ -97,9 +97,17 @@ def _parse_blocks(text: str) -> tuple[int, int, int]:
     return tuple(blocks)
 
 
+def _pair(value) -> complex:
+    """A complex number written as an [re, im] pair of two JSON numbers."""
+    if (not isinstance(value, list) or len(value) != 2
+            or any(type(x) not in (int, float) for x in value)):
+        raise ValueError(f"expected an [re, im] pair of numbers, got {value!r}")
+    return complex(*value)
+
+
 def _load_operand(path: str) -> TensorOperand:
     """Operand file: .npy stack of K complex matrices (or one matrix), or a
-    JSON list of matrices whose entries are numbers or [re, im] pairs.
+    JSON list of matrices whose entries are JSON numbers or [re, im] pairs.
     """
     if not os.path.exists(path):
         raise InvalidArgumentError(f"operand file not found: {path}")
@@ -121,8 +129,8 @@ def _load_operand(path: str) -> TensorOperand:
             for entry in doc:
                 rows = []
                 for row in entry:
-                    rows.append([complex(v[0], v[1]) if isinstance(v, list)
-                                 else complex(v) for v in row])
+                    rows.append([_pair(v if isinstance(v, list) else [v, 0])
+                                 for v in row])
                 mats.append(np.array(rows, dtype=np.complex128))
     # numpy re-tokenizes a version-1 header it cannot parse, and an
     # unbalanced bracket there escapes as tokenize.TokenError
@@ -144,11 +152,11 @@ def _state_for(name: str, k: int, n: int):
         try:
             with open(name, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            file_k = int(doc["K"])
-            coeffs = {SetPartition.from_string(rgs): complex(v[0], v[1])
+            file_k = _integer(doc["K"])
+            coeffs = {SetPartition.from_string(rgs): _pair(v)
                       for rgs, v in doc["coefficients"].items()}
-        except (OSError, AttributeError, IndexError, KeyError, OverflowError,
-                TypeError, ValueError) as exc:
+        except (OSError, AttributeError, KeyError, OverflowError, TypeError,
+                ValueError) as exc:
             raise InvalidArgumentError(
                 f"malformed coefficient file {name!r}: {exc}") from exc
         if file_k != k:

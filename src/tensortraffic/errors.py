@@ -27,7 +27,3 @@ class NotInvariantError(NumericalFailureError):
 
 class IllConditionedError(NumericalFailureError):
     """Numerical evaluation cannot reach the required precision."""
-
-
-class ProbeFailureError(NumericalFailureError):
-    """A probe operand is degenerate (zero reference trace); supply another."""

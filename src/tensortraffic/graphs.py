@@ -62,11 +62,6 @@ def quotient(graph: LinearGraph, pi: SetPartition) -> LinearGraph:
                        tuple((pi.rgs[s], pi.rgs[t]) for s, t in graph.edges))
 
 
-def kernel(entries) -> SetPartition:
-    """Partition of positions 1..n grouping equal entries of a multi-index."""
-    return SetPartition.from_values(entries)
-
-
 def canonical_form(graph: LinearGraph) -> LinearGraph:
     """Deterministic relabeling: first appearance in edge order, source first.
 
@@ -121,31 +116,35 @@ def component_count(graph: LinearGraph) -> int:
 # {"vertices": <int>, "edges": [[src, tgt], ...]} with 0-based ids and the
 # array order giving the edge order. Optional labels:
 # "labels": {"delta": [<int>, ...], "eps": ["u"|"s", ...]} ("s" marks a star).
+# Every count, vertex id and letter is a JSON integer.
 
-def graph_to_json(graph: LinearGraph, labels=None) -> dict:
-    doc = {"vertices": graph.vertex_count,
-           "edges": [[s, t] for s, t in graph.edges]}
-    if labels is not None:
-        delta, eps = labels
-        doc["labels"] = {"delta": list(delta),
-                         "eps": ["s" if star else "u" for star in eps]}
-    return doc
+def _integer(value) -> int:
+    """A JSON integer; floats, booleans and strings are refused."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _star(value) -> bool:
+    if value not in ("u", "s"):
+        raise ValueError(f'expected "u" or "s", got {value!r}')
+    return value == "s"
 
 
 def graph_from_json(doc: dict):
     """Returns (graph, labels) with labels = (delta, eps) or None."""
     try:
-        vertices, edges = int(doc["vertices"]), doc["edges"]
+        vertices, edges = _integer(doc["vertices"]), doc["edges"]
         if vertices > GRAPH_SIZE_CAP or len(edges) > GRAPH_SIZE_CAP:
             raise ResourceLimitError(
                 f"graph input capped at {GRAPH_SIZE_CAP} vertices and edges")
-        graph = LinearGraph(vertices,
-                            tuple((int(s), int(t)) for s, t in edges))
+        graph = LinearGraph(vertices, tuple((_integer(s), _integer(t))
+                                            for s, t in edges))
         if "labels" not in doc:
             return graph, None
-        delta = tuple(int(d) for d in doc["labels"]["delta"])
-        eps = tuple(e == "s" for e in doc["labels"]["eps"])
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        delta = tuple(_integer(d) for d in doc["labels"]["delta"])
+        eps = tuple(_star(e) for e in doc["labels"]["eps"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"malformed graph document: {exc}") from exc
     if len(delta) != graph.order or len(eps) != graph.order:
         raise InvalidArgumentError("label arity does not match edge count")

@@ -102,16 +102,6 @@ def doubled(lin: Linearization) -> Linearization:
                          lin.k1, lin.k2, lin.k3)
 
 
-def split_graphs(tprime: LinearGraph, lin: Linearization):
-    """Colored subgraphs of a quotient of the linearized graph: T1 keeps the
-    u/t-block edges, T2 the v-block edges; both keep the full vertex set.
-    """
-    if tprime.order != lin.graph.order:
-        raise InvalidArgumentError("quotient must preserve the edge list")
-    return split_by_color(tprime, tuple(2 if m.block == "v" else 1
-                                        for m in lin.meta))
-
-
 def t1_labels(lin: Linearization):
     """(delta, eps) along the u/t-block edges, in their edge order."""
     delta = tuple(m.letter for m in lin.meta if m.block in ("u", "t"))

@@ -1,6 +1,7 @@
 """Structural graph invariants: bridges, two-edge-connected components, the
-leaf count that governs trace growth, cactus predicates, colored-component
-graphs, pruning, and the splitting exponent.
+leaf count that governs trace growth, cactus predicates and the validity of
+a labeling, the split of a two-colored graph into its colored subgraphs,
+and the splitting exponent of such a split from three leaf counts.
 
 All predicates treat the graph as an undirected multigraph except where a
 directed notion is explicitly involved (well-orientedness, cycle words).
@@ -11,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidArgumentError
-from .graphs import LinearGraph, quotient, minimal_graph
-from .partitions import SetPartition, find_root, leq, union_roots
+from .graphs import LinearGraph
+from .partitions import find_root, union_roots
 
 
 # --- blocks (biconnected components), bridges and the leaf count --------------
@@ -224,28 +225,7 @@ def _classify(edges, blocks: list[list[int]], delta: tuple,
     return VALID, cycles
 
 
-def is_valid(graph: LinearGraph, delta, eps) -> bool:
-    return classify_labeling(graph, delta, eps) == VALID
-
-
-# --- colored components, pruning, and the splitting exponent -----------------
-
-@dataclass(frozen=True)
-class CCGNode:
-    color: int  # 1 or 2
-    vertices: frozenset[int]
-    has_cutting_edge: bool
-    leaves: int  # leaf count of the component as a standalone graph
-
-
-@dataclass(frozen=True)
-class ColoredComponentGraph:
-    nodes: tuple[CCGNode, ...]
-    edges: tuple[tuple[int, int], ...]  # node-index pairs, one per shared vertex
-
-    def degree(self, i: int) -> int:
-        return sum((a == i) + (b == i) for a, b in self.edges)
-
+# --- colored splitting and the splitting exponent ---------------------------
 
 def split_by_color(graph: LinearGraph, color) -> tuple[LinearGraph, LinearGraph]:
     """Subgraphs keeping only color-1 / color-2 edges; both keep all vertices."""
@@ -260,107 +240,7 @@ def split_by_color(graph: LinearGraph, color) -> tuple[LinearGraph, LinearGraph]
             LinearGraph(graph.vertex_count, e2))
 
 
-def _component_nodes(sub: LinearGraph, color: int) -> list[CCGNode]:
-    forest = forest_of_tec(sub)
-    # group TEC components into connected components of `sub`
-    parent = list(range(len(forest.components)))
-    for a, b, _ in forest.forest_edges:
-        union_roots(parent, a, b)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(forest.components)):
-        groups.setdefault(find_root(parent, i), []).append(i)
-    nodes = []
-    for root in sorted(groups):
-        tecs = groups[root]
-        verts = frozenset().union(*(forest.components[i] for i in tecs))
-        # leaf count of this component alone: degrees within the component
-        degrees = [forest.degrees[i] for i in tecs]
-        nodes.append(CCGNode(color, verts, any(degrees),
-                             forest_leaves(degrees)))
-    return nodes
-
-
-def colored_component_graph(graph: LinearGraph, color) -> ColoredComponentGraph:
-    """Bipartite contact graph of the color-1 and color-2 components.
-
-    Both colored subgraphs keep the full vertex set, so a vertex isolated in
-    one color still forms a trivial component of that color; every vertex of
-    the base graph yields exactly one contact edge.
-    """
-    t1, t2 = split_by_color(graph, color)
-    nodes1 = _component_nodes(t1, 1)
-    nodes2 = _component_nodes(t2, 2)
-    nodes = tuple(nodes1 + nodes2)
-    where1 = {}
-    for i, node in enumerate(nodes1):
-        for v in node.vertices:
-            where1[v] = i
-    where2 = {}
-    for j, node in enumerate(nodes2):
-        for v in node.vertices:
-            where2[v] = len(nodes1) + j
-    edges = tuple(sorted((where1[v], where2[v]) for v in range(graph.vertex_count)))
-    return ColoredComponentGraph(nodes, edges)
-
-
-def prune(ccg: ColoredComponentGraph) -> ColoredComponentGraph:
-    """Iteratively delete leaf nodes that have no cutting edge (with their
-    contact edge) until a fixpoint is reached.
-
-    Leaves are removed one at a time (lowest index first): when two
-    removable leaves are adjacent, deleting one strands the other at degree
-    zero, where it must stay; that keeps sum(leaves - degree) invariant,
-    which is exactly what the splitting-exponent bound rests on.
-    """
-    alive = set(range(len(ccg.nodes)))
-    edges = list(ccg.edges)
-    while True:
-        degree: dict[int, int] = {i: 0 for i in alive}
-        for a, b in edges:
-            degree[a] += 1
-            degree[b] += 1
-        victim = min((i for i in alive
-                      if degree[i] == 1 and not ccg.nodes[i].has_cutting_edge),
-                     default=None)
-        if victim is None:
-            break
-        alive.discard(victim)
-        edges = [(a, b) for a, b in edges if victim not in (a, b)]
-    order = sorted(alive)
-    remap = {old: new for new, old in enumerate(order)}
-    return ColoredComponentGraph(tuple(ccg.nodes[i] for i in order),
-                                 tuple((remap[a], remap[b]) for a, b in edges))
-
-
-def ccg_balance(ccg: ColoredComponentGraph) -> int:
-    """sum over nodes of (leaf count - degree); invariant under pruning."""
-    return sum(node.leaves - ccg.degree(i) for i, node in enumerate(ccg.nodes))
-
-
-def eta(graph: LinearGraph, color) -> Fraction:
-    """Splitting exponent of a two-coloring of the graph's edges.
-
-    Nonpositive for every coloring arising from the word-linearization
-    pipeline; arbitrary colorings carry no such guarantee.
-    """
-    t1, t2 = split_by_color(graph, color)
-    return splitting_exponent(leaf_count(graph), leaf_count(t1), leaf_count(t2),
-                              graph.vertex_count)
-
-
 def splitting_exponent(leaves_total: int, leaves_t1: int, leaves_t2: int,
                        vertices: int) -> Fraction:
     """(L(T1) + L(T2) - L(T') - 2|V'|) / 2 from the three leaf counts."""
     return Fraction(leaves_t1 + leaves_t2 - leaves_total - 2 * vertices, 2)
-
-
-def leaf_monotonicity_check(pi: SetPartition, pi2: SetPartition, k: int) -> bool:
-    """For pi2 <= pi, leaves may only shrink under coarsening:
-    L(T0^pi) <= L(T0^pi2). Always true; exposed as a checkable property.
-    """
-    if pi.n != 2 * k or pi2.n != 2 * k:
-        raise InvalidArgumentError("partitions must live on [2K]")
-    if not leq(pi2, pi):
-        raise InvalidArgumentError("need pi2 <= pi")
-    base = minimal_graph(k)
-    return leaf_count(quotient(base, pi)) <= leaf_count(quotient(base, pi2))

@@ -14,9 +14,7 @@ from math import factorial
 
 from .errors import InvalidArgumentError, ResourceLimitError
 
-# Bell numbers B(0)..B(12); enumeration is capped at n = 12.
-_BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597)
-ENUMERATION_CAP = 12
+ENUMERATION_CAP = 12  # Bell(12) = 4213597 partitions
 
 
 @dataclass(frozen=True)
@@ -110,9 +108,8 @@ def _normalize(assign) -> tuple[int, ...]:
 
 
 def bell_number(n: int) -> int:
-    if n <= ENUMERATION_CAP:
-        return _BELL[n]
-    # Bell triangle, only needed for error messages beyond the cap
+    """B(n) by the Bell triangle; only the enumeration cap's error message
+    needs it."""
     row = [1]
     for _ in range(n - 1):
         nxt = [row[-1]]
@@ -164,13 +161,6 @@ def leq(p: SetPartition, q: SetPartition) -> bool:
     return True
 
 
-def meet(p: SetPartition, q: SetPartition) -> SetPartition:
-    """Coarsest common refinement: blockwise intersections."""
-    _check_same_ground(p, q)
-    return SetPartition(_normalize([p.rgs[i] * (q.n + 1) + q.rgs[i]
-                                    for i in range(p.n)]))
-
-
 def find_root(parent: list[int], x: int) -> int:
     """Root of x in the union-find forest `parent`, halving the path."""
     while parent[x] != x:
@@ -184,24 +174,6 @@ def union_roots(parent: list[int], x: int, y: int):
     rx, ry = find_root(parent, x), find_root(parent, y)
     if rx != ry:
         parent[max(rx, ry)] = min(rx, ry)
-
-
-def join(p: SetPartition, q: SetPartition) -> SetPartition:
-    """Finest common coarsening, via union-find on overlapping blocks."""
-    _check_same_ground(p, q)
-    parent = list(range(p.n))
-    first_p: dict[int, int] = {}
-    first_q: dict[int, int] = {}
-    for i in range(p.n):
-        if p.rgs[i] in first_p:
-            union_roots(parent, first_p[p.rgs[i]], i)
-        else:
-            first_p[p.rgs[i]] = i
-        if q.rgs[i] in first_q:
-            union_roots(parent, first_q[q.rgs[i]], i)
-        else:
-            first_q[q.rgs[i]] = i
-    return SetPartition(_normalize([find_root(parent, i) for i in range(p.n)]))
 
 
 def mobius(p: SetPartition, q: SetPartition) -> int:

@@ -20,13 +20,6 @@ from .words import StarWord, is_trivial
 
 THREAD_CAP = 64  # worker threads of one sweep; results do not depend on it
 
-__all__ = [
-    "RngStream", "MCReport", "sample_haar_unitary", "haar_sweep",
-    "build_w_family", "word_matrix", "evaluate_word", "apply_state",
-    "mc_run", "symmetrize", "norm_absorption_demo", "NormDemoReport",
-]
-
-
 @dataclass(frozen=True)
 class RngStream:
     """Counter-based random stream: (seed, index) -> generator, pure."""

@@ -14,6 +14,12 @@ carries one leading sample axis, which makes Monte-Carlo sweeps cheap; an
 operand term is a stack of one sample. Edge stacks are read in place,
 except that a stack whose sample axis is not its outermost (Fortran order)
 is read as its C-order copy.
+
+The module also evaluates states on the tensor power (`apply_state`),
+renormalizes traces (`tau_trace`, `zeta_trace`), builds the operand that
+attains the N^(L/2) growth rate (`ms_optimality_witness`), and decomposes
+a permutation-invariant state exactly into elementary forms, one probe
+per kernel class (`decompose_invariant_state`).
 """
 from __future__ import annotations
 
@@ -27,8 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (InvalidArgumentError, NotInvariantError,
-                     ProbeFailureError, ResourceLimitError)
+from .errors import InvalidArgumentError, NotInvariantError, ResourceLimitError
 from .graphs import LinearGraph, component_count, minimal_graph, quotient
 from .invariants import forest_of_tec, leaf_count
 from .operands import (StateSpec, TensorOperand, inverse_permutation,
@@ -724,74 +729,3 @@ def reconstruction_value(coeffs: dict, operand: TensorOperand) -> complex:
     never contracted."""
     return complex(sum(a * graph_trace(_minimal_quotient(pi), operand)
                        for pi, a in coeffs.items() if a != 0))
-
-
-# --------------------------------------------------------------------------
-# randomized extraction of cumulative coefficients
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExtractReport:
-    estimate: complex
-    stderr: float
-    samples: int
-    reference: complex  # injective trace of the probe
-
-
-def _product_diagonals(pi: SetPartition, n, rng):
-    """Diagonal vectors D_1..D_2K built from per-block root-of-unity phases
-    and the zero-product family that separates distinct blocks.
-
-    For block C: D(i) = ((2 - X_C(i)) * prod_{C' != C} X_{C'}(i))^(1/|C|)
-    times a uniform |C|-th root of unity, with X iid uniform on {0, 2}.
-    Distinct blocks multiply to zero pointwise; a block's |C|-th power has
-    unit expectation, which is what kills all other elementary components.
-    """
-    blocks = pi.blocks()
-    m = len(blocks)
-    x = 2.0 * rng.integers(0, 2, size=(m, n))
-    bars = []
-    phases = []
-    for b, blk in enumerate(blocks):
-        size = len(blk)
-        others = np.ones(n)
-        for b2 in range(m):
-            if b2 != b:
-                others = others * x[b2]
-        bars.append(((2.0 - x[b]) * others) ** (1.0 / size))
-        phases.append(np.exp(2j * np.pi * rng.integers(0, size, size=n) / size))
-    return [bars[pi.block_of(pos)] * phases[pi.block_of(pos)]
-            for pos in range(1, pi.n + 1)]
-
-
-def randomized_coefficient_extract(psi, pi: SetPartition, k: int, n: int,
-                                   samples: int, seed=0,
-                                   probe: TensorOperand | None = None) -> ExtractReport:
-    """Monte-Carlo estimate of the cumulative coefficient b_pi (the sum of the
-    elementary coefficients below pi) of a permutation-invariant state.
-
-    Sandwiching a probe operand between random diagonal tensors kills every
-    elementary-form component except the one indexed by pi; dividing the
-    average by the probe's injective trace isolates b_pi.
-    """
-    if pi.n != 2 * k:
-        raise InvalidArgumentError("partition must live on [2K]")
-    if samples < 2:
-        raise InvalidArgumentError("need samples >= 2")
-    from .sampling import MCReport, haar_sweep  # sampling imports this module
-    if probe is None:
-        probe = ms_optimality_witness(pi, n)
-    reference = injective_graph_trace(_minimal_quotient(pi), probe)
-    if abs(reference) < 1e-12:
-        raise ProbeFailureError(
-            "probe operand has vanishing injective trace; supply another probe")
-
-    def sample(us, rng):
-        diags = _product_diagonals(pi, n, rng)
-        return apply_state(psi, TensorOperand(probe.n, k, [
-            (w, [diags[leg][:, None] * fs[leg] * diags[k + leg][None, :]
-                 for leg in range(k)]) for w, fs in probe.terms]))
-
-    rep = MCReport.from_samples(haar_sweep(sample, n, 0, samples, seed), n)
-    return ExtractReport(rep.estimate / reference, rep.stderr / abs(reference),
-                         samples, complex(reference))

@@ -20,8 +20,6 @@ from .graphs import LinearGraph, component_count
 from .operands import StateSpec, compose, cycles_of, inverse_permutation
 from .words import StarWord
 
-__all__ = ["WG_TERM_CAP", "weingarten", "exact_expectation"]
-
 WG_TERM_CAP = 10 ** 6  # (sigma, tau) pairings summed in one expectation
 
 EXACT_KINDS = ("tracial", "max_entangled_vector", "diagonal_uniform")

@@ -2,7 +2,9 @@
 
 Each is exponential and shares no code with the routine it checks.
 `dense_unital_coefficients` builds an input for them: a state on which no
-probe of the decomposition is zero.
+probe of the decomposition is zero. `eta` is no reference: it composes the
+package's own split and leaf count into the splitting exponent of a
+coloring, which the package computes only inside `predict`.
 """
 import itertools
 from fractions import Fraction
@@ -10,18 +12,18 @@ from fractions import Fraction
 import numpy as np
 
 from tensortraffic.characters import Signature
-from tensortraffic.errors import InvalidArgumentError, ResourceLimitError
+from tensortraffic.errors import InvalidArgumentError
 from tensortraffic.graphs import (LinearGraph, canonical_form, component_count,
                                   minimal_graph, quotient)
 from tensortraffic.haar import (FreenessCertificate, QuotientEntry,
                                 cycle_limit_coefficient, doubled, linearize,
-                                split_graphs, t1_labels)
+                                t1_labels)
 from tensortraffic.invariants import (VALID, classify_labeling, forest_leaves,
-                                      forest_of_tec, splitting_exponent)
+                                      forest_of_tec, leaf_count,
+                                      split_by_color, splitting_exponent)
 from tensortraffic.operands import (TensorOperand, compose, cycles_of,
                                     inverse_permutation)
-from tensortraffic.partitions import (SetPartition, enumerate_partitions, leq,
-                                      mobius)
+from tensortraffic.partitions import enumerate_partitions, leq, mobius
 from tensortraffic.traces import apply_state
 
 SIMPLE_CYCLE_EDGE_CAP = 16
@@ -71,49 +73,13 @@ def is_forest_of_cacti_by_enumeration(graph: LinearGraph) -> bool:
     return all(c == 1 for c in count)
 
 
-# --- exact expectation of the sandwich estimator -----------------------------
+# --- the splitting exponent of a two-coloring --------------------------------
 
-def extract_expectation_exact(psi, pi: SetPartition, k: int, n: int,
-                              probe: TensorOperand) -> complex:
-    """Exact expectation of the sandwich estimator of
-    `traces.randomized_coefficient_extract` by enumerating every
-    root-of-unity and product-variable assignment. Exponential; only for
-    tiny instances (the enumeration size is checked).
-    """
-    blocks = pi.blocks()
-    m = len(blocks)
-    sizes = [len(b) for b in blocks]
-    total_assignments = 1
-    for size in sizes:
-        total_assignments *= size ** n
-    total_assignments *= 2 ** (m * n)
-    if total_assignments > 2 * 10 ** 6:
-        raise ResourceLimitError(
-            f"exact enumeration needs {total_assignments} assignments")
-    acc = 0.0 + 0.0j
-    root_spaces = [list(itertools.product(range(size), repeat=n))
-                   for size in sizes]
-    x_space = list(itertools.product((0.0, 2.0), repeat=n))
-    count = 0
-    for root_choice in itertools.product(*root_spaces):
-        for x_choice in itertools.product(x_space, repeat=m):
-            count += 1
-            diags = []
-            for pos in range(1, 2 * k + 1):
-                b = pi.block_of(pos)
-                size = sizes[b]
-                phase = np.exp(2j * np.pi * np.array(root_choice[b]) / size)
-                others = np.ones(n)
-                for b2 in range(m):
-                    if b2 != b:
-                        others = others * np.array(x_choice[b2])
-                bar = ((2.0 - np.array(x_choice[b])) * others) ** (1.0 / size)
-                diags.append(bar * phase)
-            sandwiched = TensorOperand(probe.n, k, [
-                (w, [np.outer(diags[leg], diags[k + leg]) * fs[leg]
-                     for leg in range(k)]) for w, fs in probe.terms])
-            acc += apply_state(psi, sandwiched)
-    return complex(acc / count)
+def eta(graph: LinearGraph, color) -> Fraction:
+    """(L(T1) + L(T2) - L(T) - 2|V|) / 2 for the colored subgraphs T1, T2."""
+    t1, t2 = split_by_color(graph, color)
+    return splitting_exponent(leaf_count(graph), leaf_count(t1),
+                              leaf_count(t2), graph.vertex_count)
 
 
 # --- invariant-state decomposition by a scan over all pairs ----------------
@@ -188,6 +154,7 @@ def predict_ledger_reference(word, base: LinearGraph, k1: int, k2: int,
         lin = doubled(lin)
     graph = lin.graph
     delta, eps = t1_labels(lin)
+    color = tuple(2 if m.block == "v" else 1 for m in lin.meta)
     base_leaves = _forest_leaf_count(graph)
     ledger = {}
     for pi in enumerate_partitions(graph.vertex_count):
@@ -196,7 +163,7 @@ def predict_ledger_reference(word, base: LinearGraph, k1: int, k2: int,
         if key in ledger:
             ledger[key].multiplicity += 1
             continue
-        t1, t2 = split_graphs(tprime, lin)
+        t1, t2 = split_by_color(tprime, color)
         validity = classify_labeling(t1, delta, eps)
         coeff = haar_limit_reference(t1, delta, eps) if validity == VALID \
             else Fraction(0)

@@ -434,6 +434,27 @@ MALFORMED_FILES = {
     "loop.json": {"vertices": 1, "edges": [[0, 0]]},
     "bad_operand.json": [[["x"]]],
     "not_array.npy": {"vertices": 1},
+    # a star is "u" or "s", and every count, endpoint and letter a JSON int
+    "eps_capital.json": {"vertices": 2, "edges": [[0, 1], [1, 0]],
+                         "labels": {"delta": [1, 1], "eps": ["u", "S"]}},
+    "eps_true.json": {"vertices": 2, "edges": [[0, 1], [1, 0]],
+                      "labels": {"delta": [1, 1], "eps": ["u", True]}},
+    "eps_x.json": {"vertices": 2, "edges": [[0, 1], [1, 0]],
+                   "labels": {"delta": [1, 1], "eps": ["u", "x"]}},
+    "float_vertices.json": {"vertices": 2.9, "edges": [[0, 1], [1, 0]]},
+    "string_vertices.json": {"vertices": "2", "edges": [[0, 1], [1, 0]]},
+    "float_endpoint.json": {"vertices": 2, "edges": [[0, 1.7], [1, 0]]},
+    "float_delta.json": {"vertices": 2, "edges": [[0, 1], [1, 0]],
+                         "labels": {"delta": [1, 1.7], "eps": ["u", "s"]}},
+    "bool_delta.json": {"vertices": 2, "edges": [[0, 1], [1, 0]],
+                        "labels": {"delta": [1, True], "eps": ["u", "s"]}},
+    # a complex number is a number or exactly two, and K an integer
+    "triple_operand.json": [[[[1, 2, 3]]]],
+    "string_operand.json": [[["1+2j"]]],
+    "triple_coefficient.json": {"K": 1, "coefficients": {
+        "0,0": [0.25, 0, 9], "0,1": [0.0, 0.0]}},
+    "float_k.json": {"K": 1.9, "coefficients": {
+        "0,0": [0.25, 0.0], "0,1": [0.0, 0.0]}},
 }
 
 MALFORMED_ARRAYS = {
@@ -464,6 +485,20 @@ MALFORMED_ARRAYS = {
     ["normdemo", "--letters", "3", "--n", "-70", "--mode", "haar_pair"],
     ["amalgam", "--d", "0", "--word", "1,2", "--dims", "4", "--samples", "4"],
     ["character", "--lambda", "1", "--dims", "0", "--samples", "4"],
+    ["limit", "--graph", "@eps_capital.json"],
+    ["limit", "--graph", "@eps_true.json"],
+    ["limit", "--graph", "@eps_x.json"],
+    ["invariants", "--graph", "@float_vertices.json"],
+    ["invariants", "--graph", "@string_vertices.json"],
+    ["invariants", "--graph", "@float_endpoint.json"],
+    ["limit", "--graph", "@float_delta.json"],
+    ["limit", "--graph", "@bool_delta.json"],
+    ["trace", "--graph", "@loop.json", "--operand", "@triple_operand.json"],
+    ["trace", "--graph", "@loop.json", "--operand", "@string_operand.json"],
+    ["mc", "--state", "@triple_coefficient.json", "--word", "1",
+     "--blocks", "1,0,0", "--dims", "4", "--samples", "4"],
+    ["mc", "--state", "@float_k.json", "--word", "1", "--blocks", "1,0,0",
+     "--dims", "4", "--samples", "4"],
 ], ids=lambda argv: " ".join(argv))
 def test_malformed_input_exits_2(argv, tmp_path, capsys):
     for name, doc in MALFORMED_FILES.items():

@@ -6,8 +6,7 @@ import pytest
 from tensortraffic.errors import InvalidArgumentError
 from tensortraffic.graphs import (LinearGraph, adjoint_graph, canonical_form,
                                   component_count, disjoint_union,
-                                  graph_from_json, graph_to_json, kernel,
-                                  minimal_graph, quotient)
+                                  graph_from_json, minimal_graph, quotient)
 from tensortraffic.partitions import SetPartition, enumerate_partitions
 
 
@@ -88,10 +87,9 @@ def test_quotient_composition():
 
 
 def test_kernel_examples():
-    assert kernel((6, 1, 4, 1, 6, 2, 2, 2)) == SetPartition.from_blocks(
-        8, [(1, 5), (2, 4), (3,), (6, 7, 8)])
-    assert kernel((5, 5, 5)) == SetPartition.full(3)
-    assert kernel((1, 2, 3)) == SetPartition.discrete(3)
+    # the kernel of a multi-index groups the positions of equal entries
+    assert SetPartition.from_values((6, 1, 4, 1, 6, 2, 2, 2)) == \
+        SetPartition.from_blocks(8, [(1, 5), (2, 4), (3,), (6, 7, 8)])
 
 
 def test_kernel_relabeling_invariance():
@@ -99,7 +97,8 @@ def test_kernel_relabeling_invariance():
     for _ in range(25):
         vals = rng.integers(1, 5, size=6)
         relabel = {v: i + 10 for i, v in enumerate(dict.fromkeys(vals.tolist()))}
-        assert kernel(vals) == kernel([relabel[v] for v in vals.tolist()])
+        assert SetPartition.from_values(vals) == SetPartition.from_values(
+            [relabel[v] for v in vals.tolist()])
 
 
 def test_canonical_form_idempotent_and_first_seen():
@@ -155,13 +154,11 @@ def test_disjoint_union():
 
 
 def test_json_roundtrip():
-    g = LinearGraph(3, [(0, 1), (1, 2), (2, 0)])
-    labels = ((1, 1, 2), (False, True, False))
-    doc = graph_to_json(g, labels)
-    assert doc == {"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]],
-                   "labels": {"delta": [1, 1, 2], "eps": ["u", "s", "u"]}}
-    g2, labels2 = graph_from_json(json.loads(json.dumps(doc)))
-    assert g2 == g and labels2 == labels
+    doc = {"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]],
+           "labels": {"delta": [1, 1, 2], "eps": ["u", "s", "u"]}}
+    g, labels = graph_from_json(json.loads(json.dumps(doc)))
+    assert g == LinearGraph(3, [(0, 1), (1, 2), (2, 0)])
+    assert labels == ((1, 1, 2), (False, True, False))
 
 
 def test_bad_edges_rejected():

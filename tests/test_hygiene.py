@@ -1,15 +1,25 @@
-"""Source hygiene: every name a module imports is used in that module,
-every module-level function or class is reachable from the package's
-roots, every private method and every method of a private class is read
-as an attribute, every parameter of a module-level function or method is
-read, every random draw comes from the counter-based streams of
-`RngStream`, and no function rebinds a module global, so state that one
+"""Source hygiene: every name a module imports is used in that module;
+every module-level function or class is reachable from the command line
+(`cli.main`), from module-level code, or from the benchmark and the
+acceptance criteria, which import from the package (a re-export alone
+keeps nothing alive); every private method and every method of a private
+class is read as an attribute; every parameter of a module-level function
+or method is read; every random draw comes from the counter-based streams
+of `RngStream`; and no function rebinds a module global, so state that one
 call needs (such as the contraction engine's buffers) stays local to the
 call and to its thread."""
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tensortraffic"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tensortraffic"
+# the code outside the package that reaches it other than through the
+# command line: the benchmark, and the acceptance criteria
+CONSUMERS = sorted((ROOT / "perfbench").glob("*.py")) + [
+    ROOT / "tests" / "test_acceptance.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,13 +45,18 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
-def unreachable_definitions(sources: dict[str, str]) -> list[str]:
+def unreachable_definitions(sources: dict[str, str],
+                            consumers: dict[str, str]) -> list[str]:
     """Module-level functions and classes, as "module.name", that no root
-    reaches. The roots are the names `__init__` imports, every module's
-    __all__, `cli.main` and the names module-level code reads; a reachable
-    definition reaches every name it reads, followed through relative
-    `from .module import name` statements (also those inside functions).
-    Mutual references alone keep nothing alive.
+    reaches, and the names `__init__` re-exports from them, as
+    "__init__.name". The roots are `cli.main`, the names module-level code
+    reads, and the names that code outside the package (`consumers`) reads
+    from it: `x` of `from tensortraffic.mod import x`, and `mod.x` for a
+    module bound by `from tensortraffic import mod`. A re-export or an
+    `__all__` entry is no root. A reachable definition reaches every name
+    it reads, followed through relative `from .module import name`
+    statements (also those inside functions). Mutual references alone keep
+    nothing alive.
     """
     trees = {name[:-3]: ast.parse(source) for name, source in sources.items()}
     defs, imports, roots = {}, {}, [("cli", "main")]
@@ -54,23 +69,26 @@ def unreachable_definitions(sources: dict[str, str]) -> list[str]:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[(mod, node.name)] = node
-            elif (isinstance(node, ast.Assign)
-                  and any(isinstance(t, ast.Name) and t.id == "__all__"
-                          for t in node.targets)):
-                roots += [(mod, elt.value) for elt in node.value.elts]
             else:
                 roots += [(mod, name) for name in _names_read(node)]
-    roots += imports.get("__init__", {}).values()
-    reached = set()
-    while roots:
-        mod, name = roots.pop()
+    for source in consumers.values():
+        roots += _package_names_read(ast.parse(source), trees)
+
+    def resolve(mod, name):
         while (mod, name) not in defs and name in imports.get(mod, {}):
             mod, name = imports[mod][name]
-        if (mod, name) in defs and (mod, name) not in reached:
-            reached.add((mod, name))
-            roots += [(mod, n) for n in _names_read(defs[(mod, name)])]
-    return sorted(f"{mod}.{name}" for mod, name in defs
-                  if (mod, name) not in reached)
+        return mod, name
+
+    reached = set()
+    while roots:
+        key = resolve(*roots.pop())
+        if key in defs and key not in reached:
+            reached.add(key)
+            roots += [(key[0], n) for n in _names_read(defs[key])]
+    dead = [key for key in defs if key not in reached]
+    dead += [("__init__", name) for name in imports.get("__init__", {})
+             if resolve("__init__", name) in dead]
+    return sorted(f"{mod}.{name}" for mod, name in dead)
 
 
 def unused_parameters(source: str) -> list[str]:
@@ -140,6 +158,25 @@ def _names_read(node) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
+def _package_names_read(tree, modules) -> list[tuple[str, str]]:
+    """(module, name) pairs that code outside the package reads from it;
+    `from tensortraffic import name` reads `__init__.name` unless `name` is
+    one of `modules`."""
+    bound, out = {}, []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "tensortraffic"):
+            mod = node.module.partition(".")[2] or "__init__"
+            for a in node.names:
+                if mod == "__init__" and a.name in modules:
+                    bound[a.asname or a.name] = a.name
+                else:
+                    out.append((mod, a.name))
+    return out + [(bound[n.value.id], n.attr) for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute)
+                  and isinstance(n.value, ast.Name) and n.value.id in bound]
+
+
 def test_unused_import_scan_flags_only_unused_names():
     source = ("from __future__ import annotations\n"
               "import os, sys\nfrom json import dumps, loads as ld\n"
@@ -168,16 +205,40 @@ def test_reachability_scan_flags_only_unreachable_definitions():
                  "def startup():\n    pass\n"),
         "b.py": ("def shared():\n    from .c import late\n    return late\n"
                  "def orphan():\n    return shared()\n"),
-        "c.py": "class late:\n    pass\nclass Unused:\n    pass\n",
+        "c.py": ("class late:\n    pass\nclass Unused:\n    pass\n"
+                 "class Imported:\n    pass\n"),
     }
-    assert unreachable_definitions(sources) == \
-        ["a._ping", "a._pong", "b.orphan", "c.Unused"]
+    consumers = {"bench.py": ("from tensortraffic import b as mod\n"
+                              "from tensortraffic.c import Imported\n"
+                              "mod.orphan()\n")}
+    # neither the re-export nor the __all__ entry keeps a definition alive
+    assert unreachable_definitions(sources, consumers) == [
+        "__init__.public", "a._ping", "a._pong", "a.listed", "a.public",
+        "c.Unused"]
+    # the outside reads alone keep b.orphan, b.shared, c.late and c.Imported
+    assert unreachable_definitions(sources, {}) == [
+        "__init__.public", "a._ping", "a._pong", "a.listed", "a.public",
+        "b.orphan", "b.shared", "c.Imported", "c.Unused", "c.late"]
 
 
 def test_every_definition_in_package_is_reachable():
+    """Also every name `__init__` re-exports: the README example's and the
+    exception classes."""
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(SRC.glob("*.py"))}
-    assert unreachable_definitions(sources) == []
+    consumers = {str(path): path.read_text(encoding="utf-8")
+                 for path in CONSUMERS}
+    assert unreachable_definitions(sources, consumers) == []
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's library example runs on the names `__init__` exports."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    limit, trace, injective = capsys.readouterr().out.split()
+    assert limit == "1"
+    assert complex(trace) == pytest.approx(complex(injective))
 
 
 def test_unused_parameter_scan_flags_only_unread_parameters():

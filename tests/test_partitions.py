@@ -6,8 +6,7 @@ import pytest
 
 from tensortraffic.errors import InvalidArgumentError, ResourceLimitError
 from tensortraffic.partitions import (SetPartition, enumerate_partitions,
-                                      interval, join, leq, meet, mobius,
-                                      mobius_table)
+                                      interval, leq, mobius, mobius_table)
 
 
 def brute_force_partitions(n):
@@ -74,27 +73,6 @@ def test_leq_examples():
 def test_leq_mismatch():
     with pytest.raises(InvalidArgumentError):
         leq(SetPartition.discrete(3), SetPartition.discrete(4))
-
-
-def test_join_meet_examples():
-    a = SetPartition.from_blocks(3, [(1, 2), (3,)])
-    b = SetPartition.from_blocks(3, [(2, 3), (1,)])
-    assert join(a, b) == SetPartition.full(3)
-    full = SetPartition.full(3)
-    assert meet(full, a) == a
-    assert join(a, SetPartition.discrete(3)) == a
-
-
-def test_lattice_laws():
-    parts = enumerate_partitions(4)
-    rng = np.random.default_rng(0)
-    for _ in range(60):
-        a, b = (parts[rng.integers(len(parts))] for _ in range(2))
-        # absorption
-        assert join(a, meet(a, b)) == a
-        assert meet(a, join(a, b)) == a
-        # order consistency
-        assert leq(meet(a, b), a) and leq(a, join(a, b))
 
 
 def test_mobius_examples():

@@ -8,7 +8,7 @@ import pytest
 
 from tensortraffic import traces
 from tensortraffic.errors import (InvalidArgumentError, NotInvariantError,
-                                  ProbeFailureError, ResourceLimitError)
+                                  ResourceLimitError)
 from tensortraffic.graphs import (LinearGraph, component_count, minimal_graph,
                                   quotient)
 from tensortraffic.invariants import leaf_count
@@ -19,11 +19,10 @@ from tensortraffic.traces import (apply_state, contraction_plan,
                                   graph_trace_stack, injective_graph_trace,
                                   injective_trace_stack,
                                   ms_optimality_witness, naive_graph_trace,
-                                  randomized_coefficient_extract,
                                   reconstruction_value, tau_trace, zeta_trace)
 
 from oracles import (dense_unital_coefficients, elementary_probes,
-                     extract_expectation_exact, leq_scan_decomposition)
+                     leq_scan_decomposition)
 
 
 def random_operand(rng, n, k):
@@ -760,42 +759,3 @@ def test_elementary_combination_unitality_enforced():
     with pytest.raises(InvalidArgumentError):
         StateSpec("elementary_combination", k=1, n=4,
                   coeffs={SetPartition.full(2): 1.0})
-
-
-# --- randomized coefficient extraction --------------------------------------
-
-def test_extract_tracial_k1_full():
-    n = 6
-    pi = SetPartition.full(2)
-    report = randomized_coefficient_extract(
-        StateSpec("tracial", k=1, n=n), pi, 1, n, samples=4000, seed=2)
-    assert abs(report.estimate - 1.0 / n) <= 3 * report.stderr + 1e-12
-
-
-def test_extract_selectivity_cross_term():
-    # probing at the discrete partition: b = a_disc = 0 for the trace state
-    n = 6
-    pi = SetPartition.discrete(2)
-    report = randomized_coefficient_extract(
-        StateSpec("tracial", k=1, n=n), pi, 1, n, samples=4000, seed=3)
-    assert abs(report.estimate) <= 3 * report.stderr + 1e-12
-
-
-def test_extract_exact_enumeration_matches_b():
-    n, k = 3, 1
-    pi = SetPartition.full(2)
-    probe = TensorOperand.factored([np.eye(n)])
-    spec = StateSpec("tracial", k=k, n=n)
-    exact = extract_expectation_exact(spec, pi, k, n, probe)
-    reference = injective_graph_trace(quotient(minimal_graph(k), pi), probe)
-    # b = a_full + a_disc = 1/N for the normalized trace
-    assert abs(exact / reference - 1.0 / n) < 1e-12
-
-
-def test_extract_probe_failure():
-    n = 6
-    pi = SetPartition.full(2)
-    zero_probe = TensorOperand.factored([np.zeros((n, n))])
-    with pytest.raises(ProbeFailureError):
-        randomized_coefficient_extract(StateSpec("tracial", k=1, n=n), pi, 1,
-                                       n, samples=10, probe=zero_probe)

@@ -7,12 +7,11 @@ from tensortraffic.errors import InvalidArgumentError, ResourceLimitError
 from tensortraffic.graphs import LinearGraph, canonical_form, quotient
 from tensortraffic.haar import (_quotient_class, cycle_limit_coefficient,
                                 haar_limit_injective, linearize,
-                                predict_freeness_limit, split_graphs,
+                                predict_freeness_limit,
                                 splitting_identity_check, t1_labels)
-from tensortraffic.invariants import VALID, classify_labeling
-from tensortraffic.operands import StateSpec, TensorOperand
-from tensortraffic.partitions import SetPartition, enumerate_partitions
-from tensortraffic.traces import randomized_coefficient_extract
+from tensortraffic.invariants import VALID, classify_labeling, split_by_color
+from tensortraffic.operands import TensorOperand
+from tensortraffic.partitions import enumerate_partitions
 from tensortraffic.words import StarWord, all_words, free_reduce, is_trivial
 
 from oracles import haar_limit_reference, predict_ledger_reference
@@ -98,13 +97,12 @@ def test_split_graphs_orders_and_union():
     lin = linearize(base, word, 1, 1, 1)
     parts = enumerate_partitions(lin.graph.vertex_count)
     pi = parts[7]
-    from tensortraffic.graphs import quotient
     tprime = quotient(lin.graph, pi)
-    t1, t2 = split_graphs(tprime, lin)
+    color = [2 if m.block == "v" else 1 for m in lin.meta]
+    t1, t2 = split_by_color(tprime, color)
     assert t1.order == 2 * len(word) and t2.order == 1 * len(word)
     assert t1.vertex_count == t2.vertex_count == tprime.vertex_count
     # every edge lands in the subgraph of its block's colour, in edge order
-    color = [2 if m.block == "v" else 1 for m in lin.meta]
     assert t1.edges == tuple(e for e, c in zip(tprime.edges, color) if c == 1)
     assert t2.edges == tuple(e for e, c in zip(tprime.edges, color) if c == 2)
 
@@ -375,9 +373,6 @@ def test_sampled_checks_validate_their_arguments(rng):
     with pytest.raises(InvalidArgumentError, match="need samples >= 2"):
         splitting_identity_check(tprime, (1, 1, 2), b1, b2, mode="sampled",
                                  samples=1)
-    with pytest.raises(InvalidArgumentError, match="need samples >= 2"):
-        randomized_coefficient_extract(StateSpec("tracial", k=1, n=4),
-                                       SetPartition.full(2), 1, 4, samples=1)
     for mode in ("exact", "sampled"):
         rep = splitting_identity_check(tprime, (1, 1, 2), b1, b2, mode=mode,
                                        samples=8)
