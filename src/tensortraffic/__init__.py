@@ -12,8 +12,8 @@ of the README example, and the exceptions every call may raise.
 __version__ = "0.1.0"
 
 from .errors import (IllConditionedError, InvalidArgumentError,
-                     NotInvariantError, NumericalFailureError,
-                     ResourceLimitError, TensorTrafficError)
+                     NumericalFailureError, ResourceLimitError,
+                     TensorTrafficError)
 from .graphs import LinearGraph
 from .operands import TensorOperand
 from .traces import graph_trace, injective_graph_trace

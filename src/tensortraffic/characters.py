@@ -257,9 +257,6 @@ class PermutationSpanOperator:
             out += c * leg_permutation(sigma, self.n)
         return out
 
-    def coefficient_vector(self, order) -> np.ndarray:
-        return np.array([self.coefficients[s] for s in order])
-
 
 def _operand_legs(a, d, n):
     """A TensorOperand, or the N^d x N^d matrix of a dense input."""

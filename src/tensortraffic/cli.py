@@ -225,7 +225,7 @@ def _cmd_mobius(args) -> int:
 def _cmd_decompose(args) -> int:
     _check_dimension(args.n)
     state = _state_for(args.state, args.k, args.n)
-    coeffs = decompose_invariant_state(state, args.k, args.n, seed=args.seed)
+    coeffs = decompose_invariant_state(state, args.k, args.n)
     rng = RngStream(args.seed, 10 ** 6).generator()
     residuals = []
     for _ in range(5):
@@ -391,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tracial | entangled | diagonal | coeffs.json")
     p.add_argument("--k", type=int, required=True, help="number of legs")
     p.add_argument("--n", type=int, required=True, help="matrix dimension")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random reconstruction probes")
     common(p)
     p.set_defaults(func=_cmd_decompose)
 

@@ -21,9 +21,5 @@ class NumericalFailureError(TensorTrafficError, RuntimeError):
     """An exact identity failed beyond its tolerance."""
 
 
-class NotInvariantError(NumericalFailureError):
-    """A state or family failed the permutation-invariance residual check."""
-
-
 class IllConditionedError(NumericalFailureError):
     """Numerical evaluation cannot reach the required precision."""

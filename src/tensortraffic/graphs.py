@@ -116,12 +116,19 @@ def component_count(graph: LinearGraph) -> int:
 # {"vertices": <int>, "edges": [[src, tgt], ...]} with 0-based ids and the
 # array order giving the edge order. Optional labels:
 # "labels": {"delta": [<int>, ...], "eps": ["u"|"s", ...]} ("s" marks a star).
-# Every count, vertex id and letter is a JSON integer.
+# Every count, vertex id and letter is a JSON integer; both labels are arrays.
 
 def _integer(value) -> int:
     """A JSON integer; floats, booleans and strings are refused."""
     if type(value) is not int:
         raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _array(value) -> list:
+    """A JSON array; a string or an object is refused, not iterated."""
+    if type(value) is not list:
+        raise ValueError(f"expected an array, got {value!r}")
     return value
 
 
@@ -142,8 +149,8 @@ def graph_from_json(doc: dict):
                                             for s, t in edges))
         if "labels" not in doc:
             return graph, None
-        delta = tuple(_integer(d) for d in doc["labels"]["delta"])
-        eps = tuple(_star(e) for e in doc["labels"]["eps"])
+        delta = tuple(_integer(d) for d in _array(doc["labels"]["delta"]))
+        eps = tuple(_star(e) for e in _array(doc["labels"]["eps"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"malformed graph document: {exc}") from exc
     if len(delta) != graph.order or len(eps) != graph.order:

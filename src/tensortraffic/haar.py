@@ -27,9 +27,7 @@ PREDICT_VERTEX_CAP = 10  # Bell(10) = 115975 quotients
 
 @dataclass(frozen=True)
 class EdgeMeta:
-    base_edge: int  # 1-based index of the base edge
-    position: int   # 1-based position within the word
-    block: str      # "u", "t" or "v"
+    block: str  # "u", "t" or "v"
     letter: int
     star: bool
 
@@ -38,11 +36,6 @@ class EdgeMeta:
 class Linearization:
     graph: LinearGraph
     meta: tuple[EdgeMeta, ...]
-    base: LinearGraph
-    word: StarWord
-    k1: int
-    k2: int
-    k3: int
 
 
 def _block_of(k: int, k1: int, k2: int) -> str:
@@ -84,9 +77,9 @@ def linearize(base: LinearGraph, word: StarWord, k1: int, k2: int,
                 a, b = b, a
             edges.append((a, b))
             letter, star = word.letters[i - 1]
-            meta.append(EdgeMeta(k, i, block, letter, star))
+            meta.append(EdgeMeta(block, letter, star))
     graph = LinearGraph(nv + base.order * (p - 1), tuple(edges))
-    return Linearization(graph, tuple(meta), base, word, k1, k2, k3)
+    return Linearization(graph, tuple(meta))
 
 
 def doubled(lin: Linearization) -> Linearization:
@@ -95,11 +88,8 @@ def doubled(lin: Linearization) -> Linearization:
     index graph of the squared-modulus trace used for variance control.
     """
     graph = disjoint_union(lin.graph, adjoint_graph(lin.graph))
-    kk = lin.base.order
-    meta2 = tuple(EdgeMeta(m.base_edge + kk, m.position, m.block, m.letter,
-                           not m.star) for m in lin.meta)
-    return Linearization(graph, lin.meta + meta2, lin.base, lin.word,
-                         lin.k1, lin.k2, lin.k3)
+    meta2 = tuple(EdgeMeta(m.block, m.letter, not m.star) for m in lin.meta)
+    return Linearization(graph, lin.meta + meta2)
 
 
 def t1_labels(lin: Linearization):

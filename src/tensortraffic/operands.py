@@ -7,7 +7,6 @@ N^(2K).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,15 +14,17 @@ import numpy as np
 from .errors import InvalidArgumentError, ResourceLimitError
 from .partitions import ENUMERATION_CAP, SetPartition
 
-DENSE_GUARD_BITS = 16  # K * log2(N) <= 16 for an N^K x N^K dense operator
+DENSE_BYTES_CAP = 2 ** 28  # 256 MiB: one complex N x N matrix at N = 4096
 
 
 def check_dense_size(legs: int, n: int):
-    """Refuse a dense operator on K = legs tensor legs of C^N beyond the
-    guard, before anything of that size is allocated."""
-    if legs * math.log2(n) > DENSE_GUARD_BITS and n > 1:
+    """Refuse a dense operator on K = legs tensor legs of C^N whose complex
+    N^K x N^K matrix exceeds DENSE_BYTES_CAP, before anything of that size
+    is allocated."""
+    if 16 * n ** (2 * legs) > DENSE_BYTES_CAP:
         raise ResourceLimitError(
-            f"dense operators guarded at K*log2(N) <= {DENSE_GUARD_BITS}")
+            f"dense operators are capped at {DENSE_BYTES_CAP >> 20} MiB "
+            f"(N^K x N^K complex, N = {n}, K = {legs})")
 
 
 def permutation_matrix(perm) -> np.ndarray:
@@ -108,11 +109,6 @@ class TensorOperand:
             raise InvalidArgumentError("need at least one factor")
         n = factors[0].shape[0]
         return cls(n, len(factors), [(weight, factors)])
-
-    @classmethod
-    def scalar(cls, n, weight=1.0) -> "TensorOperand":
-        """Zero-leg operand (a bare weight); pairs with edgeless graphs."""
-        return cls(n, 0, [(weight, ())])
 
     @classmethod
     def identity(cls, n, legs) -> "TensorOperand":

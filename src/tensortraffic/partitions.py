@@ -55,21 +55,6 @@ class SetPartition:
         return tuple(tuple(blk) for blk in out)
 
     @classmethod
-    def from_blocks(cls, n: int, blocks) -> "SetPartition":
-        """Build from an iterable of blocks of 1-based positions."""
-        assign = [-1] * n
-        for i, blk in enumerate(blocks):
-            for pos in blk:
-                if not 1 <= pos <= n:
-                    raise InvalidArgumentError(f"position {pos} outside [1,{n}]")
-                if assign[pos - 1] != -1:
-                    raise InvalidArgumentError(f"position {pos} appears twice")
-                assign[pos - 1] = i
-        if -1 in assign:
-            raise InvalidArgumentError("blocks do not cover the ground set")
-        return cls(_normalize(assign))
-
-    @classmethod
     def from_values(cls, values) -> "SetPartition":
         """Partition whose blocks group equal entries of `values`."""
         seq = list(values)

@@ -74,26 +74,6 @@ def sample_haar_unitary(n: int, rng) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def build_w_family(u_family, v_family, k1: int, k2: int, k3: int):
-    """Tensor words U^{x K1} x U^t{x K2} x V, stored factored per letter."""
-    if k1 < 1 or k2 < 0 or k3 < 0:
-        raise InvalidArgumentError("need K1 >= 1 and K2, K3 >= 0")
-    if k3 == 0:
-        v_family = [None] * len(u_family)
-    if len(u_family) != len(v_family):
-        raise InvalidArgumentError("U and V families must have equal size")
-    out = []
-    for u, v in zip(u_family, v_family):
-        legs = [u] * k1 + [u.T] * k2
-        if k3:
-            if len(v) != k3:
-                raise InvalidArgumentError(
-                    f"V entry has {len(v)} legs, expected {k3}")
-            legs.extend(v)
-        out.append(TensorOperand.factored(legs))
-    return out
-
-
 def word_matrix(word: StarWord, mats) -> np.ndarray:
     """Product of the word's letters: letter l is mats[l - 1], a starred
     letter is its adjoint, and the empty word is the identity."""
@@ -106,17 +86,15 @@ def word_matrix(word: StarWord, mats) -> np.ndarray:
     return np.eye(len(mats[0]), dtype=np.complex128) if out is None else out
 
 
-def evaluate_word(family, word: StarWord) -> TensorOperand:
-    """Word of factored unitary tensors, multiplied leg by leg."""
-    if not family:
-        raise InvalidArgumentError("empty family")
-    legs = []
-    for entry in family:
-        if len(entry.terms) != 1:
-            raise InvalidArgumentError("family entries must be plain factored")
-        legs.append(entry.terms[0][1])
-    return TensorOperand.factored([word_matrix(word, mats)
-                                   for mats in zip(*legs)])
+def evaluate_word(word: StarWord, us, vs, k1: int, k2: int) -> TensorOperand:
+    """The word tensor of one sample, U^{x K1} x U^t{x K2} x V multiplied
+    leg by leg: letter l reads us[l - 1] on the first K1 legs, its transpose
+    on the next K2, and vs[l - 1][j] on V leg j (vs is None when K3 = 0).
+    """
+    legs = [us] * k1 + [[u.T for u in us]] * k2
+    if vs is not None:
+        legs += zip(*vs)
+    return TensorOperand.factored([word_matrix(word, mats) for mats in legs])
 
 
 # --------------------------------------------------------------------------
@@ -152,16 +130,13 @@ def _sample_value(state, word, blocks, v_mode, us, rng):
     k1, k2, k3 = blocks
     n = us[0].shape[0]
     vs = None
-    if k3:
-        vs = []
-        for ell in range(len(us)):
-            if v_mode == "haar":
-                vs.append([sample_haar_unitary(n, rng) for _ in range(k3)])
-            else:  # deterministic tensor products of permutation matrices
-                vs.append([permutation_matrix((np.arange(n) + ell + 1 + leg) % n)
-                           for leg in range(k3)])
-    family = build_w_family(us, vs, k1, k2, k3)
-    return apply_state(state, evaluate_word(family, word))
+    if k3 and v_mode == "haar":
+        vs = [[sample_haar_unitary(n, rng) for _ in range(k3)] for _ in us]
+    elif k3:  # deterministic tensor products of permutation matrices
+        vs = [[permutation_matrix((np.arange(n) + ell + 1 + leg) % n)
+               .astype(np.complex128) for leg in range(k3)]
+              for ell in range(len(us))]
+    return apply_state(state, evaluate_word(word, us, vs, k1, k2))
 
 
 def mc_run(state, word: StarWord, blocks, n: int, samples: int,
@@ -170,6 +145,9 @@ def mc_run(state, word: StarWord, blocks, n: int, samples: int,
     (expectation, variance). The variance report carries the spread of the
     variance estimator itself as its standard error.
     """
+    k1, k2, k3 = blocks
+    if k1 < 1 or k2 < 0 or k3 < 0:
+        raise InvalidArgumentError("need K1 >= 1 and K2, K3 >= 0")
     if is_trivial(word):
         ident = apply_state(state, TensorOperand.identity(n, sum(blocks)))
         values = haar_sweep(lambda us, rng: ident, n, 0, samples, seed, threads)
@@ -184,48 +162,20 @@ def mc_run(state, word: StarWord, blocks, n: int, samples: int,
 
 
 # --------------------------------------------------------------------------
-# symmetrization (exact or sampled group averaging)
+# symmetrization (exact group averaging)
 # --------------------------------------------------------------------------
 
-def symmetrize(target, n: int, group: str = "sn_exact", samples: int = 200,
-               seed: int = 0):
-    """Average a state callable or a factored operand over a group action.
-
-    group: "sn_exact" (all N! permutations, N <= 5), "sn_sampled", or
-    "un_sampled" (Haar conjugations). States come back as callables; operands
-    come back as weighted sums of conjugated factored terms.
-    """
-    if group == "sn_exact":
-        if n > 5:
-            raise ResourceLimitError("exact symmetric-group averaging capped at N = 5")
-        mats = [permutation_matrix(perm)
-                for perm in itertools.permutations(range(n))]
-        weights = [1.0 / math.factorial(n)] * len(mats)
-    else:
-        rng = RngStream(seed).generator()
-        if group == "sn_sampled":
-            mats = [permutation_matrix(rng.permutation(n))
-                    for _ in range(samples)]
-        elif group == "un_sampled":
-            mats = [sample_haar_unitary(n, rng) for _ in range(samples)]
-        else:
-            raise InvalidArgumentError(f"unknown group {group!r}")
-        weights = [1.0 / samples] * len(mats)
-
-    if isinstance(target, TensorOperand):
-        terms = []
-        for weight, u in zip(weights, mats):
-            conj = target.conjugated_by(u)
-            terms.extend((weight * w, fs) for w, fs in conj.terms)
-        return TensorOperand(target.n, target.legs, terms)
-
-    def averaged(operand: TensorOperand) -> complex:
-        total = 0j
-        for weight, u in zip(weights, mats):
-            total += weight * apply_state(target, operand.conjugated_by(u))
-        return complex(total)
-
-    return averaged
+def symmetrize(operand: TensorOperand, n: int) -> TensorOperand:
+    """The average of an operand over all N! permutation conjugations
+    (N <= 5), as a weighted sum of conjugated factored terms."""
+    if n > 5:
+        raise ResourceLimitError("exact symmetric-group averaging capped at N = 5")
+    weight = 1.0 / math.factorial(n)
+    terms = []
+    for perm in itertools.permutations(range(n)):
+        conj = operand.conjugated_by(permutation_matrix(perm))
+        terms.extend((weight * w, fs) for w, fs in conj.terms)
+    return TensorOperand(operand.n, operand.legs, terms)
 
 
 # --------------------------------------------------------------------------

@@ -33,11 +33,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NotInvariantError, ResourceLimitError
+from .errors import InvalidArgumentError, ResourceLimitError
 from .graphs import LinearGraph, component_count, minimal_graph, quotient
 from .invariants import forest_of_tec, leaf_count
-from .operands import (StateSpec, TensorOperand, inverse_permutation,
-                       permutation_matrix)
+from .operands import StateSpec, TensorOperand, inverse_permutation
 from .partitions import (SetPartition, enumerate_partitions, find_root,
                          mobius_table, union_roots)
 
@@ -644,10 +643,8 @@ def state_unitality_defect(spec: StateSpec) -> float:
     return abs(total - 1.0)
 
 
-def apply_state(spec, operand: TensorOperand) -> complex:
-    """Evaluate a state (StateSpec or plain callable) on an operand."""
-    if callable(spec) and not isinstance(spec, StateSpec):
-        return complex(spec(operand))
+def apply_state(spec: StateSpec, operand: TensorOperand) -> complex:
+    """Evaluate a state on an operand."""
     n, k = spec.n, spec.k
     if operand.legs != k or operand.n != n:
         raise InvalidArgumentError(
@@ -675,7 +672,7 @@ def apply_state(spec, operand: TensorOperand) -> complex:
     return complex(total)
 
 
-def decompose_invariant_state(psi, k: int, n: int, *, seed=0) -> dict:
+def decompose_invariant_state(psi: StateSpec, k: int, n: int) -> dict:
     """Coefficients of a permutation-invariant state over the elementary
     forms indexed by partitions of [2K].
 
@@ -686,12 +683,11 @@ def decompose_invariant_state(psi, k: int, n: int, *, seed=0) -> dict:
     only signed zeros, which change no sum, so it is skipped. Probes come
     in ascending order, so every c_pi adds its terms in the order of a scan
     over P(2K). Requires N >= 2K so that every kernel class has a
-    representative multi-index. The state is first checked for invariance
-    under three random permutation conjugations.
+    representative multi-index. Every StateSpec is invariant by
+    construction, so no invariance check is made.
     """
     if n < 2 * k:
         raise InvalidArgumentError(f"need N >= 2K = {2 * k} (got N = {n})")
-    _check_invariance(psi, k, n, seed)
     parts = enumerate_partitions(2 * k)
     coeffs = {pi.rgs: 0j for pi in parts}
     for sigma in parts:
@@ -707,20 +703,6 @@ def decompose_invariant_state(psi, k: int, n: int, *, seed=0) -> dict:
         for rho, mu in mobius_table(sigma.num_blocks):
             coeffs[compose(rho)] += value * mu
     return {pi: coeffs[pi.rgs] for pi in parts}
-
-
-def _check_invariance(psi, k, n, seed):
-    from .sampling import RngStream  # sampling imports this module
-    rng = RngStream(seed).generator()
-    for _ in range(3):
-        factors = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                   for _ in range(k)]
-        a = TensorOperand.factored(factors)
-        conj = a.conjugated_by(permutation_matrix(rng.permutation(n)))
-        base, moved = apply_state(psi, a), apply_state(psi, conj)
-        if abs(base - moved) > 1e-9 * max(1.0, abs(base)):
-            raise NotInvariantError(
-                f"state is not permutation invariant: |delta| = {abs(base - moved):.2e}")
 
 
 def reconstruction_value(coeffs: dict, operand: TensorOperand) -> complex:

@@ -6,7 +6,6 @@ comparisons with exact finite-N Weingarten values, or explicit decay ratios.
 Every tolerance is fixed here, not calibrated.
 """
 import itertools
-import json
 import math
 import subprocess
 import sys
@@ -14,7 +13,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from tensortraffic.graphs import (LinearGraph, component_count, minimal_graph,
                                   quotient)
@@ -22,15 +20,14 @@ from tensortraffic.invariants import leaf_count
 from tensortraffic.operands import StateSpec, TensorOperand
 from tensortraffic.partitions import (SetPartition, enumerate_partitions,
                                       interval, leq, mobius)
-from tensortraffic.traces import (apply_state, graph_trace, graph_trace_stack,
+from tensortraffic.traces import (apply_state, graph_trace_stack,
                                   injective_graph_trace, injective_trace_stack,
                                   ms_optimality_witness)
 from tensortraffic.words import StarWord, all_words, is_trivial
 from tensortraffic.haar import (haar_limit_injective, predict_freeness_limit,
                                 splitting_identity_check)
-from tensortraffic.sampling import (RngStream, build_w_family, evaluate_word,
-                                    mc_run, norm_absorption_demo,
-                                    sample_haar_unitary)
+from tensortraffic.sampling import (RngStream, evaluate_word, mc_run,
+                                    norm_absorption_demo, sample_haar_unitary)
 from tensortraffic.characters import (PermutationWord, Signature,
                                       character_reference,
                                       cycle_factorization_check,
@@ -278,9 +275,8 @@ def test_criterion_07_decay_across_dimensions():
             for s in range(samples):
                 gen = base.child(s).generator()
                 us = [sample_haar_unitary(n, gen) for _ in range(2)]
-                family = build_w_family(us, None, 1, 1, 0)
                 for w in words:
-                    word_val = evaluate_word(family, w)
+                    word_val = evaluate_word(w, us, None, 1, 1)
                     for kind in kinds:
                         values[(kind, w.to_string())][s] = apply_state(
                             specs[kind], word_val)

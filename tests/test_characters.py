@@ -15,7 +15,7 @@ from tensortraffic.characters import (PermutationWord, Signature,
                                       permuted_tensor_trace)
 from tensortraffic.errors import (IllConditionedError, InvalidArgumentError,
                                   ResourceLimitError)
-from tensortraffic.operands import TensorOperand
+from tensortraffic.operands import TensorOperand, check_dense_size
 from tensortraffic.sampling import RngStream, sample_haar_unitary
 from tensortraffic.words import StarWord
 
@@ -211,9 +211,19 @@ def test_leg_permutation_guard():
 
 
 def test_dense_operand_guard_is_the_leg_permutation_guard():
-    # K * log2(N) = 27 > 16: a resource limit (exit 3), as for leg_permutation
+    # an 8^9 x 8^9 complex matrix is 2^58 bytes: a resource limit (exit 3),
+    # as for leg_permutation
     with pytest.raises(ResourceLimitError):
         TensorOperand.identity(8, 9).to_dense()
+
+
+def test_dense_guard_bounds_the_bytes_of_one_matrix():
+    # 256 MiB is one complex 4096 x 4096 matrix, or 64^2 x 64^2
+    for legs, n in ((1, 4096), (2, 64), (3, 16), (4, 8)):
+        check_dense_size(legs, n)
+    for legs, n in ((1, 4097), (2, 65), (2, 256), (3, 17), (4, 9)):
+        with pytest.raises(ResourceLimitError):
+            check_dense_size(legs, n)
 
 
 def test_permuted_trace_matches_dense():
@@ -337,8 +347,8 @@ def test_condexp_idempotent_and_bimodule():
     ea = conditional_expectation_sd(a, d, n)
     eea = conditional_expectation_sd(ea.to_dense(), d, n)
     order = list(itertools.permutations(range(d)))
-    assert np.max(np.abs(ea.coefficient_vector(order)
-                         - eea.coefficient_vector(order))) <= 1e-9
+    assert max(abs(ea.coefficients[s] - eea.coefficients[s])
+               for s in order) <= 1e-9
     rho_s = leg_permutation((1, 0), n)
     sandwich = conditional_expectation_sd(rho_s @ a.to_dense() @ rho_s, d, n)
     assert np.max(np.abs(sandwich.to_dense()

@@ -441,6 +441,11 @@ MALFORMED_FILES = {
                       "labels": {"delta": [1, 1], "eps": ["u", True]}},
     "eps_x.json": {"vertices": 2, "edges": [[0, 1], [1, 0]],
                    "labels": {"delta": [1, 1], "eps": ["u", "x"]}},
+    # labels are arrays: a string or an object is not read as one
+    "eps_string.json": {"vertices": 2, "edges": [[0, 1], [1, 0]],
+                        "labels": {"delta": [1, 1], "eps": "us"}},
+    "eps_object.json": {"vertices": 2, "edges": [[0, 1], [1, 0]],
+                        "labels": {"delta": [1, 1], "eps": {"u": 0, "s": 0}}},
     "float_vertices.json": {"vertices": 2.9, "edges": [[0, 1], [1, 0]]},
     "string_vertices.json": {"vertices": "2", "edges": [[0, 1], [1, 0]]},
     "float_endpoint.json": {"vertices": 2, "edges": [[0, 1.7], [1, 0]]},
@@ -488,6 +493,8 @@ MALFORMED_ARRAYS = {
     ["limit", "--graph", "@eps_capital.json"],
     ["limit", "--graph", "@eps_true.json"],
     ["limit", "--graph", "@eps_x.json"],
+    ["limit", "--graph", "@eps_string.json"],
+    ["limit", "--graph", "@eps_object.json"],
     ["invariants", "--graph", "@float_vertices.json"],
     ["invariants", "--graph", "@string_vertices.json"],
     ["invariants", "--graph", "@float_endpoint.json"],
@@ -614,6 +621,8 @@ def test_oversized_graph_exits_3_before_building_it(doc, tmp_path, capsys,
 @pytest.mark.parametrize("argv", [
     ["amalgam", "--d", "5", "--word", "1,2", "--dims", "6", "--samples", "4"],
     ["amalgam", "--d", "3", "--word", "1,2", "--dims", "64", "--samples", "4"],
+    # 256^2 x 256^2 complex is 64 GiB, past the 256 MiB of one matrix
+    ["amalgam", "--d", "2", "--word", "1,2", "--dims", "256", "--samples", "2"],
 ], ids=lambda argv: " ".join(argv))
 def test_amalgam_guards_fire_before_sampling(argv, capsys, monkeypatch):
     def no_sampling(*args):
@@ -644,6 +653,10 @@ MC_ARGS = ["mc", "--state", "tracial", "--blocks", "1,0,0"]
     (["amalgam", "--d", "1", "--word", "1,2", "--dims", "60000",
       "--samples", "4"], 3),
     (["decompose", "--state", "tracial", "--k", "1", "--n", "60000"], 3),
+    (["mc", "--state", "tracial", "--blocks", "0,1,0", "--word", "1",
+      "--dims", "4", "--samples", "4"], 2),
+    (["mc", "--state", "tracial", "--blocks", "1,2,-1", "--word", "1",
+      "--dims", "4", "--samples", "4"], 2),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_thread_and_dimension_guards_fire_before_any_work(argv, code, capsys,
                                                           monkeypatch):

@@ -37,8 +37,7 @@ def test_minimal_graph_examples():
 def test_quotient_examples():
     loop = quotient(minimal_graph(1), SetPartition.full(2))
     assert loop.vertex_count == 1 and loop.edges == ((0, 0),)
-    two_cycle = quotient(minimal_graph(2),
-                         SetPartition.from_blocks(4, [(1, 4), (2, 3)]))
+    two_cycle = quotient(minimal_graph(2), SetPartition((0, 1, 1, 0)))
     assert two_cycle.vertex_count == 2
     # antiparallel pair
     assert set(two_cycle.edges) == {(0, 1), (1, 0)} and len(two_cycle.edges) == 2
@@ -46,10 +45,9 @@ def test_quotient_examples():
 
 def test_quotient_fig2_structure():
     # order 9, blocks as printed in the construction example: the targets of
-    # the 1st and 3rd edges coincide with the source of the 4th edge
-    pi = SetPartition.from_blocks(18, [(1, 3, 13), (2, 14, 15, 16),
-                                       (4, 11, 17), (5, 10), (6,), (7,),
-                                       (8, 9, 18), (12,)])
+    # the 1st and 3rd edges coincide with the source of the 4th edge:
+    # {1,3,13} {2,14,15,16} {4,11,17} {5,10} {6} {7} {8,9,18} {12}
+    pi = SetPartition((0, 1, 0, 2, 3, 4, 5, 6, 6, 3, 2, 7, 0, 1, 1, 1, 2, 6))
     g = quotient(minimal_graph(9), pi)
     assert g.vertex_count == 8 and g.order == 9
     assert g.edges[0][1] == g.edges[2][1] == g.edges[3][0]
@@ -88,8 +86,9 @@ def test_quotient_composition():
 
 def test_kernel_examples():
     # the kernel of a multi-index groups the positions of equal entries
+    # blocks {1,5} {2,4} {3} {6,7,8}
     assert SetPartition.from_values((6, 1, 4, 1, 6, 2, 2, 2)) == \
-        SetPartition.from_blocks(8, [(1, 5), (2, 4), (3,), (6, 7, 8)])
+        SetPartition((0, 1, 2, 1, 0, 3, 3, 3))
 
 
 def test_kernel_relabeling_invariance():

@@ -1,9 +1,10 @@
-"""Source hygiene: every name a module imports is used in that module;
-every module-level function or class is reachable from the command line
-(`cli.main`), from module-level code, or from the benchmark and the
-acceptance criteria, which import from the package (a re-export alone
-keeps nothing alive); every private method and every method of a private
-class is read as an attribute; every parameter of a module-level function
+"""Source hygiene: every name a module of the package or of the tests
+imports is used in that module; every module-level function or class is
+reachable from the command line (`cli.main`), from module-level code, or
+from the benchmark and the acceptance criteria, which import from the
+package (a re-export alone keeps nothing alive); every method is read as
+an attribute by the package, the benchmark or the acceptance criteria;
+every parameter of a module-level function
 or method is read; every random draw comes from the counter-based streams
 of `RngStream`; and no function rebinds a module global, so state that one
 call needs (such as the contraction engine's buffers) stays local to the
@@ -114,22 +115,23 @@ def unused_parameters(source: str) -> list[str]:
     return out
 
 
-def unread_methods(sources: dict[str, str]) -> list[str]:
-    """Methods, as "module.Class.method", that no module reads as an
-    attribute: the private methods (`_name`, dunders aside) of a
-    module-level class, and every method of a private class. The package
-    uses such a method only through an attribute read, so one that none
-    reads is dead, which the reachability scan of names does not see.
+def unread_methods(sources: dict[str, str],
+                   consumers: dict[str, str]) -> list[str]:
+    """Methods, dunders aside, of module-level classes, as
+    "module.Class.method", that neither a module of the package nor the
+    code outside it (`consumers`) reads as an attribute. A method is used
+    only through an attribute read, so one that none reads is dead, which
+    the reachability scan of names does not see.
     """
     trees = {name[:-3]: ast.parse(source) for name, source in sources.items()}
-    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)}
+    read = {node.attr
+            for tree in [*trees.values(), *map(ast.parse, consumers.values())]
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     return sorted(
         f"{mod}.{cls.name}.{fn.name}" for mod, tree in trees.items()
         for cls in tree.body if isinstance(cls, ast.ClassDef)
         for fn in cls.body if isinstance(fn, ast.FunctionDef)
         and not (fn.name.startswith("__") and fn.name.endswith("__"))
-        and (fn.name.startswith("_") or cls.name.startswith("_"))
         and fn.name not in read)
 
 
@@ -188,6 +190,14 @@ def test_unused_import_scan_flags_only_unused_names():
 def test_no_unused_imports_in_package():
     found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert not {k: v for k, v in found.items() if v}, found
+
+
+def test_no_unused_imports_in_tests():
+    """A dead import in a test would keep a definition alive for the
+    reachability scan of `test_acceptance.py`."""
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "tests").glob("*.py"))}
     assert not {k: v for k, v in found.items() if v}, found
 
 
@@ -270,17 +280,30 @@ def test_method_scan_flags_only_unread_private_methods():
                  "    def api(self):\n        return self._used()\n"
                  "    def _used(self):\n        return 1\n"
                  "    def _helper(self):\n        return 2\n"
+                 "    @classmethod\n    def build(cls):\n        return cls()\n"
+                 "    def unread(self):\n        return 3\n"
                  "def stray():\n    def _nested():\n        pass\n"),
         "b.py": ("from .a import _Pool\n"
                  "def run(pool: _Pool):\n    return pool.size\n"),
     }
-    assert unread_methods(sources) == ["a.Public._helper", "a._Pool.spare"]
+    consumers = {"bench.py": "from tensortraffic.a import Public\n"
+                             "Public.build().api()\n"}
+    # public methods count too; a read outside the package keeps one alive
+    assert unread_methods(sources, consumers) == [
+        "a.Public._helper", "a.Public.unread", "a._Pool.spare"]
+    assert unread_methods(sources, {}) == [
+        "a.Public._helper", "a.Public.api", "a.Public.build",
+        "a.Public.unread", "a._Pool.spare"]
 
 
 def test_every_private_method_in_package_is_read():
+    """Public methods too, read by the package, the benchmark or the
+    acceptance criteria."""
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(SRC.glob("*.py"))}
-    assert unread_methods(sources) == []
+    consumers = {str(path): path.read_text(encoding="utf-8")
+                 for path in CONSUMERS}
+    assert unread_methods(sources, consumers) == []
 
 
 def test_random_scan_flags_only_draws_outside_rng_stream():

@@ -11,7 +11,7 @@ from tensortraffic.invariants import (NOT_ALTERNATED, NOT_CACTUS,
                                       forest_leaves, forest_of_tec,
                                       is_forest_of_cacti, is_well_oriented,
                                       leaf_count)
-from tensortraffic.partitions import SetPartition, enumerate_partitions, leq
+from tensortraffic.partitions import enumerate_partitions, leq
 from tensortraffic.words import StarWord
 
 from oracles import eta, is_forest_of_cacti_by_enumeration, simple_cycles

@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,8 +61,8 @@ def test_enumeration_cap():
 def test_leq_examples():
     disc = SetPartition.discrete(3)
     full = SetPartition.full(3)
-    a = SetPartition.from_blocks(3, [(1, 2), (3,)])
-    b = SetPartition.from_blocks(3, [(1,), (2, 3)])
+    a = SetPartition((0, 0, 1))  # {1,2} {3}
+    b = SetPartition((0, 1, 1))  # {1} {2,3}
     assert leq(disc, a) and leq(disc, b) and leq(a, full)
     assert not leq(a, b) and not leq(b, a)
     for pi in enumerate_partitions(4):
@@ -145,7 +144,7 @@ def test_dual_inversion_roundtrip():
 
 
 def test_serialization():
-    pi = SetPartition.from_blocks(4, [(1, 2, 4), (3,)])
+    pi = SetPartition((0, 0, 1, 0))  # {1,2,4} {3}
     assert pi.to_string() == "0,0,1,0"
     assert SetPartition.from_string("0,0,1,0") == pi
 

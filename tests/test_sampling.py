@@ -6,9 +6,8 @@ import pytest
 
 from tensortraffic.errors import InvalidArgumentError, ResourceLimitError
 from tensortraffic.operands import StateSpec, TensorOperand
-from tensortraffic.sampling import (MCReport, RngStream, apply_state,
-                                    build_w_family, evaluate_word, mc_run,
-                                    norm_absorption_demo,
+from tensortraffic.sampling import (RngStream, apply_state, evaluate_word,
+                                    mc_run, norm_absorption_demo,
                                     sample_haar_unitary, symmetrize)
 from tensortraffic.traces import decompose_invariant_state
 from tensortraffic.weingarten import exact_expectation
@@ -49,34 +48,37 @@ def test_haar_second_moment_is_one():
 
 
 def test_build_w_legs_and_unitarity():
+    """The one-letter word l is the tensor U_l^{x K1} x U_l^t{x K2} x V_l:
+    every leg is unitary and reads U_l, U_l^t or V_l."""
     n = 5
     rng = RngStream(3).generator()
     us = [sample_haar_unitary(n, rng) for _ in range(2)]
     vs = [[sample_haar_unitary(n, rng)] for _ in range(2)]
-    fam = build_w_family(us, vs, 2, 1, 1)
-    assert all(w.legs == 4 for w in fam)
-    for w in fam:
-        for f in w.terms[0][1]:
+    for letter in (1, 2):
+        w = evaluate_word(StarWord.parse(str(letter), alphabet=2), us, vs, 2, 1)
+        legs = w.terms[0][1]
+        assert w.legs == 4
+        for f in legs:
             assert np.max(np.abs(f.conj().T @ f - np.eye(n))) <= 1e-12
+        u, v = us[letter - 1], vs[letter - 1][0]
+        assert all(np.array_equal(f, g) for f, g in zip(legs, (u, u, u.T, v)))
     # K2 = K3 = 0 gives plain tensor powers
-    fam = build_w_family(us, None, 3, 0, 0)
-    assert fam[0].legs == 3
-    with pytest.raises(InvalidArgumentError):
-        build_w_family(us, [[sample_haar_unitary(n, rng)]], 1, 0, 1)
+    assert evaluate_word(StarWord.parse("1,2"), us, None, 3, 0).legs == 3
+    with pytest.raises(InvalidArgumentError, match="outside the family"):
+        evaluate_word(StarWord.parse("1,3"), us, None, 1, 0)
 
 
 def test_evaluate_word_examples():
     n = 4
     rng = RngStream(9).generator()
     us = [sample_haar_unitary(n, rng) for _ in range(2)]
-    fam = build_w_family(us, None, 1, 1, 0)
-    ident = evaluate_word(fam, StarWord.parse("1,1*"))
+    ident = evaluate_word(StarWord.parse("1,1*"), us, None, 1, 1)
     for f in ident.terms[0][1]:
         assert np.max(np.abs(f - np.eye(n))) <= 1e-12
-    single = evaluate_word(fam, StarWord.parse("2"))
+    single = evaluate_word(StarWord.parse("2"), us, None, 1, 1)
     assert np.allclose(single.terms[0][1][0], us[1])
     vs = [[sample_haar_unitary(n, rng)] for _ in range(2)]
-    empty = evaluate_word(build_w_family(us, vs, 2, 1, 1), StarWord((), 2))
+    empty = evaluate_word(StarWord((), 2), us, vs, 2, 1)
     assert empty.legs == 4
     assert all(np.array_equal(f, np.eye(n)) for f in empty.terms[0][1])
 
@@ -85,12 +87,11 @@ def test_evaluate_word_matches_dense_kronecker():
     n = 3
     rng = RngStream(11).generator()
     us = [sample_haar_unitary(n, rng) for _ in range(2)]
-    fam = build_w_family(us, None, 1, 1, 0)
     word = StarWord.parse("1,2,1*")
-    result = evaluate_word(fam, word)
+    result = evaluate_word(word, us, None, 1, 1)
     dense = np.eye(n * n, dtype=complex)
     for idx, star in word.letters:
-        m = fam[idx - 1].to_dense()
+        m = np.kron(us[idx - 1], us[idx - 1].T)
         dense = dense @ (m.conj().T if star else m)
     assert np.allclose(result.to_dense(), dense)
 
@@ -199,43 +200,36 @@ def test_mc_with_haar_v_block():
 
 def test_symmetrize_exact_agrees_with_direct_average():
     n = 3
-
-    def entry(op):
-        total = 0j
-        for w, fs in op.terms:
-            total += w * fs[0][0, 0]
-        return complex(total)
-
-    sym = symmetrize(entry, n, "sn_exact")
     rng = np.random.default_rng(3)
     a = rng.standard_normal((n, n))
-    op = TensorOperand.factored([a])
-    direct = 0j
+    sym = symmetrize(TensorOperand.factored([a]), n)
+    direct = np.zeros((n, n))
     for perm in itertools.permutations(range(n)):
         p = np.zeros((n, n))
         p[list(perm), np.arange(n)] = 1.0
-        direct += entry(TensorOperand.factored([p @ a @ p.T])) / 6
-    assert np.isclose(sym(op), direct)
-    # for one leg, the average of a diagonal entry is the normalized trace
-    assert np.isclose(sym(op), np.trace(a) / n)
+        direct += p @ a @ p.T / 6
+    assert np.allclose(sym.to_dense(), direct)
+    # for one leg, every diagonal entry of the average is the normalized trace
+    assert np.allclose(np.diagonal(sym.to_dense()), np.trace(a) / n)
 
 
 def test_symmetrize_idempotent_and_invariant():
     n = 4
     spec = StateSpec("diagonal_uniform", k=1, n=n)
-    sym = symmetrize(spec, n, "sn_exact")
     rng = np.random.default_rng(4)
     op = TensorOperand.factored([rng.standard_normal((n, n))])
-    assert abs(sym(op) - apply_state(spec, op)) <= 1e-12  # already invariant
-    sym2 = symmetrize(sym, n, "sn_exact")
-    assert abs(sym2(op) - sym(op)) <= 1e-12
+    sym = symmetrize(op, n)
+    # an invariant state reads the same on the operand and on its average
+    assert abs(apply_state(spec, sym) - apply_state(spec, op)) <= 1e-12
+    sym2 = symmetrize(sym, n)
+    assert np.max(np.abs(sym2.to_dense() - sym.to_dense())) <= 1e-12
 
 
 def test_symmetrize_operand_becomes_invariant():
     n = 4
     rng = np.random.default_rng(5)
     op = TensorOperand.factored([rng.standard_normal((n, n))])
-    sym = symmetrize(op, n, "sn_exact")
+    sym = symmetrize(op, n)
     p = np.zeros((n, n))
     p[np.array([1, 0, 3, 2]), np.arange(n)] = 1.0
     moved = TensorOperand(n, 1, terms=[(w, [p @ f @ p.T for f in fs])
@@ -245,30 +239,7 @@ def test_symmetrize_operand_becomes_invariant():
 
 def test_symmetrize_guard():
     with pytest.raises(ResourceLimitError):
-        symmetrize(StateSpec("tracial", k=1, n=6), 6, "sn_exact")
-    with pytest.raises(InvalidArgumentError, match="unknown group"):
-        symmetrize(StateSpec("tracial", k=1, n=4), 4, "sn_sampeld")
-
-
-@pytest.mark.parametrize("group", ["sn_sampled", "un_sampled"])
-def test_symmetrize_sampled_groups(group):
-    n = 5
-    rng = np.random.default_rng(6)
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    op = TensorOperand.factored([a])
-    sym = symmetrize(op, n, group, samples=20, seed=3)
-    assert len(sym.terms) == 20
-    # conjugation preserves the trace of every term
-    assert abs(sum(w * np.trace(fs[0]) for w, fs in sym.terms)
-               - np.trace(a)) <= 1e-10
-    again = symmetrize(op, n, group, samples=20, seed=3)
-    assert np.array_equal(sym.to_dense(), again.to_dense())
-
-    spec = StateSpec("tracial", k=2, n=n)
-    pair = TensorOperand.factored([a, a.T @ a])
-    state = symmetrize(spec, n, group, samples=20, seed=3)
-    assert abs(state(pair) - apply_state(spec, pair)) <= 1e-10
-    assert state(pair) == symmetrize(spec, n, group, samples=20, seed=3)(pair)
+        symmetrize(TensorOperand.identity(6, 1), 6)
 
 
 def test_norm_demo_single_letter_is_one():

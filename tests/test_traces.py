@@ -1,14 +1,11 @@
 import hashlib
-import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tensortraffic import traces
-from tensortraffic.errors import (InvalidArgumentError, NotInvariantError,
-                                  ResourceLimitError)
+from tensortraffic.errors import InvalidArgumentError, ResourceLimitError
 from tensortraffic.graphs import (LinearGraph, component_count, minimal_graph,
                                   quotient)
 from tensortraffic.invariants import leaf_count
@@ -157,7 +154,7 @@ def test_engine_matches_naive_enumeration():
     # edgeless graphs: the bare weight times N per vertex; the one labeling
     # of no vertices is injective
     n = 3
-    op = TensorOperand.scalar(n, weight=2.0 - 0.5j)
+    op = TensorOperand(n, 0, [(2.0 - 0.5j, ())])
     assert injective_trace_stack(LinearGraph(0, ()), [], n).tolist() == [1]
     for nv in (0, 1, 2, 3):
         g = LinearGraph(nv, ())
@@ -570,7 +567,7 @@ def test_witness_requires_large_n():
 
 def test_witness_slope_sample():
     # one one-leaf-heavy partition: {{1},{2},{3,4}} has leaf count 2
-    pi = SetPartition.from_blocks(4, [(1,), (2,), (3, 4)])
+    pi = SetPartition((0, 1, 2, 2))
     g = quotient(minimal_graph(2), pi)
     lhalf = leaf_count(g) / 2
     dims = (24, 48, 96)
@@ -627,20 +624,17 @@ def test_decompose_tracial_k1():
     assert abs(coeffs[SetPartition.discrete(2)]) < 1e-12
 
 
-def uniform_entry_functional(k, n):
-    """A -> (sum of all entries of A) / N^(K+1): every probe is nonzero."""
-    def psi(op):
-        total = 0j
-        for w, fs in op.terms:
-            total += w * np.prod([f.sum() for f in fs])
-        return complex(total / n ** (k + 1))
-    return psi
+def uniform_entry_state(k, n):
+    """A -> (sum of all entries of A) / N^K, the elementary form of the
+    discrete partition (K disjoint edges): every probe is nonzero."""
+    return StateSpec("elementary_combination", k=k, n=n,
+                     coeffs={SetPartition.discrete(2 * k): n ** -k})
 
 
 def test_decompose_uniform_entry_functional():
     n = 6
-    coeffs = decompose_invariant_state(uniform_entry_functional(1, n), 1, n)
-    assert np.isclose(coeffs[SetPartition.discrete(2)], n ** -2)
+    coeffs = decompose_invariant_state(uniform_entry_state(1, n), 1, n)
+    assert np.isclose(coeffs[SetPartition.discrete(2)], 1 / n)
     assert abs(coeffs[SetPartition.full(2)]) < 1e-12
 
 
@@ -681,15 +675,15 @@ def _reprs(coeffs):
 
 
 # the entangled-pair state needs an even number of legs; the uniform-entry
-# functional and the random combination are dense: no probe is zero
+# state and the random combination are dense: no probe is zero
 @pytest.mark.parametrize("kind,k", [
     ("tracial", 2), ("tracial", 3), ("max_entangled_vector", 2),
     ("diagonal_uniform", 2), ("diagonal_uniform", 3), ("uniform_entry", 2),
-    ("uniform_entry", 3), ("dense_elementary", 2)])
+    ("uniform_entry", 3), ("dense_elementary", 2), ("dense_elementary", 3)])
 def test_decompose_equals_leq_scan_reference(kind, k):
     for n in (2 * k, 2 * k + 1):
         if kind == "uniform_entry":
-            psi = uniform_entry_functional(k, n)
+            psi = uniform_entry_state(k, n)
         elif kind == "dense_elementary":
             psi = StateSpec("elementary_combination", k=k, n=n,
                             coeffs=dense_unital_coefficients(k, n, seed=n))
@@ -701,17 +695,6 @@ def test_decompose_equals_leq_scan_reference(kind, k):
         # zero: every sum adds the same nonzero terms in the same order
         assert _reprs(decompose_invariant_state(psi, k, n)) == \
             _reprs(leq_scan_decomposition(psi, k, n))
-
-
-def test_decompose_rejects_non_invariant():
-    def psi(op):
-        total = 0j
-        for w, fs in op.terms:
-            total += w * fs[0][0, 0]
-        return complex(total)
-
-    with pytest.raises(NotInvariantError):
-        decompose_invariant_state(psi, 1, 4)
 
 
 def test_decompose_requires_enough_dimension():

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,7 @@ from tensortraffic.graphs import LinearGraph, canonical_form, quotient
 from tensortraffic.haar import (_quotient_class, cycle_limit_coefficient,
                                 haar_limit_injective, linearize,
                                 predict_freeness_limit,
-                                splitting_identity_check, t1_labels)
+                                splitting_identity_check)
 from tensortraffic.invariants import VALID, classify_labeling, split_by_color
 from tensortraffic.operands import TensorOperand
 from tensortraffic.partitions import enumerate_partitions
@@ -345,7 +343,7 @@ def test_splitting_identity_operand():
 def test_splitting_degenerate_when_n_too_small():
     tprime = LinearGraph(3, [(0, 1), (1, 2), (2, 0)])
     b1 = TensorOperand.factored([np.eye(2)] * 3)
-    b2 = TensorOperand.scalar(2)
+    b2 = TensorOperand(2, 0, [(1.0, ())])
     rep = splitting_identity_check(tprime, (1, 1, 1), b1, b2, mode="exact")
     assert rep.degenerate
 
