@@ -225,7 +225,7 @@ def _cmd_mobius(args) -> int:
 def _cmd_decompose(args) -> int:
     _check_dimension(args.n)
     state = _state_for(args.state, args.k, args.n)
-    coeffs = decompose_invariant_state(state, args.k, args.n)
+    coeffs = decompose_invariant_state(state)
     rng = RngStream(args.seed, 10 ** 6).generator()
     residuals = []
     for _ in range(5):

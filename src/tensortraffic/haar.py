@@ -11,13 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .graphs import LinearGraph, adjoint_graph, disjoint_union, quotient
-from .invariants import (VALID, _blocks, _classify, _leaves, leaf_count,
-                         split_by_color, splitting_exponent)
+from .graphs import LinearGraph, adjoint_graph, disjoint_union
+from .invariants import (VALID, _blocks, _cactus_shape, _classify, _leaves,
+                         _labeled_shape, leaf_count, split_by_color,
+                         splitting_exponent)
 from .operands import TensorOperand, permutation_matrix
-from .partitions import _normalize, enumerate_partitions
+from .partitions import _normalize, restricted_growth_strings
 from .sampling import MCReport, haar_sweep, symmetrize
 from .traces import injective_graph_trace
 from .words import StarWord, is_trivial
@@ -120,16 +122,18 @@ def haar_limit_injective(graph: LinearGraph, delta, eps) -> Fraction:
     well-oriented forest of cacti, in which case it is the product of the
     per-cycle signed Catalan coefficients.
     """
-    return _labeled_limit(graph.edges, _blocks(graph.vertex_count, graph.edges),
-                          tuple(delta), tuple(eps))[1]
+    return _labeled_limit(*_labeled_shape(graph, delta, eps))[1]
 
 
-def _labeled_limit(edges, blocks, delta, eps) -> tuple[str, Fraction]:
-    """Validity and Haar limit of a labeled graph from its blocks; only a
-    VALID labeling has cycles, and its limit is their weights' product."""
-    validity, cycles = _classify(edges, blocks, delta, eps)
-    out = Fraction(int(validity == VALID))
-    for cyc in cycles:
+def _labeled_limit(shape, delta, eps) -> tuple[str, Fraction]:
+    """Validity and Haar limit of a labeled graph from its cactus shape
+    (`invariants._cactus_shape`): a VALID labeling's limit is the product
+    of its cycles' weights, any other's is zero."""
+    validity = _classify(shape, delta, eps)
+    if validity != VALID:
+        return validity, Fraction(0)
+    out = Fraction(1)
+    for cyc in shape:
         out *= cycle_limit_coefficient(len(cyc))
     return validity, out
 
@@ -184,10 +188,40 @@ class FreenessCertificate:
         }
 
 
-def _quotient_class(pi, touched) -> tuple:
-    """Equal iff the quotients have equal canonical forms: the edges fix pi
-    on the touched vertices; isolated vertices only add blocks."""
-    return pi.num_blocks, _normalize([pi.rgs[v] for v in touched])
+def _quotient_class(rgs, touched) -> tuple:
+    """Equal iff the quotients by the restricted-growth strings have equal
+    canonical forms: the edges fix rgs on the touched vertices; isolated
+    vertices only add blocks."""
+    return max(rgs) + 1, _normalize([rgs[v] for v in touched])
+
+
+@lru_cache(maxsize=2)  # criterion 8 alternates two block layouts
+def _structure(graph: LinearGraph, ids1, ids2) -> tuple:
+    """The label-free half of the quotient ledger of a two-coloured graph
+    (colour-1 edges `ids1`, colour-2 edges `ids2`), one tuple per
+    isomorphism class of quotients in partition order: (partition,
+    multiplicity, eta, L(T'), L(T1), L(T2), cactus shape of T1)."""
+    edges, touched = graph.edges, sorted(graph.touched_vertices())
+    classes: dict = {}  # quotient class -> [rgs of its first quotient, count]
+    for rgs in restricted_growth_strings(graph.vertex_count):
+        seen = classes.setdefault(_quotient_class(rgs, touched), [rgs, 0])
+        seen[1] += 1
+    out = []
+    for rgs, multiplicity in classes.values():
+        nv = max(rgs) + 1
+        qedges = tuple((rgs[s], rgs[t]) for s, t in edges)
+        blocks = _blocks(nv, qedges)
+        lt = _leaves(nv, qedges, blocks)
+        if ids2:
+            e1, e2 = (tuple(qedges[i] for i in ids) for ids in (ids1, ids2))
+            blocks1 = _blocks(nv, e1)
+            l1, l2 = _leaves(nv, e1, blocks1), _leaves(nv, e2, _blocks(nv, e2))
+        else:  # no V block: T1 is T' and T2 is edgeless
+            e1, blocks1, l1, l2 = qedges, blocks, lt, 2 * nv
+        out.append((",".join(map(str, rgs)), multiplicity,
+                    splitting_exponent(lt, l1, l2, nv), lt, l1, l2,
+                    _cactus_shape(e1, blocks1)))
+    return tuple(sorted(out, key=lambda entry: entry[0]))
 
 
 def predict_freeness_limit(word: StarWord, base: LinearGraph, k1: int,
@@ -199,7 +233,10 @@ def predict_freeness_limit(word: StarWord, base: LinearGraph, k1: int,
     Each quotient is scored by its splitting exponent and the validity of
     its Haar-colored subgraph; the verdict is VANISHES exactly when no
     quotient has simultaneously a zero exponent and a valid subgraph.
-    Order-isomorphic quotients are deduplicated (multiplicities kept).
+    Order-isomorphic quotients are deduplicated (multiplicities kept). The
+    word enters only through the labels of the Haar-colored edges, so the
+    label-free half of the ledger (`_structure`) is computed once per
+    linearized graph and its colouring, and each word only labels it.
     """
     if is_trivial(word):
         raise InvalidArgumentError("the word reduces to the identity")
@@ -212,36 +249,18 @@ def predict_freeness_limit(word: StarWord, base: LinearGraph, k1: int,
             f"quotient enumeration capped at {PREDICT_VERTEX_CAP} vertices "
             f"(linearized graph has {graph.vertex_count})")
     delta, eps = t1_labels(lin)
-    ids1 = [i for i, m in enumerate(lin.meta) if m.block != "v"]
-    ids2 = [i for i, m in enumerate(lin.meta) if m.block == "v"]
-    touched = sorted(graph.touched_vertices())
+    ids1 = tuple(i for i, m in enumerate(lin.meta) if m.block != "v")
+    ids2 = tuple(i for i, m in enumerate(lin.meta) if m.block == "v")
     base_leaves = leaf_count(graph)
-    ledger: dict = {}  # isomorphism class -> entry of its first quotient
-    for pi in enumerate_partitions(graph.vertex_count):
-        tprime = quotient(graph, pi)
-        key = _quotient_class(pi, touched)
-        if key in ledger:
-            ledger[key].multiplicity += 1
-            continue
-        nv, edges = tprime.vertex_count, tprime.edges
-        blocks = _blocks(nv, edges)
-        lt = _leaves(nv, edges, blocks)
-        if ids2:
-            e1, e2 = (tuple(edges[i] for i in ids) for ids in (ids1, ids2))
-            blocks1 = _blocks(nv, e1)
-            l1, l2 = _leaves(nv, e1, blocks1), _leaves(nv, e2, _blocks(nv, e2))
-        else:  # no V block: T1 is T' and T2 is edgeless
-            e1, blocks1, l1, l2 = edges, blocks, lt, 2 * nv
-        validity, coeff = _labeled_limit(e1, blocks1, delta, eps)
-        ledger[key] = QuotientEntry(
-            partition=pi.to_string(),
-            multiplicity=1,
-            eta=splitting_exponent(lt, l1, l2, nv),
+    entries = []
+    for partition, multiplicity, eta, lt, l1, l2, shape in _structure(
+            graph, ids1, ids2):
+        validity, coeff = _labeled_limit(shape, delta, eps)
+        entries.append(QuotientEntry(
+            partition=partition, multiplicity=multiplicity, eta=eta,
             leaves_total=lt, leaves_t1=l1, leaves_t2=l2,
-            leaf_defect=base_leaves - lt,
-            validity=validity,
-            limit_coefficient=coeff)
-    entries = sorted(ledger.values(), key=lambda e: e.partition)
+            leaf_defect=base_leaves - lt, validity=validity,
+            limit_coefficient=coeff))
     verdict = "VANISHES" if not any(e.dangerous for e in entries) \
         else "INCONCLUSIVE"
     return FreenessCertificate(word.to_string(), (k1, k2, k3),

@@ -173,20 +173,6 @@ def _walk(edges, block: list[int]) -> list[int]:
     return walk
 
 
-def is_forest_of_cacti(graph: LinearGraph) -> bool:
-    """True iff every edge lies on exactly one simple cycle, that is, every
-    biconnected block is a cycle. Isolated vertices are permitted.
-    """
-    return all(_is_cycle(graph.edges, block)
-               for block in _blocks(graph.vertex_count, graph.edges))
-
-
-def is_well_oriented(graph: LinearGraph) -> bool:
-    """True iff the graph is a forest of cacti whose cycles are all directed."""
-    return all(_is_cycle(graph.edges, b) and _is_directed(graph.edges, b)
-               for b in _blocks(graph.vertex_count, graph.edges))
-
-
 VALID = "valid"
 NOT_CACTUS = "not_cactus"
 NOT_WELL_ORIENTED = "not_well_oriented"
@@ -194,35 +180,65 @@ NOT_WELL_COLORED = "not_well_colored"
 NOT_ALTERNATED = "not_alternated"
 
 
+def _cactus_shape(edges, blocks: list[list[int]]):
+    """The structural half of `classify_labeling`, from a block
+    decomposition of the edges: NOT_CACTUS, NOT_WELL_ORIENTED, or the
+    cycles of a well-oriented forest of cacti, each a tuple of edge ids in
+    cyclic order from the least."""
+    if not all(_is_cycle(edges, block) for block in blocks):
+        return NOT_CACTUS
+    if not all(_is_directed(edges, block) for block in blocks):
+        return NOT_WELL_ORIENTED
+    return tuple(tuple(_walk(edges, block)) for block in blocks)
+
+
+def _classify(shape, delta: tuple, eps: tuple) -> str:
+    """The label half of `classify_labeling`: a failed shape stays failed;
+    the cycles of a well-oriented cactus must carry one letter each and
+    alternate their stars."""
+    if isinstance(shape, str):
+        return shape
+    for cyc in shape:
+        if len({delta[eid] for eid in cyc}) > 1:
+            return NOT_WELL_COLORED
+    for cyc in shape:  # an odd cycle always has two equal neighbours
+        stars = [eps[eid] for eid in cyc]
+        if any(stars[i - 1] == stars[i] for i in range(len(stars))):
+            return NOT_ALTERNATED
+    return VALID
+
+
+def _graph_shape(graph: LinearGraph):
+    return _cactus_shape(graph.edges, _blocks(graph.vertex_count, graph.edges))
+
+
+def _labeled_shape(graph: LinearGraph, delta, eps) -> tuple:
+    """(shape, delta, eps): the structural half of a labeled graph and its
+    labels as tuples, checked against its edges."""
+    delta, eps = tuple(delta), tuple(eps)
+    if len(delta) != graph.order or len(eps) != graph.order:
+        raise InvalidArgumentError("label arity does not match edge count")
+    return _graph_shape(graph), delta, eps
+
+
+def is_forest_of_cacti(graph: LinearGraph) -> bool:
+    """True iff every edge lies on exactly one simple cycle, that is, every
+    biconnected block is a cycle. Isolated vertices are permitted.
+    """
+    return _graph_shape(graph) != NOT_CACTUS
+
+
+def is_well_oriented(graph: LinearGraph) -> bool:
+    """True iff the graph is a forest of cacti whose cycles are all directed."""
+    return not isinstance(_graph_shape(graph), str)
+
+
 def classify_labeling(graph: LinearGraph, delta, eps) -> str:
     """Check the validity conditions for a labeled graph, reporting the first
     failure among: cactus, orientation, constant letters per cycle, even
     length with alternating stars per cycle.
     """
-    edges = graph.edges
-    return _classify(edges, _blocks(graph.vertex_count, edges),
-                     tuple(delta), tuple(eps))[0]
-
-
-def _classify(edges, blocks: list[list[int]], delta: tuple,
-              eps: tuple) -> tuple[str, list[list[int]]]:
-    """`classify_labeling` from a block decomposition of the edges; a VALID
-    labeling comes with its cycles in cyclic order, any other with none."""
-    if len(delta) != len(edges) or len(eps) != len(edges):
-        raise InvalidArgumentError("label arity does not match edge count")
-    if not all(_is_cycle(edges, block) for block in blocks):
-        return NOT_CACTUS, []
-    if not all(_is_directed(edges, block) for block in blocks):
-        return NOT_WELL_ORIENTED, []
-    cycles = [_walk(edges, block) for block in blocks]
-    for cyc in cycles:
-        if len({delta[eid] for eid in cyc}) > 1:
-            return NOT_WELL_COLORED, []
-    for cyc in cycles:  # an odd cycle always has two equal neighbours
-        stars = [eps[eid] for eid in cyc]
-        if any(stars[i - 1] == stars[i] for i in range(len(stars))):
-            return NOT_ALTERNATED, []
-    return VALID, cycles
+    return _classify(*_labeled_shape(graph, delta, eps))
 
 
 # --- colored splitting and the splitting exponent ---------------------------

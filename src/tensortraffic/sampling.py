@@ -90,11 +90,17 @@ def evaluate_word(word: StarWord, us, vs, k1: int, k2: int) -> TensorOperand:
     """The word tensor of one sample, U^{x K1} x U^t{x K2} x V multiplied
     leg by leg: letter l reads us[l - 1] on the first K1 legs, its transpose
     on the next K2, and vs[l - 1][j] on V leg j (vs is None when K3 = 0).
+    The legs of one block read the same matrices, so each block's product
+    is taken once.
     """
-    legs = [us] * k1 + [[u.T for u in us]] * k2
+    factors = []
+    if k1:
+        factors += [word_matrix(word, us)] * k1
+    if k2:
+        factors += [word_matrix(word, [u.T for u in us])] * k2
     if vs is not None:
-        legs += zip(*vs)
-    return TensorOperand.factored([word_matrix(word, mats) for mats in legs])
+        factors += [word_matrix(word, mats) for mats in zip(*vs)]
+    return TensorOperand.factored(factors)
 
 
 # --------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def run_selftest():
     checks.append(("cycle-factorization", ok))
 
     from .operands import StateSpec
-    coeffs = decompose_invariant_state(StateSpec("tracial", k=1, n=4), 1, 4)
+    coeffs = decompose_invariant_state(StateSpec("tracial", k=1, n=4))
     full, disc = SetPartition.full(2), SetPartition.discrete(2)
     ok = abs(coeffs[full] - 0.25) <= 1e-12 and abs(coeffs[disc]) <= 1e-12
     checks.append(("state-decomposition", ok))

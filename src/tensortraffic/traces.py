@@ -672,7 +672,7 @@ def apply_state(spec: StateSpec, operand: TensorOperand) -> complex:
     return complex(total)
 
 
-def decompose_invariant_state(psi: StateSpec, k: int, n: int) -> dict:
+def decompose_invariant_state(psi: StateSpec) -> dict:
     """Coefficients of a permutation-invariant state over the elementary
     forms indexed by partitions of [2K].
 
@@ -686,6 +686,7 @@ def decompose_invariant_state(psi: StateSpec, k: int, n: int) -> dict:
     representative multi-index. Every StateSpec is invariant by
     construction, so no invariance check is made.
     """
+    k, n = psi.k, psi.n
     if n < 2 * k:
         raise InvalidArgumentError(f"need N >= 2K = {2 * k} (got N = {n})")
     parts = enumerate_partitions(2 * k)

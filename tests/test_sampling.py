@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tensortraffic import sampling
 from tensortraffic.errors import InvalidArgumentError, ResourceLimitError
 from tensortraffic.operands import StateSpec, TensorOperand
 from tensortraffic.sampling import (RngStream, apply_state, evaluate_word,
@@ -81,6 +82,34 @@ def test_evaluate_word_examples():
     empty = evaluate_word(StarWord((), 2), us, vs, 2, 1)
     assert empty.legs == 4
     assert all(np.array_equal(f, np.eye(n)) for f in empty.terms[0][1])
+
+
+@pytest.mark.parametrize("blocks,products", [((3, 0, 0), 1), ((2, 2, 0), 2)])
+def test_evaluate_word_multiplies_each_block_once(blocks, products,
+                                                  monkeypatch):
+    """The legs of one block read the same matrices: one word product per
+    block and sample, equal to the bytes of the product taken leg by leg."""
+    k1, k2, _ = blocks
+    n, samples = 4, 3
+    word = StarWord.parse("1,2*,1")
+    per_leg_product = sampling.word_matrix
+    calls = []
+
+    def counted(w, mats):
+        calls.append(w)
+        return per_leg_product(w, mats)
+
+    monkeypatch.setattr(sampling, "word_matrix", counted)
+    mc_run(StateSpec("tracial", k=k1 + k2, n=n), word, blocks, n, samples,
+           seed=4)
+    assert len(calls) == products * samples
+    rng = RngStream(8).generator()
+    us = [sample_haar_unitary(n, rng) for _ in range(2)]
+    legs = [us] * k1 + [[u.T for u in us]] * k2
+    got = evaluate_word(word, us, None, k1, k2).terms[0][1]
+    assert len(got) == k1 + k2
+    assert all(np.array_equal(f, per_leg_product(word, mats))
+               for f, mats in zip(got, legs))
 
 
 def test_evaluate_word_matches_dense_kronecker():
@@ -167,7 +196,7 @@ def test_mc_coefficient_state_is_thread_invariant():
     """A coefficient-file state contracts graphs inside the worker threads;
     each contraction owns its buffers, so threads cannot mix them."""
     n = 8
-    coeffs = decompose_invariant_state(StateSpec("tracial", k=2, n=n), 2, n)
+    coeffs = decompose_invariant_state(StateSpec("tracial", k=2, n=n))
     spec = StateSpec("elementary_combination", k=2, n=n, coeffs=coeffs)
     word = StarWord.parse("1,2,1*,2*")
     r1, v1 = mc_run(spec, word, (1, 1, 0), n, 40, seed=5, threads=1)

@@ -619,7 +619,7 @@ def test_zeta_multiplicative_over_disjoint_union(rng):
 
 def test_decompose_tracial_k1():
     n = 6
-    coeffs = decompose_invariant_state(StateSpec("tracial", k=1, n=n), 1, n)
+    coeffs = decompose_invariant_state(StateSpec("tracial", k=1, n=n))
     assert np.isclose(coeffs[SetPartition.full(2)], 1.0 / n)
     assert abs(coeffs[SetPartition.discrete(2)]) < 1e-12
 
@@ -633,7 +633,7 @@ def uniform_entry_state(k, n):
 
 def test_decompose_uniform_entry_functional():
     n = 6
-    coeffs = decompose_invariant_state(uniform_entry_state(1, n), 1, n)
+    coeffs = decompose_invariant_state(uniform_entry_state(1, n))
     assert np.isclose(coeffs[SetPartition.discrete(2)], 1 / n)
     assert abs(coeffs[SetPartition.full(2)]) < 1e-12
 
@@ -641,7 +641,7 @@ def test_decompose_uniform_entry_functional():
 def test_decompose_reconstructs_entangled_state(rng):
     n, k = 5, 2
     spec = StateSpec("max_entangled_vector", k=k, n=n)
-    coeffs = decompose_invariant_state(spec, k, n)
+    coeffs = decompose_invariant_state(spec)
     for _ in range(20):
         op = random_operand(rng, n, k)
         assert abs(apply_state(spec, op) - reconstruction_value(coeffs, op)) \
@@ -693,13 +693,13 @@ def test_decompose_equals_leq_scan_reference(kind, k):
             assert 0 not in elementary_probes(psi, k, n).values()
         # same keys in the same order, and the same floats to the sign of
         # zero: every sum adds the same nonzero terms in the same order
-        assert _reprs(decompose_invariant_state(psi, k, n)) == \
+        assert _reprs(decompose_invariant_state(psi)) == \
             _reprs(leq_scan_decomposition(psi, k, n))
 
 
 def test_decompose_requires_enough_dimension():
     with pytest.raises(InvalidArgumentError):
-        decompose_invariant_state(StateSpec("tracial", k=2, n=3), 2, 3)
+        decompose_invariant_state(StateSpec("tracial", k=2, n=3))
 
 
 def test_elementary_combination_state_roundtrip():

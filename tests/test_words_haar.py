@@ -1,15 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 
 from tensortraffic.errors import InvalidArgumentError, ResourceLimitError
 from tensortraffic.graphs import LinearGraph, canonical_form, quotient
-from tensortraffic.haar import (_quotient_class, cycle_limit_coefficient,
+from tensortraffic.haar import (_quotient_class, _structure,
+                                cycle_limit_coefficient,
                                 haar_limit_injective, linearize,
                                 predict_freeness_limit,
                                 splitting_identity_check)
 from tensortraffic.invariants import VALID, classify_labeling, split_by_color
 from tensortraffic.operands import TensorOperand
-from tensortraffic.partitions import enumerate_partitions
+from tensortraffic.partitions import (SetPartition, enumerate_partitions,
+                                     restricted_growth_strings)
 from tensortraffic.words import StarWord, all_words, free_reduce, is_trivial
 
 from oracles import haar_limit_reference, predict_ledger_reference
@@ -231,10 +235,62 @@ def test_predict_ledger_matches_reference_on_other_bases():
     assert valid and merged
 
 
+# the two block layouts of criterion 8
+LAYOUTS = ((1, 0, 0), (1, 1, 0))
+
+
+@pytest.mark.parametrize("variance", [False, True])
+@pytest.mark.parametrize("blocks", LAYOUTS)
+def test_predict_ledger_from_a_warm_structure_matches_reference(blocks,
+                                                                variance):
+    """Every word of one length labels the structure the first word of that
+    length left in the cache. The doubled graph of a length-3 word on the
+    (1, 1, 0) layout has 10 vertices, where one reference ledger takes
+    about 13 s on two cores, so that case stops at length 2."""
+    lengths = (1, 2) if variance and blocks == (1, 1, 0) else (1, 2, 3)
+    for length in lengths:
+        words = _words(length)
+        _structure.cache_clear()
+        predict_freeness_limit(words[-1], LOOPS[blocks], *blocks,
+                               include_variance_graph=variance)
+        for word in words:
+            doc = predict_freeness_limit(
+                word, LOOPS[blocks], *blocks,
+                include_variance_graph=variance).to_json()
+            assert doc == predict_ledger_reference(
+                word, LOOPS[blocks], *blocks, variance), word.to_string()
+        info = _structure.cache_info()
+        assert (info.misses, info.hits) == (1, len(words)), info
+
+
+def test_predict_is_independent_of_the_order_of_words():
+    a, b = StarWord.parse("1,2,1*,2*"), StarWord.parse("2*,1,1,2")
+    docs = {}
+    for order in ((a, b), (b, a)):
+        _structure.cache_clear()
+        for word in order:
+            docs.setdefault(word, []).append(json.dumps(
+                predict_freeness_limit(word, LOOP2, 1, 1, 0).to_json()))
+    assert docs[a][0] == docs[a][1] and docs[b][0] == docs[b][1]
+    assert docs[a][0] != docs[b][0]
+
+
+def test_predict_structure_cache_hits_and_is_bounded():
+    _structure.cache_clear()
+    predict_freeness_limit(StarWord.parse("1,2"), LOOP1, 1, 0, 0)
+    predict_freeness_limit(StarWord.parse("2*,1"), LOOP1, 1, 0, 0)
+    info = _structure.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    for word in ("1", "1,2,1", "1,2,1,2"):
+        predict_freeness_limit(StarWord.parse(word), LOOP1, 1, 0, 0)
+    info = _structure.cache_info()
+    assert info.maxsize == 2 and info.currsize == 2 and info.misses == 4
+
+
 def test_quotient_class_matches_canonical_form():
-    """The ledger key and the canonical form of the quotient split every
-    B(V) into the same classes, on linearized graphs with 1-3 isolated base
-    vertices."""
+    """The ledger key of a restricted-growth string and the canonical form
+    of its quotient split every B(V) into the same classes, on linearized
+    graphs with 1-3 isolated base vertices."""
     rng = np.random.default_rng(23)
     for _ in range(12):
         touched = int(rng.integers(1, 3))
@@ -247,9 +303,9 @@ def test_quotient_class_matches_canonical_form():
             for _ in range(int(rng.integers(1, 3)))))
         graph = linearize(base, word, k, 0, 0).graph  # at most 7 vertices
         touched_vertices = sorted(graph.touched_vertices())
-        pairs = {(_quotient_class(pi, touched_vertices),
-                  canonical_form(quotient(graph, pi)))
-                 for pi in enumerate_partitions(graph.vertex_count)}
+        pairs = {(_quotient_class(rgs, touched_vertices),
+                  canonical_form(quotient(graph, SetPartition(rgs))))
+                 for rgs in restricted_growth_strings(graph.vertex_count)}
         assert len({a for a, _ in pairs}) == len({b for _, b in pairs}) \
             == len(pairs)
 
