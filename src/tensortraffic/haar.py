@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .graphs import LinearGraph, adjoint_graph, disjoint_union
-from .invariants import (VALID, _blocks, _cactus_shape, _classify, _leaves,
-                         _labeled_shape, leaf_count, split_by_color,
+from .invariants import (VALID, _cactus_shape, _classify, _decompose,
+                         _labeling, leaf_count, split_by_color,
                          splitting_exponent)
 from .operands import TensorOperand, permutation_matrix
 from .partitions import _normalize, restricted_growth_strings
@@ -122,20 +121,19 @@ def haar_limit_injective(graph: LinearGraph, delta, eps) -> Fraction:
     well-oriented forest of cacti, in which case it is the product of the
     per-cycle signed Catalan coefficients.
     """
-    return _labeled_limit(*_labeled_shape(graph, delta, eps))[1]
+    return _limit(*_labeling(graph, delta, eps))
 
 
-def _labeled_limit(shape, delta, eps) -> tuple[str, Fraction]:
-    """Validity and Haar limit of a labeled graph from its cactus shape
-    (`invariants._cactus_shape`): a VALID labeling's limit is the product
-    of its cycles' weights, any other's is zero."""
-    validity = _classify(shape, delta, eps)
+def _limit(validity: str, shape) -> Fraction:
+    """The Haar limit of a labeling from its validity and cactus shape
+    (`invariants._cactus_shape`): the product of the cycles' weights if it
+    is VALID, zero otherwise."""
     if validity != VALID:
-        return validity, Fraction(0)
+        return Fraction(0)
     out = Fraction(1)
     for cyc in shape:
         out *= cycle_limit_coefficient(len(cyc))
-    return validity, out
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -195,35 +193,6 @@ def _quotient_class(rgs, touched) -> tuple:
     return max(rgs) + 1, _normalize([rgs[v] for v in touched])
 
 
-@lru_cache(maxsize=2)  # criterion 8 alternates two block layouts
-def _structure(graph: LinearGraph, ids1, ids2) -> tuple:
-    """The label-free half of the quotient ledger of a two-coloured graph
-    (colour-1 edges `ids1`, colour-2 edges `ids2`), one tuple per
-    isomorphism class of quotients in partition order: (partition,
-    multiplicity, eta, L(T'), L(T1), L(T2), cactus shape of T1)."""
-    edges, touched = graph.edges, sorted(graph.touched_vertices())
-    classes: dict = {}  # quotient class -> [rgs of its first quotient, count]
-    for rgs in restricted_growth_strings(graph.vertex_count):
-        seen = classes.setdefault(_quotient_class(rgs, touched), [rgs, 0])
-        seen[1] += 1
-    out = []
-    for rgs, multiplicity in classes.values():
-        nv = max(rgs) + 1
-        qedges = tuple((rgs[s], rgs[t]) for s, t in edges)
-        blocks = _blocks(nv, qedges)
-        lt = _leaves(nv, qedges, blocks)
-        if ids2:
-            e1, e2 = (tuple(qedges[i] for i in ids) for ids in (ids1, ids2))
-            blocks1 = _blocks(nv, e1)
-            l1, l2 = _leaves(nv, e1, blocks1), _leaves(nv, e2, _blocks(nv, e2))
-        else:  # no V block: T1 is T' and T2 is edgeless
-            e1, blocks1, l1, l2 = qedges, blocks, lt, 2 * nv
-        out.append((",".join(map(str, rgs)), multiplicity,
-                    splitting_exponent(lt, l1, l2, nv), lt, l1, l2,
-                    _cactus_shape(e1, blocks1)))
-    return tuple(sorted(out, key=lambda entry: entry[0]))
-
-
 def predict_freeness_limit(word: StarWord, base: LinearGraph, k1: int,
                            k2: int, k3: int, *,
                            include_variance_graph: bool = False) -> FreenessCertificate:
@@ -233,10 +202,7 @@ def predict_freeness_limit(word: StarWord, base: LinearGraph, k1: int,
     Each quotient is scored by its splitting exponent and the validity of
     its Haar-colored subgraph; the verdict is VANISHES exactly when no
     quotient has simultaneously a zero exponent and a valid subgraph.
-    Order-isomorphic quotients are deduplicated (multiplicities kept). The
-    word enters only through the labels of the Haar-colored edges, so the
-    label-free half of the ledger (`_structure`) is computed once per
-    linearized graph and its colouring, and each word only labels it.
+    Order-isomorphic quotients are deduplicated (multiplicities kept).
     """
     if is_trivial(word):
         raise InvalidArgumentError("the word reduces to the identity")
@@ -249,18 +215,36 @@ def predict_freeness_limit(word: StarWord, base: LinearGraph, k1: int,
             f"quotient enumeration capped at {PREDICT_VERTEX_CAP} vertices "
             f"(linearized graph has {graph.vertex_count})")
     delta, eps = t1_labels(lin)
-    ids1 = tuple(i for i, m in enumerate(lin.meta) if m.block != "v")
-    ids2 = tuple(i for i, m in enumerate(lin.meta) if m.block == "v")
+    ids1 = [i for i, m in enumerate(lin.meta) if m.block != "v"]
+    ids2 = [i for i, m in enumerate(lin.meta) if m.block == "v"]
+    edges, touched = graph.edges, sorted(graph.touched_vertices())
     base_leaves = leaf_count(graph)
-    entries = []
-    for partition, multiplicity, eta, lt, l1, l2, shape in _structure(
-            graph, ids1, ids2):
-        validity, coeff = _labeled_limit(shape, delta, eps)
-        entries.append(QuotientEntry(
-            partition=partition, multiplicity=multiplicity, eta=eta,
+    ledger: dict = {}  # isomorphism class -> entry of its first quotient
+    for rgs in restricted_growth_strings(graph.vertex_count):
+        key = _quotient_class(rgs, touched)
+        if key in ledger:
+            ledger[key].multiplicity += 1
+            continue
+        nv = max(rgs) + 1
+        qedges = [(rgs[s], rgs[t]) for s, t in edges]
+        blocks, lt, cactus = _decompose(nv, qedges)
+        if ids2:
+            e1 = [qedges[i] for i in ids1]
+            blocks, l1, cactus = _decompose(nv, e1)
+            l2 = _decompose(nv, [qedges[i] for i in ids2])[1]
+        else:  # no V block: T1 is T' and T2 is edgeless
+            e1, l1, l2 = qedges, lt, 2 * nv
+        shape = _cactus_shape(e1, blocks, cactus)
+        validity = _classify(shape, delta, eps)
+        ledger[key] = QuotientEntry(
+            partition=",".join(map(str, rgs)),
+            multiplicity=1,
+            eta=splitting_exponent(lt, l1, l2, nv),
             leaves_total=lt, leaves_t1=l1, leaves_t2=l2,
-            leaf_defect=base_leaves - lt, validity=validity,
-            limit_coefficient=coeff))
+            leaf_defect=base_leaves - lt,
+            validity=validity,
+            limit_coefficient=_limit(validity, shape))
+    entries = sorted(ledger.values(), key=lambda e: e.partition)
     verdict = "VANISHES" if not any(e.dangerous for e in entries) \
         else "INCONCLUSIVE"
     return FreenessCertificate(word.to_string(), (k1, k2, k3),

@@ -18,12 +18,18 @@ from .partitions import find_root, union_roots
 
 # --- blocks (biconnected components), bridges and the leaf count --------------
 
-def _blocks(n: int, edges) -> list[list[int]]:
-    """Edge ids grouped into biconnected blocks; each loop is its own block.
+def _decompose(n: int, edges) -> tuple[list[list[int]], int, bool]:
+    """The biconnected blocks of a multigraph as lists of edge ids (each
+    loop is its own block), the leaf count of its forest of two-edge-connected
+    components, and whether every block is a cycle.
 
-    Iterative depth-first search with low-links and an edge stack (Tarjan,
-    SIAM J. Comput. 1972); re-entering a vertex through a parallel copy of
-    the entry edge closes a two-edge block.
+    One iterative depth-first search with low-links and an edge stack
+    (Tarjan, SIAM J. Comput. 1972); re-entering a vertex through a parallel
+    copy of the entry edge closes a two-edge block. A tree edge into v is a
+    bridge iff low[v] is v's own order; v then heads a two-edge-connected
+    component, made of the vertices found since v. Every block is a cycle
+    iff there is no bridge and the blocks number the cycle rank m - n + c:
+    every other block adds one to the rank, a cycle exactly one.
     """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     blocks: list[list[int]] = []
@@ -35,13 +41,18 @@ def _blocks(n: int, edges) -> list[list[int]]:
             adj[t].append((eid, s))
     order = [-1] * n
     low = [0] * n
-    counter = 0
+    head = [0] * n  # the vertex heading each two-edge-connected component
+    bridge_ends = [0] * n
+    counter = components = 0
     estack: list[int] = []
+    vstack: list[int] = []
     for root in range(n):
         if order[root] != -1:
             continue
+        components += 1
         order[root] = low[root] = counter
         counter += 1
+        vstack.append(root)
         stack = [(root, -1, iter(adj[root]))]
         while stack:
             v, in_edge, it = stack[-1]
@@ -53,6 +64,7 @@ def _blocks(n: int, edges) -> list[list[int]]:
                     estack.append(eid)
                     order[w] = low[w] = counter
                     counter += 1
+                    vstack.append(w)
                     stack.append((w, eid, iter(adj[w])))
                     advanced = True
                     break
@@ -62,10 +74,20 @@ def _blocks(n: int, edges) -> list[list[int]]:
                         low[v] = order[w]
             if not advanced:
                 stack.pop()
+                heads = low[v] == order[v]  # and its in-edge is a bridge
+                if heads:
+                    while True:
+                        u = vstack.pop()
+                        head[u] = v
+                        if u == v:
+                            break
                 if stack:
                     pv = stack[-1][0]
                     if low[v] < low[pv]:
                         low[pv] = low[v]
+                    if heads:
+                        bridge_ends[v] += 1
+                        bridge_ends[pv] += 1
                     if low[v] >= order[pv]:
                         blk = []
                         while True:
@@ -74,7 +96,12 @@ def _blocks(n: int, edges) -> list[list[int]]:
                             if eid2 == in_edge:
                                 break
                         blocks.append(blk)
-    return blocks
+    degree = [0] * n  # bridge endpoints per component head
+    for v in range(n):
+        degree[head[v]] += bridge_ends[v]
+    leaves = forest_leaves([degree[v] for v in range(n) if head[v] == v])
+    cactus = not any(bridge_ends) and len(blocks) == len(edges) - n + components
+    return blocks, leaves, cactus
 
 
 def _is_cycle(edges, block: list[int]) -> bool:
@@ -90,7 +117,8 @@ def cutting_edges(graph: LinearGraph) -> frozenset[int]:
     neither loops nor parallel edges are ever bridges.
     """
     edges = graph.edges
-    return frozenset(b[0] for b in _blocks(graph.vertex_count, edges)
+    blocks = _decompose(graph.vertex_count, edges)[0]
+    return frozenset(b[0] for b in blocks
                      if len(b) == 1 and edges[b[0]][0] != edges[b[0]][1])
 
 
@@ -131,27 +159,9 @@ def forest_leaves(degrees) -> int:
     return 2 * degrees.count(0) + degrees.count(1)
 
 
-def _leaves(n: int, edges, blocks: list[list[int]]) -> int:
-    """Leaf count from a block decomposition: the one-edge non-loop blocks
-    are the bridges; the others join two-edge-connected components."""
-    parent, bridge_ends = list(range(n)), []
-    for block in blocks:
-        s, t = edges[block[0]]
-        if len(block) == 1 and s != t:
-            bridge_ends += (s, t)
-        else:
-            for eid in block:
-                union_roots(parent, *edges[eid])
-    degree = [0] * n  # bridge endpoints per component root
-    for v in bridge_ends:
-        degree[find_root(parent, v)] += 1
-    return forest_leaves([degree[v] for v in range(n) if parent[v] == v])
-
-
 def leaf_count(graph: LinearGraph) -> int:
     """Number of leaves of the forest of two-edge-connected components."""
-    n, edges = graph.vertex_count, graph.edges
-    return _leaves(n, edges, _blocks(n, edges))
+    return _decompose(graph.vertex_count, graph.edges)[1]
 
 
 # --- cactus predicates -------------------------------------------------------
@@ -180,19 +190,18 @@ NOT_WELL_COLORED = "not_well_colored"
 NOT_ALTERNATED = "not_alternated"
 
 
-def _cactus_shape(edges, blocks: list[list[int]]):
-    """The structural half of `classify_labeling`, from a block
-    decomposition of the edges: NOT_CACTUS, NOT_WELL_ORIENTED, or the
-    cycles of a well-oriented forest of cacti, each a tuple of edge ids in
-    cyclic order from the least."""
-    if not all(_is_cycle(edges, block) for block in blocks):
+def _cactus_shape(edges, blocks: list[list[int]], cactus: bool):
+    """The structural half of `classify_labeling`, from `_decompose`:
+    NOT_CACTUS, NOT_WELL_ORIENTED, or the cycles of a well-oriented forest
+    of cacti, each a tuple of edge ids in cyclic order from the least."""
+    if not cactus:
         return NOT_CACTUS
     if not all(_is_directed(edges, block) for block in blocks):
         return NOT_WELL_ORIENTED
     return tuple(tuple(_walk(edges, block)) for block in blocks)
 
 
-def _classify(shape, delta: tuple, eps: tuple) -> str:
+def _classify(shape, delta, eps) -> str:
     """The label half of `classify_labeling`: a failed shape stays failed;
     the cycles of a well-oriented cactus must carry one letter each and
     alternate their stars."""
@@ -208,29 +217,28 @@ def _classify(shape, delta: tuple, eps: tuple) -> str:
     return VALID
 
 
-def _graph_shape(graph: LinearGraph):
-    return _cactus_shape(graph.edges, _blocks(graph.vertex_count, graph.edges))
-
-
-def _labeled_shape(graph: LinearGraph, delta, eps) -> tuple:
-    """(shape, delta, eps): the structural half of a labeled graph and its
-    labels as tuples, checked against its edges."""
-    delta, eps = tuple(delta), tuple(eps)
-    if len(delta) != graph.order or len(eps) != graph.order:
-        raise InvalidArgumentError("label arity does not match edge count")
-    return _graph_shape(graph), delta, eps
-
-
 def is_forest_of_cacti(graph: LinearGraph) -> bool:
     """True iff every edge lies on exactly one simple cycle, that is, every
     biconnected block is a cycle. Isolated vertices are permitted.
     """
-    return _graph_shape(graph) != NOT_CACTUS
+    return all(_is_cycle(graph.edges, block)
+               for block in _decompose(graph.vertex_count, graph.edges)[0])
 
 
 def is_well_oriented(graph: LinearGraph) -> bool:
     """True iff the graph is a forest of cacti whose cycles are all directed."""
-    return not isinstance(_graph_shape(graph), str)
+    return all(_is_cycle(graph.edges, b) and _is_directed(graph.edges, b)
+               for b in _decompose(graph.vertex_count, graph.edges)[0])
+
+
+def _labeling(graph: LinearGraph, delta, eps) -> tuple:
+    """(validity, cactus shape) of a labeled graph."""
+    edges, delta, eps = graph.edges, tuple(delta), tuple(eps)
+    if len(delta) != len(edges) or len(eps) != len(edges):
+        raise InvalidArgumentError("label arity does not match edge count")
+    blocks, _, cactus = _decompose(graph.vertex_count, edges)
+    shape = _cactus_shape(edges, blocks, cactus)
+    return _classify(shape, delta, eps), shape
 
 
 def classify_labeling(graph: LinearGraph, delta, eps) -> str:
@@ -238,7 +246,7 @@ def classify_labeling(graph: LinearGraph, delta, eps) -> str:
     failure among: cactus, orientation, constant letters per cycle, even
     length with alternating stars per cycle.
     """
-    return _classify(*_labeled_shape(graph, delta, eps))
+    return _labeling(graph, delta, eps)[0]
 
 
 # --- colored splitting and the splitting exponent ---------------------------

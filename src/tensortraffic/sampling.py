@@ -93,9 +93,7 @@ def evaluate_word(word: StarWord, us, vs, k1: int, k2: int) -> TensorOperand:
     The legs of one block read the same matrices, so each block's product
     is taken once.
     """
-    factors = []
-    if k1:
-        factors += [word_matrix(word, us)] * k1
+    factors = [word_matrix(word, us)] * k1
     if k2:
         factors += [word_matrix(word, [u.T for u in us])] * k2
     if vs is not None:

@@ -6,8 +6,8 @@ from tensortraffic.graphs import (LinearGraph, component_count, minimal_graph,
                                   quotient)
 from tensortraffic.haar import linearize
 from tensortraffic.invariants import (NOT_ALTERNATED, NOT_CACTUS,
-                                      NOT_WELL_COLORED, VALID, _blocks, _walk,
-                                      classify_labeling, cutting_edges,
+                                      NOT_WELL_COLORED, VALID, _decompose,
+                                      _walk, classify_labeling, cutting_edges,
                                       forest_leaves, forest_of_tec,
                                       is_forest_of_cacti, is_well_oriented,
                                       leaf_count)
@@ -153,6 +153,24 @@ def test_cactus_agrees_with_enumeration():
         assert is_forest_of_cacti(g) == is_forest_of_cacti_by_enumeration(g)
 
 
+def test_decomposition_tells_cacti_by_cycle_rank():
+    """`_decompose` flags a forest of cacti by counting its blocks against
+    the cycle rank; `is_forest_of_cacti` tests every block for a cycle, and
+    the validity check reads the flag."""
+    rng = np.random.default_rng(15)
+    graphs = [LinearGraph(0, ())] + [random_graph(rng) for _ in range(300)]
+    graphs += [decorated_graph(rng) for _ in range(300)]
+    graphs += [quotient(minimal_graph(3), pi) for pi in enumerate_partitions(6)]
+    seen = set()
+    for g in graphs:
+        cactus = _decompose(g.vertex_count, g.edges)[2]
+        assert cactus == is_forest_of_cacti(g), g
+        labels = ((1,) * g.order, (False,) * g.order)
+        assert (classify_labeling(g, *labels) != NOT_CACTUS) == cactus, g
+        seen.add(cactus)
+    assert seen == {False, True}
+
+
 def test_simple_cycles_small():
     loop = LinearGraph(1, [(0, 0)])
     assert simple_cycles(loop) == [frozenset({0})]
@@ -185,7 +203,7 @@ def test_cactus_cycles_are_the_directed_simple_cycles():
             if not oriented:
                 continue
             cycles = [_walk(g.edges, block)
-                      for block in _blocks(g.vertex_count, g.edges)]
+                      for block in _decompose(g.vertex_count, g.edges)[0]]
             for cyc in cycles:
                 for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                     assert g.edges[a][1] == g.edges[b][0]
