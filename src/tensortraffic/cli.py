@@ -51,6 +51,42 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+# One ledger row as `_json_text` lays it out inside the certificate: keys
+# sorted, two-space indent at depth two.
+_LEDGER_ROW = """    {
+      "eta": %s,
+      "leaf_defect": %d,
+      "leaves": [
+        %d,
+        %d,
+        %d
+      ],
+      "limit_coefficient": %s,
+      "multiplicity": %d,
+      "partition": %s,
+      "validity": %s
+    }"""
+
+
+def _certificate_text(cert) -> str:
+    """`_json_text` of the certificate with its quotients as a list of
+    objects; the header goes through the encoder, each row through
+    `_LEDGER_ROW`, which is several times faster on a B(9) ledger. A ledger
+    is never empty: B(V) >= 1."""
+    quote = json.encoder.encode_basestring_ascii
+    header = _json_text({
+        "word": cert.word, "blocks": list(cert.blocks),
+        "doubled": cert.doubled, "verdict": cert.verdict,
+        "base_leaves": cert.base_leaves, "quotients": []})
+    rows = ",\n".join(_LEDGER_ROW % (
+        quote(str(e.eta)), e.leaf_defect, e.leaves_total, e.leaves_t1,
+        e.leaves_t2, quote(str(e.limit_coefficient)), e.multiplicity,
+        quote(e.partition), quote(e.validity)) for e in cert.entries)
+    # only integers and a bool sort before "quotients": the first match is it
+    return header.replace('"quotients": []',
+                          '"quotients": [\n%s\n  ]' % rows, 1)
+
+
 def _csv_text(columns, rows) -> str:
     lines = [",".join(columns)]
     for row in rows:
@@ -259,7 +295,7 @@ def _cmd_predict(args) -> int:
         graph = LinearGraph(1, tuple((0, 0) for _ in range(k1 + k2 + k3)))
     cert = predict_freeness_limit(word, graph, k1, k2, k3,
                                   include_variance_graph=args.variance)
-    _emit(args, _json_text(cert.to_json()))
+    _emit(args, _certificate_text(cert))
     return 0
 
 

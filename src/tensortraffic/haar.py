@@ -24,6 +24,7 @@ from .traces import injective_graph_trace
 from .words import StarWord, is_trivial
 
 PREDICT_VERTEX_CAP = 10  # Bell(10) = 115975 quotients
+_ZERO = Fraction(0)  # the limit of every labeling that is not VALID
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ def _limit(validity: str, shape) -> Fraction:
     (`invariants._cactus_shape`): the product of the cycles' weights if it
     is VALID, zero otherwise."""
     if validity != VALID:
-        return Fraction(0)
+        return _ZERO
     out = Fraction(1)
     for cyc in shape:
         out *= cycle_limit_coefficient(len(cyc))
@@ -167,24 +168,6 @@ class FreenessCertificate:
     base_leaves: int
     entries: list[QuotientEntry] = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {
-            "word": self.word,
-            "blocks": list(self.blocks),
-            "doubled": self.doubled,
-            "verdict": self.verdict,
-            "base_leaves": self.base_leaves,
-            "quotients": [{
-                "partition": e.partition,
-                "multiplicity": e.multiplicity,
-                "eta": str(e.eta),
-                "leaves": [e.leaves_total, e.leaves_t1, e.leaves_t2],
-                "leaf_defect": e.leaf_defect,
-                "validity": e.validity,
-                "limit_coefficient": str(e.limit_coefficient),
-            } for e in self.entries],
-        }
-
 
 def _quotient_class(rgs, touched) -> tuple:
     """Equal iff the quotients by the restricted-growth strings have equal
@@ -202,7 +185,9 @@ def predict_freeness_limit(word: StarWord, base: LinearGraph, k1: int,
     Each quotient is scored by its splitting exponent and the validity of
     its Haar-colored subgraph; the verdict is VANISHES exactly when no
     quotient has simultaneously a zero exponent and a valid subgraph.
-    Order-isomorphic quotients are deduplicated (multiplicities kept).
+    Order-isomorphic quotients are deduplicated (multiplicities kept);
+    when every vertex carries an edge no two quotients are isomorphic, and
+    each restricted-growth string is its own class.
     """
     if is_trivial(word):
         raise InvalidArgumentError("the word reduces to the identity")
@@ -218,10 +203,12 @@ def predict_freeness_limit(word: StarWord, base: LinearGraph, k1: int,
     ids1 = [i for i, m in enumerate(lin.meta) if m.block != "v"]
     ids2 = [i for i, m in enumerate(lin.meta) if m.block == "v"]
     edges, touched = graph.edges, sorted(graph.touched_vertices())
+    every_vertex = len(touched) == graph.vertex_count
     base_leaves = leaf_count(graph)
     ledger: dict = {}  # isomorphism class -> entry of its first quotient
+    etas: dict = {}  # (lt, l1, l2, nv) -> its splitting exponent
     for rgs in restricted_growth_strings(graph.vertex_count):
-        key = _quotient_class(rgs, touched)
+        key = rgs if every_vertex else _quotient_class(rgs, touched)
         if key in ledger:
             ledger[key].multiplicity += 1
             continue
@@ -236,10 +223,13 @@ def predict_freeness_limit(word: StarWord, base: LinearGraph, k1: int,
             e1, l1, l2 = qedges, lt, 2 * nv
         shape = _cactus_shape(e1, blocks, cactus)
         validity = _classify(shape, delta, eps)
+        eta = etas.get((lt, l1, l2, nv))
+        if eta is None:
+            eta = etas[lt, l1, l2, nv] = splitting_exponent(lt, l1, l2, nv)
         ledger[key] = QuotientEntry(
             partition=",".join(map(str, rgs)),
             multiplicity=1,
-            eta=splitting_exponent(lt, l1, l2, nv),
+            eta=eta,
             leaves_total=lt, leaves_t1=l1, leaves_t2=l2,
             leaf_defect=base_leaves - lt,
             validity=validity,

@@ -15,8 +15,7 @@ from tensortraffic.characters import Signature
 from tensortraffic.errors import InvalidArgumentError
 from tensortraffic.graphs import (LinearGraph, canonical_form, component_count,
                                   minimal_graph, quotient)
-from tensortraffic.haar import (FreenessCertificate, QuotientEntry,
-                                cycle_limit_coefficient, doubled, linearize,
+from tensortraffic.haar import (cycle_limit_coefficient, doubled, linearize,
                                 t1_labels)
 from tensortraffic.invariants import (VALID, classify_labeling, forest_leaves,
                                       forest_of_tec, leaf_count,
@@ -143,10 +142,10 @@ def _forest_leaf_count(graph: LinearGraph) -> int:
 
 def predict_ledger_reference(word, base: LinearGraph, k1: int, k2: int,
                              k3: int, include_variance_graph=False) -> dict:
-    """`predict_freeness_limit(...).to_json()` built graph by graph: each
-    quotient is keyed by its canonical form, split into its colored
-    subgraphs, classified, and its three leaf counts are read off forests of
-    two-edge-connected components. It shares linearization and
+    """The certificate that `predict` prints, as a dict, built graph by
+    graph: each quotient is keyed by its canonical form, split into its
+    colored subgraphs, classified, and its three leaf counts are read off
+    forests of two-edge-connected components. It shares linearization and
     `classify_labeling` with `predict`; the dedup key, the leaf counts and
     the cycle weights are computed independently. No vertex cap."""
     lin = linearize(base, word, k1, k2, k3)
@@ -157,11 +156,12 @@ def predict_ledger_reference(word, base: LinearGraph, k1: int, k2: int,
     color = tuple(2 if m.block == "v" else 1 for m in lin.meta)
     base_leaves = _forest_leaf_count(graph)
     ledger = {}
+    dangerous = False
     for pi in enumerate_partitions(graph.vertex_count):
         tprime = quotient(graph, pi)
         key = canonical_form(tprime)
         if key in ledger:
-            ledger[key].multiplicity += 1
+            ledger[key]["multiplicity"] += 1
             continue
         t1, t2 = split_by_color(tprime, color)
         validity = classify_labeling(t1, delta, eps)
@@ -169,18 +169,18 @@ def predict_ledger_reference(word, base: LinearGraph, k1: int, k2: int,
             else Fraction(0)
         lt, l1, l2 = (_forest_leaf_count(tprime), _forest_leaf_count(t1),
                       _forest_leaf_count(t2))
-        ledger[key] = QuotientEntry(
-            partition=pi.to_string(), multiplicity=1,
-            eta=splitting_exponent(lt, l1, l2, tprime.vertex_count),
-            leaves_total=lt, leaves_t1=l1, leaves_t2=l2,
-            leaf_defect=base_leaves - lt, validity=validity,
-            limit_coefficient=coeff)
-    entries = sorted(ledger.values(), key=lambda e: e.partition)
-    verdict = "VANISHES" if not any(e.dangerous for e in entries) \
-        else "INCONCLUSIVE"
-    return FreenessCertificate(word.to_string(), (k1, k2, k3),
-                               include_variance_graph, verdict, base_leaves,
-                               entries).to_json()
+        eta = splitting_exponent(lt, l1, l2, tprime.vertex_count)
+        dangerous = dangerous or (eta == 0 and validity == VALID)
+        ledger[key] = {"partition": pi.to_string(), "multiplicity": 1,
+                       "eta": str(eta), "leaves": [lt, l1, l2],
+                       "leaf_defect": base_leaves - lt, "validity": validity,
+                       "limit_coefficient": str(coeff)}
+    return {"word": word.to_string(), "blocks": [k1, k2, k3],
+            "doubled": include_variance_graph,
+            "verdict": "INCONCLUSIVE" if dangerous else "VANISHES",
+            "base_leaves": base_leaves,
+            "quotients": sorted(ledger.values(),
+                                key=lambda q: q["partition"])}
 
 
 # --- Weingarten values by the Gram solve, N >= p -----------------------------

@@ -242,6 +242,9 @@ PREDICT_STDOUT_SHA256 = [
     (["--word", "1,2*", "--blocks", "1,0,0", "--variance"],
      {"vertices": 2, "edges": [[0, 1]]},
      "dfdd0bd2c7625e7c7ea55f35baf5b377eab9c6acef662b4bfde60d29a6a382b1"),
+    # the first B(9) ledger of the benchmark's `lattice` workload
+    (["--word", "1,2,1*,2*,1", "--blocks", "1,1,0"], None,
+     "cd29af5b02a1d9f4399887750379ec104bdcfe99a83886848598a8b9e0a1bec7"),
 ]
 
 
@@ -254,6 +257,14 @@ def test_predict_stdout_is_pinned(argv, graph, digest, capsys, tmp_path):
     code, out, _ = run_cli(["predict"] + argv, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_predict_out_file_matches_stdout(capsys, tmp_path):
+    path = tmp_path / "certificate.json"
+    code, out, _ = run_cli(["predict", "--word", "1,2,1*", "--blocks", "1,0,1",
+                            "--out", str(path)], capsys)
+    assert code == 0
+    assert path.read_bytes() == out.encode("utf-8")
 
 
 # SHA-256 of stdout and the exit code of one fast command per remaining

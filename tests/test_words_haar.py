@@ -1,9 +1,14 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from tensortraffic.cli import _certificate_text
 from tensortraffic.errors import InvalidArgumentError, ResourceLimitError
 from tensortraffic.graphs import LinearGraph, canonical_form, quotient
-from tensortraffic.haar import (_quotient_class, cycle_limit_coefficient,
+from tensortraffic.haar import (PREDICT_VERTEX_CAP, _quotient_class,
+                                cycle_limit_coefficient,
                                 haar_limit_injective, linearize,
                                 predict_freeness_limit,
                                 splitting_identity_check)
@@ -195,13 +200,23 @@ def _words(*lengths):
             if w.letters[0][0] == 1 and not is_trivial(w)]
 
 
+def _check_ledger(word, base, blocks, variance=False) -> dict:
+    """The certificate text `predict` prints equals the standard library's
+    encoding of the reference ledger; returns that reference."""
+    cert = predict_freeness_limit(word, base, *blocks,
+                                  include_variance_graph=variance)
+    reference = predict_ledger_reference(word, base, *blocks, variance)
+    assert _certificate_text(cert) == json.dumps(
+        reference, sort_keys=True, indent=2) + "\n", \
+        (word.to_string(), base, blocks, variance)
+    return reference
+
+
 @pytest.mark.parametrize("blocks", [(1, 0, 0), (1, 1, 0), (1, 0, 1),
                                     (1, 1, 1)])
 def test_predict_ledger_matches_reference_on_loops(blocks):
     for word in _words(1, 2, 3):
-        cert = predict_freeness_limit(word, LOOPS[blocks], *blocks)
-        assert cert.to_json() == predict_ledger_reference(
-            word, LOOPS[blocks], *blocks), word.to_string()
+        _check_ledger(word, LOOPS[blocks], blocks)
 
 
 def test_predict_ledger_matches_reference_on_other_bases():
@@ -223,10 +238,7 @@ def test_predict_ledger_matches_reference_on_other_bases():
     cases.append((StarWord.parse("1,2"), BRIDGED, (1, 0, 1), True))
     valid = merged = 0
     for word, base, blocks, variance in cases:
-        doc = predict_freeness_limit(word, base, *blocks,
-                                     include_variance_graph=variance).to_json()
-        assert doc == predict_ledger_reference(word, base, *blocks, variance), \
-            (word.to_string(), base, blocks, variance)
+        doc = _check_ledger(word, base, blocks, variance)
         valid += sum(q["validity"] == VALID for q in doc["quotients"])
         merged += sum(q["multiplicity"] > 1 for q in doc["quotients"])
     assert valid and merged
@@ -239,10 +251,7 @@ def test_predict_variance_ledger_matches_reference(blocks):
     takes about 13 s on two cores, so that layout stops at length 2."""
     lengths = (1, 2) if blocks == (1, 1, 0) else (1, 2, 3)
     for word in _words(*lengths):
-        doc = predict_freeness_limit(word, LOOPS[blocks], *blocks,
-                                     include_variance_graph=True).to_json()
-        assert doc == predict_ledger_reference(word, LOOPS[blocks], *blocks,
-                                               True), word.to_string()
+        _check_ledger(word, LOOPS[blocks], blocks, True)
 
 
 def test_quotient_class_matches_canonical_form():
@@ -266,6 +275,29 @@ def test_quotient_class_matches_canonical_form():
                  for rgs in restricted_growth_strings(graph.vertex_count)}
         assert len({a for a, _ in pairs}) == len({b for _, b in pairs}) \
             == len(pairs)
+
+
+@st.composite
+def _restricted_growth_string(draw):
+    rgs = ()
+    for _ in range(draw(st.integers(1, PREDICT_VERTEX_CAP))):
+        rgs += (draw(st.integers(0, max(rgs, default=-1) + 1)),)
+    return rgs
+
+
+@given(_restricted_growth_string())
+def test_quotient_class_is_the_string_when_every_vertex_is_touched(rgs):
+    """The premise of `predict`'s every-vertex path, which keys its ledger by
+    the string itself: with no isolated vertex no two strings merge."""
+    assert _quotient_class(rgs, range(len(rgs))) == (max(rgs) + 1, rgs)
+
+
+@pytest.mark.parametrize("base,merges", [
+    (LOOP2, False), (BRIDGED, False), (LinearGraph(2, ((1, 1), (1, 1))), True),
+    (ISOLATED, True)])
+def test_predict_merges_only_with_an_isolated_vertex(base, merges):
+    cert = predict_freeness_limit(StarWord.parse("1,2*"), base, 1, 1, 0)
+    assert (max(e.multiplicity for e in cert.entries) > 1) == merges
 
 
 def test_predict_single_letter():
@@ -320,7 +352,7 @@ def test_predict_with_third_block_eta_nonpositive():
 
 def test_certificate_json_shape():
     cert = predict_freeness_limit(StarWord.parse("1,1"), LOOP1, 1, 0, 0)
-    doc = cert.to_json()
+    doc = json.loads(_certificate_text(cert))
     assert doc["verdict"] == "VANISHES"
     assert {"partition", "multiplicity", "eta", "leaves", "leaf_defect",
             "validity", "limit_coefficient"} <= set(doc["quotients"][0])
