@@ -48,15 +48,17 @@ class Signature:
         return [padded[j] + n - (j + 1) for j in range(n)]
 
     def dimension(self, n: int) -> Fraction:
-        """Exact dimension: prod_{i<j} (l_i - l_j) / (j - i). Equal padded
-        parts give l_i - l_j = j - i, a factor 1, which is skipped."""
+        """Exact dimension: prod_{i<j} (l_i - l_j) / (j - i), a factor that is
+        symmetric in i and j, and 1 when both index the zero padding. So
+        only pairs touching a part of lam or mu are multiplied."""
         l = self.composite_weights(n)
+        zeros = range(len(self.lam), n - len(self.mu))
+        ends = [j for j in range(n) if j not in zeros]
         num = den = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if l[i] - l[j] != j - i:
-                    num *= l[i] - l[j]
-                    den *= j - i
+        for x, i in enumerate(ends):
+            for j in itertools.chain(ends[x + 1:], zeros):
+                num *= l[i] - l[j]
+                den *= j - i
         return Fraction(num, den)
 
 

@@ -29,7 +29,8 @@ from .traces import (contraction_plan, decompose_invariant_state, graph_trace,
                      zeta_trace)
 from .words import StarWord
 from .haar import haar_limit_injective, predict_freeness_limit
-from .sampling import RngStream, apply_state, mc_run, norm_absorption_demo
+from .sampling import (RngStream, apply_state, mc_run, norm_absorption_demo,
+                       usable_cores)
 from .characters import Signature, amalgam_sweep, character_sweep
 
 MC_CSV_COLUMNS = ("N", "estimate_re", "estimate_im", "stderr", "variance",
@@ -458,8 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--v-mode", choices=("perm", "haar"), default="perm",
                    help="third-block family: permutation tensors or Haar")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads, 1 to 64 (results do not depend on this)")
+    p.add_argument("--threads", type=int, default=usable_cores(),
+                   help="worker threads, 1 to 64 (default: the usable cores, "
+                        "%(default)s here; results do not depend on this)")
     common(p, formats=("csv", "json"))
     p.set_defaults(func=_cmd_mc)
 

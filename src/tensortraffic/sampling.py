@@ -7,9 +7,13 @@ matter how samples are scheduled across workers.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import ctypes
 import itertools
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +23,15 @@ from .traces import apply_state  # re-exported: states live next to traces
 from .words import StarWord, is_trivial
 
 THREAD_CAP = 64  # worker threads of one sweep; results do not depend on it
+
+
+def usable_cores() -> int:
+    """The default worker count of an `mc` sweep: the cores this process may
+    run on, at most THREAD_CAP."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(len(os.sched_getaffinity(0)), THREAD_CAP)
+    return min(os.cpu_count() or 1, THREAD_CAP)
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -105,12 +118,44 @@ def evaluate_word(word: StarWord, us, vs, k1: int, k2: int) -> TensorOperand:
 # Monte-Carlo harness
 # --------------------------------------------------------------------------
 
+def openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None
+    when numpy vendors no OpenBLAS exporting both ("unpinned")."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in libs.glob("*openblas*"):
+        lib = ctypes.CDLL(str(path))
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS to one thread, process-wide, then restore its count;
+    without the symbols, leave it unpinned."""
+    get, put = openblas_threads() or (lambda: None, lambda count: None)
+    old = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(old)
+
+
 def haar_sweep(fn, n: int, letters: int, samples: int, seed: int,
                threads: int = 1) -> np.ndarray:
     """Sample s of a sweep is fn(us, rng): rng is the generator of the
     counter-based stream RngStream(seed, s), and us are the first `letters`
     Haar unitaries drawn from it; fn may draw more from rng. Returns
     np.array of the samples in order, independent of `threads`.
+
+    OpenBLAS runs on one thread: the QR of a draw is then the same in every
+    environment, faster at N = 128, and leaves the cores to `threads`
+    contiguous chunks of samples, the first run by the calling thread.
     """
     if samples < 2:
         raise InvalidArgumentError("need samples >= 2")
@@ -124,10 +169,18 @@ def haar_sweep(fn, n: int, letters: int, samples: int, seed: int,
         rng = RngStream(seed, s).generator()
         return fn([sample_haar_unitary(n, rng) for _ in range(letters)], rng)
 
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.array(list(pool.map(one, range(samples))))
-    return np.array([one(s) for s in range(samples)])
+    def run(start, stop):
+        return [one(s) for s in range(start, stop)]
+
+    with _one_blas_thread():
+        if threads == 1:
+            return np.array(run(0, samples))
+        threads = min(threads, samples)
+        cuts = [samples * t // threads for t in range(threads + 1)]
+        with concurrent.futures.ThreadPoolExecutor(threads - 1) as pool:
+            rest = pool.map(run, cuts[1:-1], cuts[2:])
+            values = run(0, cuts[1])
+            return np.array(values + [v for part in rest for v in part])
 
 
 def _sample_value(state, word, blocks, v_mode, us, rng):
@@ -144,12 +197,15 @@ def _sample_value(state, word, blocks, v_mode, us, rng):
 
 
 def mc_run(state, word: StarWord, blocks, n: int, samples: int,
-           seed: int = 0, v_mode: str = "perm", threads: int = 1):
+           seed: int = 0, v_mode: str = "perm", threads: int | None = None):
     """One sampling sweep of state(word(W)) reported both ways:
     (expectation, variance). The variance report carries the spread of the
-    variance estimator itself as its standard error.
+    variance estimator itself as its standard error. threads=None means
+    usable_cores().
     """
     k1, k2, k3 = blocks
+    if threads is None:
+        threads = usable_cores()
     if k1 < 1 or k2 < 0 or k3 < 0:
         raise InvalidArgumentError("need K1 >= 1 and K2, K3 >= 0")
     if is_trivial(word):

@@ -7,6 +7,7 @@ Every tolerance is fixed here, not calibrated.
 """
 import itertools
 import math
+import os
 import subprocess
 import sys
 import time
@@ -432,11 +433,16 @@ def test_criterion_11_norm_demo():
 
 
 def test_criterion_12_determinism():
-    """Selftest and seeded experiments are byte-identical across runs and
-    across thread settings."""
-    def run(args):
+    """Selftest and seeded experiments are byte-identical across runs, and
+    seeded `mc`, `character` and `amalgam` sweeps up to N = 128 across
+    OpenBLAS thread counts and `mc --threads`."""
+    def run(args, blas=None):
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+        if blas is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas
         proc = subprocess.run([sys.executable, "-m", "tensortraffic.cli"]
-                              + args, capture_output=True)
+                              + args, capture_output=True, env=env)
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout
 
@@ -444,11 +450,17 @@ def test_criterion_12_determinism():
     second = run(["selftest"])
     assert first == second and first.startswith(b"PASS")
     mc_args = ["mc", "--state", "tracial", "--word", "1,2,1*,2*",
-               "--blocks", "1,1,0", "--dims", "8,16", "--samples", "60",
+               "--blocks", "1,1,0", "--dims", "8,128", "--samples", "6",
                "--seed", "1212"]
-    a = run(mc_args + ["--threads", "1"])
-    b = run(mc_args + ["--threads", "2"])
-    c = run(mc_args + ["--threads", "1"])
-    assert a == b == c
-    print("PASS criterion 12: byte-identical selftest and seeded runs across "
-          "thread settings")
+    char_args = ["character", "--lambda", "2,1", "--mu", "1",
+                 "--dims", "8,128", "--samples", "4", "--seed", "1212"]
+    amalgam_args = ["amalgam", "--d", "1", "--word", "1,2,1*,2*",
+                    "--dims", "8,128", "--samples", "4", "--seed", "1212"]
+    for args, variants in ((mc_args, ([], ["--threads", "1"],
+                                      ["--threads", "2"], ["--threads", "8"])),
+                           (char_args, ([],)), (amalgam_args, ([],))):
+        outs = {run(args + extra, blas) for extra in variants
+                for blas in (None, "1", "2")}
+        assert len(outs) == 1, args[0]
+    print("PASS criterion 12: byte-identical selftest and seeded runs up to "
+          "N = 128 across OpenBLAS threads and --threads")

@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextlib
 import hashlib
 import io
 import json
@@ -268,8 +269,8 @@ def test_predict_out_file_matches_stdout(capsys, tmp_path):
 
 
 # SHA-256 of stdout and the exit code of one fast command per remaining
-# subcommand. Every N stays <= 64: from N ~ 100 on, the QR inside a Haar draw
-# returns bytes that depend on the BLAS thread count.
+# subcommand. Every N stays <= 64 to keep them fast; criterion 12 checks
+# seeded bytes at N = 128 across BLAS and worker thread counts.
 SUBCOMMAND_STDOUT_SHA256 = [
     ("mc --state tracial --word 1,2,1*,2* --blocks 1,0,1 --dims 8,16 "
      "--samples 40 --seed 3 --v-mode haar",
@@ -738,3 +739,100 @@ def test_loaders_raise_only_package_errors(tmp_path_factory, graph, coeffs,
             load(str(path))
         except TensorTrafficError:
             pass
+
+
+# Whole-argv fuzz: a well-formed command of each subcommand, or one with a
+# token replaced by junk. Inputs stay small (N <= 16, samples <= 8, short
+# words, junk numbers <= 4 or 65) so every accepted command finishes in
+# well under a second.
+def _csv(items, max_size=3):
+    return st.lists(items, min_size=1, max_size=max_size).map(
+        lambda xs: ",".join(map(str, xs)))
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _command(name, required, optional=None):
+    """argv of one subcommand; an option drawn as None is a bare flag."""
+    return st.fixed_dictionaries(required, optional=optional or {}).map(
+        lambda opts: [name] + [tok for key, value in opts.items()
+                               for tok in ((key,) if value is None
+                                           else (key, value))])
+
+
+def _corrupt(argv, at, junk):
+    if at is None:
+        return argv
+    argv = list(argv)
+    argv[at % len(argv)] = junk
+    return argv
+
+
+WORDS = _csv(st.builds(lambda i, star: f"{i}{'*' * star}", st.integers(1, 3),
+                       st.booleans()), max_size=4)
+BLOCKS = st.builds(lambda *k: ",".join(map(str, k)), st.integers(1, 2),
+                   st.integers(0, 2), st.integers(0, 2))
+PARTS = st.lists(st.integers(1, 3), max_size=3).map(
+    lambda xs: ",".join(map(str, sorted(xs, reverse=True))))
+STATES = st.sampled_from(["tracial", "entangled", "diagonal"])
+SEEDS = st.integers(-1, 2 ** 65).map(str)
+SAMPLES = _ints(2, 8)
+
+
+def _dims(top):
+    return st.sets(st.integers(1, top), min_size=1, max_size=3).map(
+        lambda ns: ",".join(map(str, sorted(ns))))
+
+
+COMMANDS = st.one_of(
+    _command("mc", {"--state": STATES, "--word": WORDS, "--blocks": BLOCKS,
+                    "--dims": _dims(16), "--samples": SAMPLES},
+             {"--seed": SEEDS,
+              "--format": st.sampled_from(["csv", "json"]),
+              "--v-mode": st.sampled_from(["perm", "haar"]),
+              "--threads": st.sampled_from(["-1", "0", "1", "2", "65"])}),
+    _command("character", {"--dims": _dims(16), "--samples": SAMPLES},
+             {"--lambda": PARTS, "--mu": PARTS, "--word": WORDS,
+              "--seed": SEEDS}),
+    # amalgam's cost grows as N^(3d) per leg permutation: N <= 4 keeps it
+    # fast, and d = 4 then meets the N > d guard
+    _command("amalgam", {"--d": _ints(1, 4), "--word": WORDS,
+                         "--dims": _dims(4), "--samples": SAMPLES},
+             {"--seed": SEEDS}),
+    # two letters on K <= 3 legs keep the (doubled, with --variance) graph
+    # at B(8) or below
+    _command("predict", {"--word": _csv(st.sampled_from(["1", "2*", "3"]),
+                                        max_size=2),
+                         "--blocks": st.sampled_from(["1,0,0", "1,1,0",
+                                                      "1,0,1", "2,0,1",
+                                                      "1,1,1"])},
+             {"--variance": st.none()}),
+    _command("mobius", {"--n": _ints(1, 8)}),
+    _command("decompose", {"--state": STATES, "--k": _ints(1, 4),
+                           "--n": _ints(1, 16)}, {"--seed": SEEDS}),
+    _command("normdemo", {"--letters": _ints(1, 4), "--n": _ints(1, 16),
+                          "--mode": st.sampled_from(["haar_pair",
+                                                     "conjugate_pair"])},
+             {"--seed": SEEDS}),
+    _command("selftest", {}))
+JUNK = st.sampled_from(["-1", "0", "1", "65", "", "2,1", "1,,2", "0*",
+                        "--bogus", "--version"]) \
+    | st.text(alphabet="01234,*- x", max_size=1)
+ARGVS = st.builds(_corrupt, COMMANDS, st.none() | st.integers(0, 20), JUNK)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=ARGVS)
+def test_any_argv_exits_with_a_contract_code(argv):
+    """Whatever the command line, the CLI exits 0, 2, 3 or 4 and never ends
+    in a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors, --version
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

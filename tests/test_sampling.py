@@ -1,10 +1,12 @@
 import itertools
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tensortraffic import sampling
+from tensortraffic.cli import build_parser
 from tensortraffic.errors import InvalidArgumentError, ResourceLimitError
 from tensortraffic.operands import StateSpec, TensorOperand
 from tensortraffic.sampling import (RngStream, apply_state, evaluate_word,
@@ -203,6 +205,71 @@ def test_mc_coefficient_state_is_thread_invariant():
     r4, v4 = mc_run(spec, word, (1, 1, 0), n, 40, seed=5, threads=4)
     assert (r1.estimate, r1.stderr) == (r4.estimate, r4.stderr)
     assert (v1.estimate, v1.stderr) == (v4.estimate, v4.stderr)
+
+
+def _draw(us, rng):
+    return np.trace(us[0] @ us[1]) + rng.standard_normal()
+
+
+@pytest.mark.parametrize("threads,samples", [(3, 7), (2, 2), (8, 3), (64, 5)])
+def test_haar_sweep_chunks_join_in_sample_order(threads, samples):
+    serial = sampling.haar_sweep(_draw, 6, 2, samples, 11, threads=1)
+    pooled = sampling.haar_sweep(_draw, 6, 2, samples, 11, threads=threads)
+    assert np.array_equal(serial, pooled)
+    assert len(set(serial)) == samples
+
+
+def test_haar_sweep_threads_1_starts_no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(sampling.concurrent.futures, "ThreadPoolExecutor",
+                        refuse)
+    assert len(sampling.haar_sweep(_draw, 4, 2, 5, 0, threads=1)) == 5
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("fails", [False, True])
+def test_haar_sweep_pins_blas_and_restores_it(threads, fails):
+    blas = sampling.openblas_threads()
+    if blas is None:
+        pytest.skip("numpy vendors no OpenBLAS with a thread setter")
+    get, put = blas
+    before = get()
+    seen = []
+
+    def fn(us, rng):
+        seen.append(get())
+        if fails:
+            raise RuntimeError("sample failed")
+        return 0.0
+
+    put(3)
+    try:
+        if fails:
+            with pytest.raises(RuntimeError, match="sample failed"):
+                sampling.haar_sweep(fn, 4, 1, 6, 0, threads=threads)
+        else:
+            sampling.haar_sweep(fn, 4, 1, 6, 0, threads=threads)
+        assert seen and set(seen) == {1}
+        assert get() == 3
+    finally:
+        put(before)
+
+
+def test_haar_sweep_runs_unpinned_without_the_blas_symbols(monkeypatch):
+    pinned = sampling.haar_sweep(_draw, 6, 2, 5, 3, threads=2)
+    monkeypatch.setattr(sampling, "openblas_threads", lambda: None)
+    assert np.array_equal(sampling.haar_sweep(_draw, 6, 2, 5, 3, threads=2),
+                          pinned)
+
+
+def test_mc_threads_default_to_usable_cores():
+    cores = min(len(os.sched_getaffinity(0)), sampling.THREAD_CAP)
+    assert sampling.usable_cores() == cores
+    args = build_parser().parse_args(["mc", "--state", "tracial", "--word",
+                                      "1", "--blocks", "1,0,0", "--dims", "4"])
+    assert args.threads == cores
 
 
 def test_mc_second_moment_vanishes_under_entangled_state():
