@@ -4,6 +4,7 @@ conditional expectation onto the span of leg permutations.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,21 +39,18 @@ class Signature:
     def length(self) -> int:
         return len(self.lam) + len(self.mu)
 
-    def composite_weights(self, n: int) -> list[int]:
-        """Strictly decreasing exponents l_j = (padded signature)_j + n - j."""
+    @functools.lru_cache(maxsize=256)  # once per (signature, N) in a sweep
+    def dimension(self, n: int) -> Fraction:
+        """Exact dimension: prod_{i<j} (l_i - l_j) / (j - i) over the strictly
+        decreasing l_j = (signature padded with zeros to length N)_j - j. A
+        factor is symmetric in i and j, and 1 when both index the zero
+        padding, so only pairs touching a part of lam or mu are multiplied."""
         if self.length > n:
             raise InvalidArgumentError(
                 f"signature length {self.length} exceeds N = {n}")
-        padded = list(self.lam) + [0] * (n - self.length) \
-            + [-m for m in reversed(self.mu)]
-        return [padded[j] + n - (j + 1) for j in range(n)]
-
-    def dimension(self, n: int) -> Fraction:
-        """Exact dimension: prod_{i<j} (l_i - l_j) / (j - i), a factor that is
-        symmetric in i and j, and 1 when both index the zero padding. So
-        only pairs touching a part of lam or mu are multiplied."""
-        l = self.composite_weights(n)
         zeros = range(len(self.lam), n - len(self.mu))
+        l = [x - j for j, x in enumerate(list(self.lam) + [0] * len(zeros)
+                                         + [-m for m in reversed(self.mu)])]
         ends = [j for j in range(n) if j not in zeros]
         num = den = 1
         for x, i in enumerate(ends):
@@ -62,49 +60,45 @@ class Signature:
         return Fraction(num, den)
 
 
-def _scalar_multiple_of_identity(u: np.ndarray) -> complex | None:
-    n = u.shape[0]
-    c = u[0, 0]
-    if np.max(np.abs(u - c * np.eye(n))) < 1e-12:
-        return complex(c)
-    return None
+def _complete_symmetric(u: np.ndarray, order: int) -> np.ndarray:
+    """h_0..h_order of the eigenvalues of U by Newton's identities,
+    k h_k = sum_{i<=k} p_i h_{k-i}, from p_k = Tr(U^k), the entrywise sum of
+    U^floor(k/2) * (U^ceil(k/2))^T: one product per two orders."""
+    p, h, low, high = [complex(np.trace(u))], [1.0 + 0.0j], u, u
+    for k in range(1, order + 1):
+        if k > 1:
+            low, high = (low, low @ u) if k % 2 else (high, high)
+            p.append(complex(np.sum(low * high.T)))
+        h.append(sum(p[i] * h[k - 1 - i] for i in range(k)) / k)
+    return np.array(h)
 
 
 def normalized_character(sig: Signature, u: np.ndarray) -> complex:
-    """Character of the rational irreducible representation, normalized so the
-    identity evaluates to exactly 1.
-
-    Computed as the Weyl quotient of generalized Vandermonde determinants in
-    the eigenvalues (log-scaled determinants to dodge overflow), divided by
-    the exact integer dimension. Scalar matrices are handled in closed form;
-    eigenvalue collisions get one deterministic jitter retry.
-    """
-    n = u.shape[0]
-    if sig.length > n:
+    """Character of the rational irreducible representation at a unitary U,
+    normalized so the identity evaluates to exactly 1: Koike's determinant
+    (Adv. Math. 74, 1989), exact for N >= l(lam) + l(mu), over the exact
+    dimension. With q = l(mu), row i <= q of the (q + l(lam)) square matrix
+    reads hbar_{mu_{q+1-i}+i-j} and row q + i reads h_{lam_i-q-i+j}. The h_k
+    are the complete symmetric polynomials of the eigenvalues of U, and
+    hbar_k = conj(h_k) those of U* = U^{-1}, which is where U must be
+    unitary. Scalar matrices are handled in closed form."""
+    n, size, q = u.shape[0], sig.length, len(sig.mu)
+    if size > n:
         raise InvalidArgumentError(f"signature too long for N = {n}")
-    scalar = _scalar_multiple_of_identity(u)
-    if scalar is not None:
-        return scalar ** (sum(sig.lam) - sum(sig.mu))
-    z = np.linalg.eigvals(u)
-    if _min_gap(z) < 1e-8:
-        z = z * np.exp(1j * 1e-10 * np.arange(1, n + 1))
-        if _min_gap(z) < 1e-13:
-            raise IllConditionedError(
-                "eigenvalues remain degenerate after jitter")
-    weights = sig.composite_weights(n)
-    num = np.power.outer(z, np.array(weights, dtype=float))
-    den = np.power.outer(z, np.arange(n - 1, -1, -1, dtype=float))
-    s_num, ld_num = np.linalg.slogdet(num)
-    s_den, ld_den = np.linalg.slogdet(den)
-    if s_den == 0:
-        raise IllConditionedError("Vandermonde determinant underflow")
-    ratio = (s_num / s_den) * np.exp(ld_num - ld_den)
-    return complex(ratio / float(sig.dimension(n)))
-
-
-def _min_gap(z: np.ndarray) -> float:
-    return float(min(np.min(np.abs(np.subtract.outer(z, z))
-                            + 2.0 * np.eye(len(z))), 2.0))
+    c = u[0, 0]
+    if np.max(np.abs(u - c * np.eye(n))) < 1e-12:
+        return complex(c) ** (sum(sig.lam) - sum(sig.mu))
+    # every index read is above -size, and h_k = 0 for k < 0
+    h = np.concatenate([np.zeros(size), _complete_symmetric(u, max(
+        (s[0] + len(s) - 1 for s in (sig.lam, sig.mu) if s), default=0))])
+    j = np.arange(size)
+    rows = [np.conj(h[size + m + i - j])
+            for i, m in enumerate(reversed(sig.mu))]
+    rows += [h[size + part - q - i + j] for i, part in enumerate(sig.lam)]
+    det = np.linalg.det(np.array(rows).reshape(size, size))
+    if not np.isfinite(det):
+        raise IllConditionedError("character determinant overflowed")
+    return complex(det / float(sig.dimension(n)))
 
 
 def character_reference(sig: Signature, u: np.ndarray) -> complex:
@@ -129,9 +123,8 @@ def character_sweep(sig: Signature, n: int, samples: int, seed: int = 0,
     letters = 1 if word is None else word.alphabet
     values = haar_sweep(sample, n, letters, samples, seed)
     chis = values[:, 0]
-    ref_error = 0.0
-    for err in values[:, 1].real:  # np.sum's pairwise order moves last digits
-        ref_error += err
+    # accumulate adds in sample order; np.sum's pairwise order moves digits
+    ref_error = np.add.accumulate(values[:, 1].real)[-1]
     return (MCReport.from_samples(chis, n),
             float(np.mean(np.abs(chis))), float(ref_error / samples))
 

@@ -9,9 +9,11 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import ctypes
+import functools
 import itertools
 import math
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -133,17 +135,33 @@ def openblas_threads():
     return None
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS to one thread, process-wide, then restore its count;
-    without the symbols, leave it unpinned."""
-    get, put = openblas_threads() or (lambda: None, lambda count: None)
-    old = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(old)
+class _BlasPin:
+    """OpenBLAS held to one thread while any sweep runs. Sweeps may overlap
+    in several Python threads: under one lock, the first one in saves the
+    count and sets 1, and the last one out restores it. Without the
+    symbols, BLAS stays unpinned."""
+
+    def __init__(self):
+        self.lock, self.depth, self.restore = threading.Lock(), 0, None
+
+    @contextlib.contextmanager
+    def held(self):
+        with self.lock:
+            if not self.depth:
+                get, put = openblas_threads() or (lambda: None, lambda c: None)
+                self.restore = functools.partial(put, get())
+                put(1)
+            self.depth += 1
+        try:
+            yield
+        finally:
+            with self.lock:
+                self.depth -= 1
+                if not self.depth:
+                    self.restore()
+
+
+_BLAS_PIN = _BlasPin()
 
 
 def haar_sweep(fn, n: int, letters: int, samples: int, seed: int,
@@ -172,7 +190,7 @@ def haar_sweep(fn, n: int, letters: int, samples: int, seed: int,
     def run(start, stop):
         return [one(s) for s in range(start, stop)]
 
-    with _one_blas_thread():
+    with _BLAS_PIN.held():
         if threads == 1:
             return np.array(run(0, samples))
         threads = min(threads, samples)

@@ -6,6 +6,7 @@ probe of the decomposition is zero. `eta` is no reference: it composes the
 package's own split and leaf count into the splitting exponent of a
 coloring, which the package computes only inside `predict`.
 """
+import functools
 import itertools
 from fractions import Fraction
 
@@ -233,12 +234,40 @@ def gram_weingarten_table(p: int, n: int) -> dict[tuple[int, ...], Fraction]:
 
 # --- dimension of a rational irreducible representation ----------------------
 
+def composite_weights(sig: Signature, n: int) -> list[int]:
+    """Strictly decreasing exponents l_j = (padded signature)_j + N - j."""
+    padded = list(sig.lam) + [0] * (n - sig.length) \
+        + [-m for m in reversed(sig.mu)]
+    return [padded[j] + n - (j + 1) for j in range(n)]
+
+
+@functools.lru_cache(maxsize=None)
 def weyl_dimension(sig: Signature, n: int) -> Fraction:
     """prod_{i<j} (l_i - l_j) / (j - i) over all N(N-1)/2 pairs, one
-    `Fraction` per factor."""
-    l = sig.composite_weights(n)
+    `Fraction` per factor; cached, as the character oracle asks for it once
+    per sample."""
+    l = composite_weights(sig, n)
     out = Fraction(1)
     for i in range(n):
         for j in range(i + 1, n):
             out *= Fraction(l[i] - l[j], j - i)
     return out
+
+
+# --- the Weyl character formula ---------------------------------------------
+
+def weyl_character(sig: Signature, z) -> complex:
+    """Normalized character at a unitary with the distinct eigenvalues z:
+    the Weyl quotient det(z_i^{l_j}) / det(z_i^{N-j}) of generalized
+    Vandermonde determinants, log-scaled to dodge overflow, over the exact
+    dimension."""
+    z = np.asarray(z, dtype=np.complex128)
+    n = len(z)
+    weights = np.array(composite_weights(sig, n), dtype=float)
+    s_num, ld_num = np.linalg.slogdet(np.power.outer(z, weights))
+    s_den, ld_den = np.linalg.slogdet(
+        np.power.outer(z, np.arange(n - 1, -1, -1, dtype=float)))
+    if s_den == 0:
+        raise InvalidArgumentError("eigenvalues are not distinct")
+    ratio = (s_num / s_den) * np.exp(ld_num - ld_den)
+    return complex(ratio / float(weyl_dimension(sig, n)))

@@ -19,7 +19,7 @@ from tensortraffic.operands import TensorOperand, check_dense_size
 from tensortraffic.sampling import RngStream, sample_haar_unitary
 from tensortraffic.words import StarWord
 
-from oracles import weyl_dimension
+from oracles import weyl_character, weyl_dimension
 
 
 def haar(n, seed=0, index=0):
@@ -54,16 +54,30 @@ def test_fundamental_is_normalized_trace():
                       np.conj(np.trace(u)) / 7)
 
 
+def _unitary_with_eigenvalues(z, seed):
+    v = haar(len(z), seed)
+    return v @ np.diag(z) @ v.conj().T
+
+
+def _double_eigenvalue(n, seed):
+    """Eigenvalues 1, 1, e^{i t_3}, ..., e^{i t_N} with seeded angles t_j."""
+    t = RngStream(seed).generator().uniform(-np.pi, np.pi, n)
+    t[:2] = 0.0
+    return np.exp(1j * t)
+
+
 def test_small_schur_closed_forms():
+    """On a Haar U and on one with a double eigenvalue."""
     n = 6
-    u = haar(n, 3)
-    t1, t2 = np.trace(u), np.trace(u @ u)
-    assert np.isclose(normalized_character(Signature((2,)), u),
-                      ((t1 ** 2 + t2) / 2) / (n * (n + 1) / 2))
-    assert np.isclose(normalized_character(Signature((1, 1)), u),
-                      ((t1 ** 2 - t2) / 2) / (n * (n - 1) / 2))
-    assert np.isclose(normalized_character(Signature((1,), (1,)), u),
-                      (abs(t1) ** 2 - 1) / (n ** 2 - 1))
+    for u in (haar(n, 3),
+              _unitary_with_eigenvalues(_double_eigenvalue(n, 43), 44)):
+        t1, t2 = np.trace(u), np.trace(u @ u)
+        for lam, mu, want in (
+                ((2,), (), ((t1 ** 2 + t2) / 2) / (n * (n + 1) / 2)),
+                ((1, 1), (), ((t1 ** 2 - t2) / 2) / (n * (n - 1) / 2)),
+                ((1,), (1,), (abs(t1) ** 2 - 1) / (n ** 2 - 1))):
+            assert np.isclose(normalized_character(Signature(lam, mu), u),
+                              want, rtol=1e-12, atol=1e-15)
 
 
 def test_character_conjugation_invariance():
@@ -90,13 +104,86 @@ def _partitions_up_to(total):
             if sum(parts) <= total]
 
 
+# every signature with |lam| + |mu| <= 6
+SIGNATURES_UP_TO_6 = [Signature(lam, mu) for lam in _partitions_up_to(6)
+                      for mu in _partitions_up_to(6 - sum(lam))]
+
+
 def test_character_dimension_matches_weyl_product():
-    signatures = [Signature(lam, mu) for lam in _partitions_up_to(6)
-                  for mu in _partitions_up_to(6 - sum(lam))]
-    assert len(signatures) == 139
-    for sig in signatures:
+    assert len(SIGNATURES_UP_TO_6) == 139
+    for sig in SIGNATURES_UP_TO_6:
         for n in range(max(sig.length, 1), 41):
             assert sig.dimension(n) == weyl_dimension(sig, n), (sig, n)
+
+
+def _unnormalized_error(sig, n, got, want):
+    """|got - want| on the unnormalized character dim * chi, relative to its
+    size floored at 1 (E|dim * chi|^2 = 1 for a Haar U)."""
+    dim = float(sig.dimension(n))
+    return abs(got - want) * dim / max(1.0, abs(want) * dim)
+
+
+def test_character_matches_weyl_quotient_on_haar_samples():
+    """Every signature with |lam| + |mu| <= 6 at N = 6, 8, 16, 32, 64, three
+    seeded Haar samples each: agreement to 1e-12 relative."""
+    for n in (6, 8, 16, 32, 64):
+        for s in range(3):
+            u = haar(n, 41, n * 10 + s)
+            z = np.linalg.eigvals(u)
+            for sig in SIGNATURES_UP_TO_6:
+                if sig.length <= n:
+                    err = _unnormalized_error(
+                        sig, n, normalized_character(sig, u),
+                        weyl_character(sig, z))
+                    assert err <= 1e-12, (sig, n, s, err)
+
+
+@pytest.mark.parametrize("n", [6, 16])
+def test_character_at_a_double_eigenvalue(n):
+    """Where the Weyl quotient is 0/0, the oracle takes the double eigenvalue
+    split to e^{+-i delta}: that moves a symmetric function by O(delta^2),
+    so at delta = 1e-5 the two agree to 1e-8 relative."""
+    z = _double_eigenvalue(n, 43)
+    u = _unitary_with_eigenvalues(z, 44)
+    split = z.copy()
+    split[:2] = np.exp(1j * 1e-5), np.exp(-1j * 1e-5)
+    for sig in SIGNATURES_UP_TO_6:
+        if sig.length <= n:
+            err = _unnormalized_error(sig, n, normalized_character(sig, u),
+                                      weyl_character(sig, split))
+            assert err <= 1e-8, (sig, err)
+
+
+def test_character_near_the_identity():
+    """Eight evenly spaced eigen-angles in [-0.3 pi, 0.3 pi], where the float
+    Weyl quotient still holds (clustered angles break it first): agreement
+    to 1e-10 relative. At N = 64 and angles eps * theta_j, eps = 1e-7, h_k
+    is close to C(N + k - 1, k) (1.2e8 at k = 6) and the Vandermonde
+    determinants are useless in floats; there chi(e^{iA}) = 1 + i tr(A)/dim
+    + r with |r| <= |A|^2 / 2, where tr(A)/dim = eps (|lam| - |mu|)
+    mean(theta) and |A| <= eps pi (|lam| + |mu|)."""
+    z = np.exp(0.3j * np.pi * np.linspace(-1, 1, 8))
+    u = _unitary_with_eigenvalues(z, 48)
+    for sig in SIGNATURES_UP_TO_6:
+        want = weyl_character(sig, z)
+        assert abs(normalized_character(sig, u) - want) <= 1e-10 * abs(want)
+    eps = 1e-7
+    theta = RngStream(47).generator().uniform(-np.pi, np.pi, 64)
+    u = _unitary_with_eigenvalues(np.exp(1j * eps * theta), 49)
+    for sig in SIGNATURES_UP_TO_6:
+        up, down = sum(sig.lam), sum(sig.mu)
+        first_order = 1 + 1j * eps * (up - down) * theta.mean()
+        assert abs(normalized_character(sig, u) - first_order) \
+            <= (eps * np.pi * (up + down)) ** 2 / 2, sig
+
+
+def test_character_reference_at_scalar_matrices():
+    """At U = cI the reference is c^{l(lam)} conj(c)^{l(mu)}: the mu side
+    reads the conjugate trace."""
+    c = np.exp(0.7j)
+    for lam, mu in (((1,), (1,)), ((2, 1), (1,)), ((), (2,))):
+        ref = character_reference(Signature(lam, mu), c * np.eye(5))
+        assert np.isclose(ref, c ** (len(lam) - len(mu)))
 
 
 def test_signature_validation():

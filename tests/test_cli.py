@@ -282,10 +282,10 @@ SUBCOMMAND_STDOUT_SHA256 = [
      "--samples 40 --seed 3 --v-mode haar --format json",
      0, "a06cbde242af1b4f4cfb0e081c9028dd75eae3b46d3d2bd3a85f1f5847a0fa11"),
     ("character --lambda 2,1 --mu 1 --dims 8,16 --samples 40 --seed 5",
-     0, "39a98ccf120fa532603d07e1bd58257dc088c4e050d6bb8cbe0d081547be7086"),
+     0, "d68231b9294ac8c77bcbacc0604fbc8ec795b2d81f777f836cc78d3fa40f95f9"),
     ("character --lambda 1 --word 1,2*,1 --dims 8,16 --samples 40 "
      "--seed 5 --format json",
-     0, "78bb12e6ad5716a599605510ee2003f823059887c09c24dfc3c39e7a75cd2341"),
+     0, "075c92cb50c202669827bda0c572b29c16d8bb69b42dd0fe7d46f93fea983512"),
     ("amalgam --d 2 --word 1,2,1*,2* --dims 4,6 --samples 4 --seed 2",
      0, "628d5f1ae31c1935a0f994045ac4c13b083e79a04e837d8133b391416f9a4f4c"),
     ("amalgam --d 3 --word 1,2* --dims 5 --samples 3 --seed 2 "

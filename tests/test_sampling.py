@@ -1,5 +1,7 @@
 import itertools
 import os
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -228,13 +230,34 @@ def test_haar_sweep_threads_1_starts_no_pool(monkeypatch):
     assert len(sampling.haar_sweep(_draw, 4, 2, 5, 0, threads=1)) == 5
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-@pytest.mark.parametrize("fails", [False, True])
-def test_haar_sweep_pins_blas_and_restores_it(threads, fails):
+def _blas_or_skip():
     blas = sampling.openblas_threads()
     if blas is None:
         pytest.skip("numpy vendors no OpenBLAS with a thread setter")
-    get, put = blas
+    return blas
+
+
+def _run_threads(targets):
+    """Start one thread per target. Returns the threads and the list that
+    collects what the targets raise."""
+    errors = []
+
+    def guarded(target):
+        try:
+            target()
+        except Exception as exc:  # the test asserts the list is empty
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(t,)) for t in targets]
+    for t in threads:
+        t.start()
+    return threads, errors
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("fails", [False, True])
+def test_haar_sweep_pins_blas_and_restores_it(threads, fails):
+    get, put = _blas_or_skip()
     before = get()
     seen = []
 
@@ -254,6 +277,76 @@ def test_haar_sweep_pins_blas_and_restores_it(threads, fails):
         assert seen and set(seen) == {1}
         assert get() == 3
     finally:
+        put(before)
+
+
+def test_overlapping_sweeps_restore_the_blas_count():
+    """Sweep A enters, sweep B enters, A leaves, then B leaves: B still runs
+    on one BLAS thread after A is gone, and the count comes back after B."""
+    get, put = _blas_or_skip()
+    before = get()
+    b_in, a_out = threading.Event(), threading.Event()
+    seen_by_b = []
+
+    def fn_a(us, rng):
+        assert b_in.wait(30)
+        return 0.0
+
+    def fn_b(us, rng):
+        b_in.set()
+        assert a_out.wait(30)
+        seen_by_b.append(get())
+        return 0.0
+
+    put(3)
+    try:
+        (a, b), errors = _run_threads([
+            lambda: sampling.haar_sweep(fn_a, 2, 1, 3, 0),
+            lambda: sampling.haar_sweep(fn_b, 2, 1, 3, 1)])
+        a.join(30)
+        assert not a.is_alive()
+        a_out.set()
+        b.join(30)
+        assert not b.is_alive() and not errors, errors
+        assert seen_by_b == [1, 1, 1]
+        assert get() == 3
+    finally:
+        put(before)
+
+
+def test_many_overlapping_sweeps_keep_the_pin():
+    """More sweeps than cores, all inside at once, in threads that switch
+    every microsecond: every sample runs on one BLAS thread and the count is
+    restored."""
+    get, put = _blas_or_skip()
+    before, interval = get(), sys.getswitchinterval()
+    all_in = threading.Barrier(8)
+    seen = []
+
+    def sweep(seed):
+        first = [True]
+
+        def fn(us, rng):
+            if first:  # the first sample waits until every sweep is inside
+                first.pop()
+                all_in.wait(30)
+            seen.append(get())
+            return 0.0
+
+        sampling.haar_sweep(fn, 2, 1, 20, seed)
+
+    put(3)
+    sys.setswitchinterval(1e-6)
+    try:
+        threads, errors = _run_threads(
+            [lambda seed=seed: sweep(seed) for seed in range(8)])
+        for t in threads:
+            t.join(30)
+        assert not any(t.is_alive() for t in threads) and not errors, errors
+        assert len(seen) == 8 * 20 and set(seen) == {1}
+        assert get() == 3
+    finally:
+        sys.setswitchinterval(interval)
         put(before)
 
 
