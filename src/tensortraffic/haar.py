@@ -14,11 +14,11 @@ from fractions import Fraction
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .graphs import LinearGraph, adjoint_graph, disjoint_union
-from .invariants import (VALID, _cactus_shape, _classify, _decompose,
-                         _labeling, leaf_count, split_by_color,
+from .invariants import (VALID, _cactus_shape, _classify, _labeling,
+                         leaf_count, quotient_forests, split_by_color,
                          splitting_exponent)
 from .operands import TensorOperand, permutation_matrix
-from .partitions import _normalize, restricted_growth_strings
+from .partitions import _normalize
 from .sampling import MCReport, haar_sweep, symmetrize
 from .traces import injective_graph_trace
 from .words import StarWord, is_trivial
@@ -200,34 +200,36 @@ def predict_freeness_limit(word: StarWord, base: LinearGraph, k1: int,
             f"quotient enumeration capped at {PREDICT_VERTEX_CAP} vertices "
             f"(linearized graph has {graph.vertex_count})")
     delta, eps = t1_labels(lin)
-    ids1 = [i for i, m in enumerate(lin.meta) if m.block != "v"]
-    ids2 = [i for i, m in enumerate(lin.meta) if m.block == "v"]
     edges, touched = graph.edges, sorted(graph.touched_vertices())
+    layers = [edges]  # T', and T1 and T2 apart when there is a V block
+    if any(m.block == "v" for m in lin.meta):
+        layers += [[e for e, m in zip(edges, lin.meta) if m.block != "v"],
+                   [e for e, m in zip(edges, lin.meta) if m.block == "v"]]
     every_vertex = len(touched) == graph.vertex_count
     base_leaves = leaf_count(graph)
     ledger: dict = {}  # isomorphism class -> entry of its first quotient
     etas: dict = {}  # (lt, l1, l2, nv) -> its splitting exponent
-    for rgs in restricted_growth_strings(graph.vertex_count):
-        key = rgs if every_vertex else _quotient_class(rgs, touched)
+    for rgs, forests in quotient_forests(graph.vertex_count, layers):
+        partition = ",".join(map(str, rgs))
+        key = partition if every_vertex else _quotient_class(rgs, touched)
         if key in ledger:
             ledger[key].multiplicity += 1
             continue
         nv = max(rgs) + 1
-        qedges = [(rgs[s], rgs[t]) for s, t in edges]
-        blocks, lt, cactus = _decompose(nv, qedges)
-        if ids2:
-            e1 = [qedges[i] for i in ids1]
-            blocks, l1, cactus = _decompose(nv, e1)
-            l2 = _decompose(nv, [qedges[i] for i in ids2])[1]
+        lt = forests[0].leaves(rgs, edges)
+        if len(layers) == 3:
+            f1, e1 = forests[1], layers[1]
+            l1 = f1.leaves(rgs, e1)
+            l2 = forests[2].leaves(rgs, layers[2])
         else:  # no V block: T1 is T' and T2 is edgeless
-            e1, l1, l2 = qedges, lt, 2 * nv
-        shape = _cactus_shape(e1, blocks, cactus)
+            f1, e1, l1, l2 = forests[0], edges, lt, 2 * nv
+        shape = _cactus_shape(f1, rgs, e1)
         validity = _classify(shape, delta, eps)
         eta = etas.get((lt, l1, l2, nv))
         if eta is None:
             eta = etas[lt, l1, l2, nv] = splitting_exponent(lt, l1, l2, nv)
         ledger[key] = QuotientEntry(
-            partition=",".join(map(str, rgs)),
+            partition=partition,
             multiplicity=1,
             eta=eta,
             leaves_total=lt, leaves_t1=l1, leaves_t2=l2,

@@ -1,6 +1,8 @@
 """Reference implementations that the tests compare the package against.
 
-Each is exponential and shares no code with the routine it checks.
+Each shares no code with the routine it checks, and all but `_decompose`
+(Tarjan's search, the reference for the package's spanning forests) are
+exponential.
 `dense_unital_coefficients` builds an input for them: a state on which no
 probe of the decomposition is zero. `eta` is no reference: it composes the
 package's own split and leaf count into the splitting exponent of a
@@ -27,6 +29,95 @@ from tensortraffic.partitions import enumerate_partitions, leq, mobius
 from tensortraffic.traces import apply_state
 
 SIMPLE_CYCLE_EDGE_CAP = 16
+
+
+# --- blocks by Tarjan's search (oracle for the spanning forests) -------------
+
+def _decompose(n: int, edges) -> tuple[list[list[int]], int, bool]:
+    """The biconnected blocks of a multigraph as lists of edge ids (each
+    loop is its own block), the leaf count of its forest of two-edge-connected
+    components, and whether every block is a cycle.
+
+    One iterative depth-first search with low-links and an edge stack
+    (Tarjan, SIAM J. Comput. 1972); re-entering a vertex through a parallel
+    copy of the entry edge closes a two-edge block. A tree edge into v is a
+    bridge iff low[v] is v's own order; v then heads a two-edge-connected
+    component, made of the vertices found since v. Every block is a cycle
+    iff there is no bridge and the blocks number the cycle rank m - n + c:
+    every other block adds one to the rank, a cycle exactly one.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    blocks: list[list[int]] = []
+    for eid, (s, t) in enumerate(edges):
+        if s == t:
+            blocks.append([eid])
+        else:
+            adj[s].append((eid, t))
+            adj[t].append((eid, s))
+    order = [-1] * n
+    low = [0] * n
+    head = [0] * n  # the vertex heading each two-edge-connected component
+    bridge_ends = [0] * n
+    counter = components = 0
+    estack: list[int] = []
+    vstack: list[int] = []
+    for root in range(n):
+        if order[root] != -1:
+            continue
+        components += 1
+        order[root] = low[root] = counter
+        counter += 1
+        vstack.append(root)
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, in_edge, it = stack[-1]
+            advanced = False
+            for eid, w in it:
+                if eid == in_edge:
+                    continue
+                if order[w] == -1:
+                    estack.append(eid)
+                    order[w] = low[w] = counter
+                    counter += 1
+                    vstack.append(w)
+                    stack.append((w, eid, iter(adj[w])))
+                    advanced = True
+                    break
+                if order[w] < order[v]:
+                    estack.append(eid)
+                    if order[w] < low[v]:
+                        low[v] = order[w]
+            if not advanced:
+                stack.pop()
+                heads = low[v] == order[v]  # and its in-edge is a bridge
+                if heads:
+                    while True:
+                        u = vstack.pop()
+                        head[u] = v
+                        if u == v:
+                            break
+                if stack:
+                    pv = stack[-1][0]
+                    if low[v] < low[pv]:
+                        low[pv] = low[v]
+                    if heads:
+                        bridge_ends[v] += 1
+                        bridge_ends[pv] += 1
+                    if low[v] >= order[pv]:
+                        blk = []
+                        while True:
+                            eid2 = estack.pop()
+                            blk.append(eid2)
+                            if eid2 == in_edge:
+                                break
+                        blocks.append(blk)
+    degree = [0] * n  # bridge endpoints per component head
+    for v in range(n):
+        degree[head[v]] += bridge_ends[v]
+    heads = [degree[v] for v in range(n) if head[v] == v]
+    leaves = 2 * heads.count(0) + heads.count(1)
+    cactus = not any(bridge_ends) and len(blocks) == len(edges) - n + components
+    return blocks, leaves, cactus
 
 
 # --- simple-cycle enumeration (oracle for the cactus predicate) --------------

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tensortraffic import sampling
+from tensortraffic import characters, sampling
 from tensortraffic.characters import (PermutationWord, Signature,
                                       amalgam_sweep, character_reference,
                                       character_sweep,
@@ -44,6 +44,23 @@ def test_character_scalar_matrix():
     c = np.exp(0.7j)
     val = normalized_character(Signature((2,), (1,)), c * np.eye(n))
     assert np.isclose(val, c ** (2 - 1))
+
+
+def test_scalar_test_reads_past_the_first_column(monkeypatch):
+    """u[1, 0] decides only when it is off the scalar path: cI with one
+    far off-diagonal entry takes Koike's determinant, and a scalar U still
+    gives c^(|lam| - |mu|) exactly."""
+    calls = []
+    complete = characters._complete_symmetric
+    monkeypatch.setattr(characters, "_complete_symmetric",
+                        lambda *a: calls.append(a) or complete(*a))
+    n, c, sig = 6, np.exp(0.7j), Signature((2, 1), (1,))
+    assert normalized_character(sig, c * np.eye(n)) == complex(c) ** 2
+    assert not calls
+    u = c * np.eye(n)
+    u[n - 1, 0] = 1e-3
+    assert np.isclose(normalized_character(sig, u), c ** 2)
+    assert len(calls) == 1
 
 
 def test_fundamental_is_normalized_trace():

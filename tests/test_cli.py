@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tensortraffic import cli, graphs, partitions, sampling, traces
+from tensortraffic import cli, graphs, haar, partitions, sampling, traces
 from tensortraffic.cli import _load_operand, _state_for, build_parser, main
 from tensortraffic.errors import TensorTrafficError
 from tensortraffic.graphs import load_graph
 
-from oracles import dense_unital_coefficients
+from oracles import _decompose, dense_unital_coefficients
 
 
 def run_cli(args, capsys):
@@ -577,6 +577,20 @@ def test_decompose_beyond_the_enumeration_cap_exits_3_before_enumerating(
     assert out == "" and err.startswith("resource limit: ")
 
 
+def test_predict_beyond_the_vertex_cap_exits_3_before_walking(capsys,
+                                                             monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quotients walked beyond the cap")
+
+    monkeypatch.setattr(haar, "quotient_forests", refuse)
+    # 1 + 3 * 4 = 13 vertices > PREDICT_VERTEX_CAP
+    code, out, err = run_cli(["predict", "--word", "1,2,1,2,1",
+                              "--blocks", "1,1,1"], capsys)
+    assert code == 3, err
+    assert out == "" and err.startswith("resource limit: ")
+    assert 13 > haar.PREDICT_VERTEX_CAP
+
+
 # NaN > 1e-9 is False, and 1e308 * N - 1e308 * N is inf - inf = NaN
 @pytest.mark.parametrize("text", [
     '{"K": 1, "coefficients": {"0,0": [NaN, 0], "0,1": [0.1, 0]}}',
@@ -628,6 +642,53 @@ def test_oversized_graph_exits_3_before_building_it(doc, tmp_path, capsys,
     code, out, err = run_cli(["invariants", "--graph", str(path)], capsys)
     assert code == 3, err
     assert out == "" and err.startswith("resource limit: ")
+
+
+# A whole graph's forest is near-linear: `invariants` on a 100,000-vertex
+# path or cycle, or on a 50,000-vertex path with 50,001 random chords, takes
+# 1-2 s on a 2-core VM. A forest that rewrote a tree on every join, or kept
+# each vertex's path to its root, would take 10^10 steps on the first two;
+# one that climbed covered edges again took 40 s on the chords. The timeout
+# stops such runs.
+@pytest.mark.parametrize("shape", ["path", "cycle", "chords"])
+def test_invariants_at_the_graph_size_cap(shape, tmp_path):
+    n = graphs.GRAPH_SIZE_CAP // (2 if shape == "chords" else 1)
+    edges = [[v, v + 1] for v in range(n - 1)]
+    if shape == "cycle":
+        edges.append([n - 1, 0])
+    if shape == "chords":
+        rng = np.random.default_rng(23)
+        edges += rng.integers(n, size=(n + 1, 2)).tolist()
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({
+        "vertices": n, "edges": edges,
+        "labels": {"delta": [1] * len(edges),
+                   "eps": ["u", "s"] * (len(edges) // 2)
+                   + ["u"] * (len(edges) % 2)}}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tensortraffic.cli", "invariants", "--graph",
+         str(path)], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["components"] == 1
+    if shape == "chords":
+        blocks, leaves, _ = _decompose(n, [tuple(e) for e in edges])
+        loops = {e for e, (s, t) in enumerate(edges) if s == t}
+        assert doc["bridges"] == sorted(
+            b[0] for b in blocks if len(b) == 1 and b[0] not in loops)
+        assert doc["leaf_count"] == leaves
+        assert not doc["cactus"] and doc["validity"] == "not_cactus"
+        return
+    assert doc["leaf_count"] == 2
+    if shape == "path":
+        assert doc["bridges"] == list(range(n - 1))
+        assert len(doc["tec_components"]) == n
+        assert not doc["cactus"] and doc["validity"] == "not_cactus"
+    else:
+        assert doc["bridges"] == [] and doc["tec_components"] == [
+            list(range(n))]
+        assert doc["cactus"] and doc["well_oriented"]
+        assert doc["validity"] == "valid"
 
 
 @pytest.mark.parametrize("argv", [

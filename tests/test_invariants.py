@@ -6,15 +6,18 @@ from tensortraffic.graphs import (LinearGraph, component_count, minimal_graph,
                                   quotient)
 from tensortraffic.haar import linearize
 from tensortraffic.invariants import (NOT_ALTERNATED, NOT_CACTUS,
-                                      NOT_WELL_COLORED, VALID, _decompose,
-                                      _walk, classify_labeling, cutting_edges,
+                                      NOT_WELL_COLORED, VALID, _GraphForest,
+                                      _walk,
+                                      classify_labeling, cutting_edges,
                                       forest_leaves, forest_of_tec,
                                       is_forest_of_cacti, is_well_oriented,
-                                      leaf_count)
-from tensortraffic.partitions import enumerate_partitions, leq
+                                      leaf_count, quotient_forests)
+from tensortraffic.partitions import (enumerate_partitions, leq,
+                                      restricted_growth_strings)
 from tensortraffic.words import StarWord
 
-from oracles import eta, is_forest_of_cacti_by_enumeration, simple_cycles
+from oracles import (_decompose, eta, is_forest_of_cacti_by_enumeration,
+                     simple_cycles)
 
 
 def brute_force_bridges(graph):
@@ -36,10 +39,10 @@ def random_graph(rng, max_v=8, max_e=10):
                                  for _ in range(ne)))
 
 
-def decorated_graph(rng):
+def decorated_graph(rng, max_v=6, max_e=10):
     """A random graph with a loop, a parallel copy of an edge and one or two
     isolated vertices added."""
-    g = random_graph(rng, max_v=6)
+    g = random_graph(rng, max_v, max_e)
     v = int(rng.integers(g.vertex_count))
     edges = g.edges + ((v, v),) + g.edges[:1]
     return LinearGraph(g.vertex_count + int(rng.integers(1, 3)), edges)
@@ -154,9 +157,10 @@ def test_cactus_agrees_with_enumeration():
 
 
 def test_decomposition_tells_cacti_by_cycle_rank():
-    """`_decompose` flags a forest of cacti by counting its blocks against
-    the cycle rank; `is_forest_of_cacti` tests every block for a cycle, and
-    the validity check reads the flag."""
+    """Tarjan's `_decompose` flags a forest of cacti by counting its blocks
+    against the cycle rank; `is_forest_of_cacti` finds no bridge and no two
+    fundamental cycles sharing an edge, and the validity check reads the
+    same flag."""
     rng = np.random.default_rng(15)
     graphs = [LinearGraph(0, ())] + [random_graph(rng) for _ in range(300)]
     graphs += [decorated_graph(rng) for _ in range(300)]
@@ -169,6 +173,78 @@ def test_decomposition_tells_cacti_by_cycle_rank():
         assert (classify_labeling(g, *labels) != NOT_CACTUS) == cactus, g
         seen.add(cactus)
     assert seen == {False, True}
+
+
+def test_quotient_forests_match_tarjan_on_every_quotient():
+    """The walk yields every restricted-growth string in order, and on every
+    quotient of every layer its forest gives the bridges, leaf count and
+    cactus flag of Tarjan's search, and for a forest of cacti its blocks."""
+    rng = np.random.default_rng(18)
+    graphs = [LinearGraph(0, ()), LinearGraph(3, ())]
+    graphs += [decorated_graph(rng, max_v=5, max_e=8) for _ in range(30)]
+    seen = set()
+    for g in graphs:
+        color = rng.integers(2, size=g.order)
+        layers = [g.edges, [e for e, c in zip(g.edges, color) if c],
+                  [e for e, c in zip(g.edges, color) if not c]]
+        walked = []
+        for rgs, forests in quotient_forests(g.vertex_count, layers):
+            walked.append(rgs)
+            nv = max(rgs, default=-1) + 1
+            for edges, forest in zip(layers, forests):
+                qedges = [(rgs[s], rgs[t]) for s, t in edges]
+                blocks, leaves, cactus = _decompose(nv, qedges)
+                bridges = sorted(b[0] for b in blocks if len(b) == 1
+                                 and qedges[b[0]][0] != qedges[b[0]][1])
+                assert forest.bridges() == bridges, (rgs, edges)
+                assert forest.leaves(rgs, edges) == leaves, (rgs, edges)
+                assert forest.cactus() == cactus, (rgs, edges)
+                if cactus:
+                    assert sorted(forest.blocks()) == sorted(map(sorted, blocks))
+                seen.add((cactus, bool(bridges)))
+        assert walked == restricted_growth_strings(g.vertex_count)
+    assert seen == {(True, False), (False, False), (False, True)}
+
+
+def random_cactus(rng, cycles=12, max_len=9):
+    """A connected cactus: each cycle (a loop, a parallel pair, ...) hangs
+    from a vertex already placed, with random orientations."""
+    nv, edges = 1, []
+    for _ in range(cycles):
+        ring = [int(rng.integers(nv))]
+        ring += range(nv, nv + int(rng.integers(max_len)))
+        nv += len(ring) - 1
+        for s, t in zip(ring, ring[1:] + ring[:1]):
+            edges.append((s, t) if rng.integers(2) else (t, s))
+    return LinearGraph(nv, tuple(edges))
+
+
+def test_graph_forest_matches_tarjan():
+    """On whole graphs big enough for long climbs and hops over covered
+    edges, the near-linear forest gives Tarjan's bridges, leaf count and
+    cactus flag, and for a forest of cacti its blocks. A chord between two
+    vertices of a cactus puts two cycles on one edge."""
+    rng = np.random.default_rng(19)
+    graphs = [random_graph(rng, max_v=40, max_e=50) for _ in range(100)]
+    graphs += [decorated_graph(rng, max_v=30, max_e=30) for _ in range(50)]
+    cacti = [random_cactus(rng) for _ in range(50)]
+    chorded = [LinearGraph(g.vertex_count, g.edges + (tuple(
+        int(v) for v in rng.integers(g.vertex_count, size=2)),))
+        for g in cacti]
+    seen = set()
+    for g in graphs + cacti + chorded:
+        blocks, leaves, cactus = _decompose(g.vertex_count, g.edges)
+        bridges = {b[0] for b in blocks if len(b) == 1
+                   and g.edges[b[0]][0] != g.edges[b[0]][1]}
+        assert cutting_edges(g) == bridges, g
+        assert leaf_count(g) == leaves, g
+        assert is_forest_of_cacti(g) == cactus, g
+        if cactus:
+            assert sorted(map(sorted, _GraphForest(g).blocks())) == sorted(
+                map(sorted, blocks)), g
+        seen.add((cactus, bool(bridges)))
+    assert all(is_forest_of_cacti(g) for g in cacti)
+    assert seen == {(True, False), (False, False), (False, True)}
 
 
 def test_simple_cycles_small():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -323,6 +324,27 @@ def test_predict_dedup_merges_quotients_of_isolated_vertices():
     assert len(cert.entries) == 6
     assert sum(e.multiplicity for e in cert.entries) == 15  # B(4)
     assert max(e.multiplicity for e in cert.entries) == 5
+
+
+# Traced peak bytes of one B(9) certificate (word 1,2,1*,2*,1 on two loops,
+# blocks 1,1,0), after a warm-up call. Scoring by Tarjan's search over a
+# list of every restricted-growth string peaked at 8.37 MB; the streaming
+# walk, whose ledger is keyed by the partition strings its entries keep,
+# peaks at 5.53 MB. Holding the 21,147 strings again (2.7 MB) fails this.
+PREDICT_B9_PEAK_BYTES = 6_500_000
+
+
+def test_predict_streams_its_quotients():
+    word = StarWord.parse("1,2,1*,2*,1")
+    predict_freeness_limit(word, LOOP2, 1, 1, 0)
+    tracemalloc.start()
+    try:
+        cert = predict_freeness_limit(word, LOOP2, 1, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cert.entries) == 21147
+    assert peak <= PREDICT_B9_PEAK_BYTES, peak
 
 
 def test_predict_rejects_trivial_word():
