@@ -1,11 +1,12 @@
-"""Rational irreducible characters of the unitary group, leg permutations of
-tensor powers, the cycle factorization of permuted tensor traces, and the
-conditional expectation onto the span of leg permutations.
+"""Rational irreducible characters of the unitary group, the cycle
+factorization of permuted tensor traces, and the conditional expectation of
+centered tensor-power words onto the span of leg permutations.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -13,10 +14,12 @@ import numpy as np
 
 from .errors import (IllConditionedError, InvalidArgumentError,
                      ResourceLimitError)
-from .operands import (TensorOperand, check_dense_size, check_permutation,
-                       compose, cycles_of, inverse_permutation)
+from .operands import check_permutation, cycles_of, inverse_permutation
 from .sampling import MCReport, haar_sweep, word_matrix
+from .weingarten import _character, _partitions
 from .words import StarWord, is_trivial
+
+SUBSET_CAP = 2 ** 16  # letter subsets walked per amalgam sample
 
 
 @dataclass(frozen=True)
@@ -132,22 +135,8 @@ def character_sweep(sig: Signature, n: int, samples: int, seed: int = 0,
 
 
 # --------------------------------------------------------------------------
-# leg permutations of tensor powers
+# permuted tensor traces
 # --------------------------------------------------------------------------
-
-def leg_permutation(sigma, n: int) -> np.ndarray:
-    """Dense operator permuting the tensor legs: basis vector
-    e_{i_1} x ... x e_{i_d} maps to the vector whose k-th leg is leg
-    sigma^{-1}(k) of the input.
-    """
-    sigma = check_permutation(sigma)
-    d = len(sigma)
-    check_dense_size(d, n)
-    op = np.eye(n ** d).reshape((n,) * (2 * d))
-    # output axis k reads input leg sigma^{-1}(k)
-    perm = list(inverse_permutation(sigma)) + list(range(d, 2 * d))
-    return op.transpose(perm).reshape(n ** d, n ** d)
-
 
 def permuted_tensor_trace(mats, sigma) -> complex:
     """tr^{x d}((M_1 x ... x M_d) rho(sigma)), evaluated by direct index
@@ -239,103 +228,56 @@ def left_regular_check(word: PermutationWord, k: int, n: int, samples: int,
 # conditional expectation onto the span of leg permutations
 # --------------------------------------------------------------------------
 
-@dataclass
-class PermutationSpanOperator:
-    """Element of span{rho(sigma)}, kept as coefficients per permutation."""
-
-    coefficients: dict  # tuple permutation -> complex
-    n: int
-    d: int
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n ** self.d, self.n ** self.d),
-                       dtype=np.complex128)
-        for sigma, c in self.coefficients.items():
-            out += c * leg_permutation(sigma, self.n)
-        return out
-
-
-def _operand_legs(a, d, n):
-    """A TensorOperand, or the N^d x N^d matrix of a dense input."""
-    if isinstance(a, TensorOperand):
-        if a.legs != d or a.n != n:
-            raise InvalidArgumentError("operand does not match (d, N)")
-        return a
-    if isinstance(a, np.ndarray) and a.shape == (n ** d, n ** d):
-        return np.asarray(a, dtype=np.complex128)
-    return TensorOperand.factored(list(a))
-
-
-def _trace_against_permutations(a, order, n, d):
-    """m_sigma = tr^{x d}(rho(sigma)^* A) = tr^{x d}(A rho(sigma^{-1})) for
-    every sigma, of a dense matrix or term by term of a factored operand.
-    """
-    out = np.zeros(len(order), dtype=np.complex128)
-    for si, sigma in enumerate(order):
-        inv = inverse_permutation(sigma)
-        if isinstance(a, np.ndarray):
-            out[si] = np.trace(leg_permutation(inv, n) @ a) / n ** d
-        else:
-            out[si] = sum(w * permuted_tensor_trace(fs, inv)
-                          for w, fs in a.terms)
-    return out
-
-
-def _check_sd_cap(d: int):
-    if d > 4:
-        raise ResourceLimitError("conditional expectation capped at d = 4")
-
-
-def conditional_expectation_sd(a, d: int, n: int) -> PermutationSpanOperator:
-    """Orthogonal projection of a d-leg operand onto span{rho(sigma)} with
-    respect to the normalized trace inner product.
-
-    The Gram matrix G(sigma, tau) = N^{#cycles(sigma^{-1} tau) - d} is
-    invertible for N > d; d is capped at 4 (a 24 x 24 Gram).
-    """
-    _check_sd_cap(d)
-    if n <= d:
-        raise IllConditionedError("need N > d for an invertible Gram matrix")
-    a = _operand_legs(a, d, n)
-    order = list(itertools.permutations(range(d)))
-    gram = np.zeros((len(order), len(order)))
-    for i, s in enumerate(order):
-        s_inv = inverse_permutation(s)
-        for j, t in enumerate(order):  # #cycles of s^{-1} t
-            gram[i, j] = float(n) ** (len(cycles_of(compose(t, s_inv))) - d)
-    m = _trace_against_permutations(a, order, n, d)
-    coeffs = np.linalg.solve(gram, m)
-    return PermutationSpanOperator({s: complex(c) for s, c in zip(order, coeffs)},
-                                   n, d)
-
-
 def amalgam_sweep(word: StarWord, d: int, n: int, samples: int,
                   seed: int = 0) -> MCReport:
     """Mean norm of E_{S_d}[prod over the word of (U^{x d} - E_{S_d}[U^{x d}])],
     the conditional expectation of the centered tensor-power word onto the
     span of leg permutations, over Haar letters U_1..U_K.
+
+    By Schur-Weyl duality E_{S_d}[W^{x d}] = sum_{lam |- d} chi_lam(W) P_lam,
+    chi_lam the normalized U(N) character and P_lam the central idempotents
+    of C[S_d]. So the centered product projects to sum_lam z_lam P_lam, with
+    z_lam the sum over the letter subsets S of chi_lam(prod_{i in S} U_i)
+    prod_{j not in S} (-chi_lam(U_j)), and by character orthogonality the
+    coefficients on the rho(sigma) have the norm
+    sqrt(sum_lam (f^lam)^2 |z_lam|^2 / d!), f^lam = chi^lam(1) on S_d.
     """
     if d < 1:
         raise InvalidArgumentError(f"need d >= 1 (got d = {d})")
     if n <= d:
         raise InvalidArgumentError(f"need N > d (got N = {n}, d = {d})")
-    _check_sd_cap(d)  # the guards of every projection, before any sample
-    check_dense_size(d, n)
+    if d > 4:
+        raise ResourceLimitError("conditional expectation capped at d = 4")
+    if 2 ** len(word) > SUBSET_CAP:
+        raise ResourceLimitError(
+            f"amalgam words are capped at {SUBSET_CAP.bit_length() - 1} "
+            f"letters (got {len(word)})")
     if is_trivial(word):
         raise InvalidArgumentError("the probe word is trivial")
+    sigs = [Signature(lam) for lam in _partitions(d)]
+    weights = np.array([_character(frozenset(  # beta-numbers of lam
+        part + len(s.lam) - 1 - i for i, part in enumerate(s.lam)), (1,) * d)
+        for s in sigs]) ** 2 / math.factorial(d)
 
     def sample(us, rng):
-        prod = None
-        for idx, star in word.letters:
-            u = us[idx - 1].conj().T if star else us[idx - 1]
-            x = np.eye(1, dtype=np.complex128)
-            for _ in range(d):
-                x = np.kron(x, u)
-            ex = conditional_expectation_sd(TensorOperand.factored([u] * d), d, n)
-            centered = x - ex.to_dense()
-            prod = centered if prod is None else prod @ centered
-        projected = conditional_expectation_sd(prod, d, n)
-        return float(np.linalg.norm(np.array(list(projected.coefficients.values()))))
+        mats = [us[idx - 1].conj().T if star else us[idx - 1]
+                for idx, star in word.letters]
+        minus_chi = [-np.array([normalized_character(s, u) for s in sigs])
+                     for u in mats]
+
+        def walk(k, prod, coeff):
+            """The terms of z over the subsets that agree with the choices
+            made for the letters before k: prod is the product of those
+            taken (None: none yet), coeff that of -chi of those skipped."""
+            if k == len(mats):
+                return coeff if prod is None else \
+                    coeff * [normalized_character(s, prod) for s in sigs]
+            return (walk(k + 1, mats[k] if prod is None else prod @ mats[k],
+                         coeff)
+                    + walk(k + 1, prod, coeff * minus_chi[k]))
+
+        z = walk(0, None, np.ones(len(sigs)))
+        return float(np.sqrt(weights @ np.abs(z) ** 2))
 
     values = haar_sweep(sample, n, word.alphabet, samples, seed)
     return MCReport.from_samples(values, n)

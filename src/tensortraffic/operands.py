@@ -2,8 +2,7 @@
 
 An operand is an element of the K-fold tensor power of N x N matrices,
 stored as a weighted sum of elementary tensor products (one term covers the
-plain single-product case). Densifying is guarded since it scales as
-N^(2K).
+plain single-product case).
 """
 from __future__ import annotations
 
@@ -13,19 +12,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .partitions import ENUMERATION_CAP, SetPartition
-
-DENSE_BYTES_CAP = 2 ** 28  # 256 MiB: one complex N x N matrix at N = 4096
-
-
-def check_dense_size(legs: int, n: int):
-    """Refuse a dense operator on K = legs tensor legs of C^N whose complex
-    N^K x N^K matrix exceeds DENSE_BYTES_CAP, before anything of that size
-    is allocated."""
-    if 16 * n ** (2 * legs) > DENSE_BYTES_CAP:
-        raise ResourceLimitError(
-            f"dense operators are capped at {DENSE_BYTES_CAP >> 20} MiB "
-            f"(N^K x N^K complex, N = {n}, K = {legs})")
-
 
 def permutation_matrix(perm) -> np.ndarray:
     """Real N x N matrix of a permutation of 0..N-1: column j is e_{perm[j]}."""
@@ -113,18 +99,6 @@ class TensorOperand:
     @classmethod
     def identity(cls, n, legs) -> "TensorOperand":
         return cls.factored([np.eye(n)] * legs)
-
-    def to_dense(self) -> np.ndarray:
-        """Materialize as an N^K x N^K matrix (guarded)."""
-        check_dense_size(self.legs, self.n)
-        total = np.zeros((self.n ** self.legs, self.n ** self.legs),
-                         dtype=np.complex128)
-        for weight, factors in self.terms:
-            acc = np.eye(1, dtype=np.complex128)
-            for f in factors:
-                acc = np.kron(acc, f)
-            total += weight * acc
-        return total
 
     def conjugated_by(self, u: np.ndarray) -> "TensorOperand":
         """Apply U^{x K} . U*^{x K} legwise."""

@@ -2,7 +2,8 @@
 
 Each shares no code with the routine it checks, and all but `_decompose`
 (Tarjan's search, the reference for the package's spanning forests) are
-exponential.
+exponential, in the size of a graph or, for the dense conditional
+expectation onto the span of leg permutations, in the tensor power d.
 `dense_unital_coefficients` builds an input for them: a state on which no
 probe of the decomposition is zero. `eta` is no reference: it composes the
 package's own split and leaf count into the splitting exponent of a
@@ -10,12 +11,14 @@ coloring, which the package computes only inside `predict`.
 """
 import functools
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from tensortraffic.characters import Signature
-from tensortraffic.errors import InvalidArgumentError
+from tensortraffic.characters import Signature, permuted_tensor_trace
+from tensortraffic.errors import (IllConditionedError, InvalidArgumentError,
+                                  ResourceLimitError)
 from tensortraffic.graphs import (LinearGraph, canonical_form, component_count,
                                   minimal_graph, quotient)
 from tensortraffic.haar import (cycle_limit_coefficient, doubled, linearize,
@@ -23,12 +26,13 @@ from tensortraffic.haar import (cycle_limit_coefficient, doubled, linearize,
 from tensortraffic.invariants import (VALID, classify_labeling, forest_leaves,
                                       forest_of_tec, leaf_count,
                                       split_by_color, splitting_exponent)
-from tensortraffic.operands import (TensorOperand, compose, cycles_of,
-                                    inverse_permutation)
+from tensortraffic.operands import (TensorOperand, check_permutation,
+                                    compose, cycles_of, inverse_permutation)
 from tensortraffic.partitions import enumerate_partitions, leq, mobius
 from tensortraffic.traces import apply_state
 
 SIMPLE_CYCLE_EDGE_CAP = 16
+DENSE_BYTES_CAP = 2 ** 28  # 256 MiB: one complex N x N matrix at N = 4096
 
 
 # --- blocks by Tarjan's search (oracle for the spanning forests) -------------
@@ -362,3 +366,122 @@ def weyl_character(sig: Signature, z) -> complex:
         raise InvalidArgumentError("eigenvalues are not distinct")
     ratio = (s_num / s_den) * np.exp(ld_num - ld_den)
     return complex(ratio / float(weyl_dimension(sig, n)))
+
+
+# --- the conditional expectation onto span{rho(sigma)}, densely ------------
+
+def check_dense_size(legs: int, n: int):
+    """Refuse a dense operator on K = legs tensor legs of C^N whose complex
+    N^K x N^K matrix exceeds DENSE_BYTES_CAP, before anything of that size
+    is allocated."""
+    if 16 * n ** (2 * legs) > DENSE_BYTES_CAP:
+        raise ResourceLimitError(
+            f"dense operators are capped at {DENSE_BYTES_CAP >> 20} MiB "
+            f"(N^K x N^K complex, N = {n}, K = {legs})")
+
+
+def to_dense(op: TensorOperand) -> np.ndarray:
+    """A factored operand as an N^K x N^K matrix (guarded)."""
+    check_dense_size(op.legs, op.n)
+    total = np.zeros((op.n ** op.legs, op.n ** op.legs), dtype=np.complex128)
+    for weight, factors in op.terms:
+        acc = np.eye(1, dtype=np.complex128)
+        for f in factors:
+            acc = np.kron(acc, f)
+        total += weight * acc
+    return total
+
+
+def leg_permutation(sigma, n: int) -> np.ndarray:
+    """Dense operator permuting the tensor legs: basis vector
+    e_{i_1} x ... x e_{i_d} maps to the vector whose k-th leg is leg
+    sigma^{-1}(k) of the input.
+    """
+    sigma = check_permutation(sigma)
+    d = len(sigma)
+    check_dense_size(d, n)
+    op = np.eye(n ** d).reshape((n,) * (2 * d))
+    # output axis k reads input leg sigma^{-1}(k)
+    perm = list(inverse_permutation(sigma)) + list(range(d, 2 * d))
+    return op.transpose(perm).reshape(n ** d, n ** d)
+
+
+@dataclass
+class PermutationSpanOperator:
+    """Element of span{rho(sigma)}, kept as coefficients per permutation."""
+
+    coefficients: dict  # tuple permutation -> complex
+    n: int
+    d: int
+
+    def to_dense(self) -> np.ndarray:
+        out = np.zeros((self.n ** self.d, self.n ** self.d),
+                       dtype=np.complex128)
+        for sigma, c in self.coefficients.items():
+            out += c * leg_permutation(sigma, self.n)
+        return out
+
+
+def _operand_legs(a, d, n):
+    """A TensorOperand, or the N^d x N^d matrix of a dense input."""
+    if isinstance(a, TensorOperand):
+        if a.legs != d or a.n != n:
+            raise InvalidArgumentError("operand does not match (d, N)")
+        return a
+    if isinstance(a, np.ndarray) and a.shape == (n ** d, n ** d):
+        return np.asarray(a, dtype=np.complex128)
+    return TensorOperand.factored(list(a))
+
+
+def _trace_against_permutations(a, order, n, d):
+    """m_sigma = tr^{x d}(rho(sigma)^* A) = tr^{x d}(A rho(sigma^{-1})) for
+    every sigma, of a dense matrix or term by term of a factored operand.
+    """
+    out = np.zeros(len(order), dtype=np.complex128)
+    for si, sigma in enumerate(order):
+        inv = inverse_permutation(sigma)
+        if isinstance(a, np.ndarray):
+            out[si] = np.trace(leg_permutation(inv, n) @ a) / n ** d
+        else:
+            out[si] = sum(w * permuted_tensor_trace(fs, inv)
+                          for w, fs in a.terms)
+    return out
+
+
+def conditional_expectation_sd(a, d: int, n: int) -> PermutationSpanOperator:
+    """Orthogonal projection of a d-leg operand onto span{rho(sigma)} with
+    respect to the normalized trace inner product.
+
+    The Gram matrix G(sigma, tau) = N^{#cycles(sigma^{-1} tau) - d} is
+    invertible for N > d; d is capped at 4 (a 24 x 24 Gram).
+    """
+    if d > 4:
+        raise ResourceLimitError("conditional expectation capped at d = 4")
+    if n <= d:
+        raise IllConditionedError("need N > d for an invertible Gram matrix")
+    a = _operand_legs(a, d, n)
+    order = list(itertools.permutations(range(d)))
+    gram = np.zeros((len(order), len(order)))
+    for i, s in enumerate(order):
+        s_inv = inverse_permutation(s)
+        for j, t in enumerate(order):  # #cycles of s^{-1} t
+            gram[i, j] = float(n) ** (len(cycles_of(compose(t, s_inv))) - d)
+    m = _trace_against_permutations(a, order, n, d)
+    coeffs = np.linalg.solve(gram, m)
+    return PermutationSpanOperator({s: complex(c) for s, c in zip(order, coeffs)},
+                                   n, d)
+
+
+def amalgam_norm(word, d: int, letters) -> float:
+    """One sample of `amalgam`, densely: the norm of the coefficients of
+    E_{S_d}[prod over the word of (U^{x d} - E_{S_d}[U^{x d}])] on the
+    rho(sigma), from the Haar letters U_1..U_K."""
+    n = letters[0].shape[0]
+    prod = None
+    for idx, star in word.letters:
+        u = letters[idx - 1].conj().T if star else letters[idx - 1]
+        ex = conditional_expectation_sd(TensorOperand.factored([u] * d), d, n)
+        centered = to_dense(TensorOperand.factored([u] * d)) - ex.to_dense()
+        prod = centered if prod is None else prod @ centered
+    projected = conditional_expectation_sd(prod, d, n)
+    return float(np.linalg.norm(np.array(list(projected.coefficients.values()))))

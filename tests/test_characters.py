@@ -8,18 +8,19 @@ from tensortraffic import characters, sampling
 from tensortraffic.characters import (PermutationWord, Signature,
                                       amalgam_sweep, character_reference,
                                       character_sweep,
-                                      conditional_expectation_sd,
                                       cycle_factorization_check, cycles_of,
-                                      leg_permutation, left_regular_check,
+                                      left_regular_check,
                                       normalized_character,
                                       permuted_tensor_trace)
 from tensortraffic.errors import (IllConditionedError, InvalidArgumentError,
                                   ResourceLimitError)
-from tensortraffic.operands import TensorOperand, check_dense_size
+from tensortraffic.operands import TensorOperand
 from tensortraffic.sampling import RngStream, sample_haar_unitary
 from tensortraffic.words import StarWord
 
-from oracles import weyl_character, weyl_dimension
+from oracles import (amalgam_norm, check_dense_size,
+                     conditional_expectation_sd, leg_permutation, to_dense,
+                     weyl_character, weyl_dimension)
 
 
 def haar(n, seed=0, index=0):
@@ -265,20 +266,31 @@ def test_character_sweep_of_a_word_matches_reference_loop():
     assert mean_abs == float(np.mean(np.abs(vals)))
 
 
+# (word, d, N, samples, seed): every d <= 3 at N <= 6 and d = 4 at N = 5,
+# the two pinned `amalgam` commands, a single letter, whose exact value is 0,
+# and six letters, which branch the subset walk six deep
+AMALGAM_CASES = [
+    *(("1,2,1*,2*", 1, n, 3, 3) for n in range(2, 7)),
+    *(("1,2", 2, n, 3, 3) for n in range(3, 7)),
+    *(("1,2*,1", 3, n, 3, 3) for n in range(4, 7)),
+    ("3,1", 4, 5, 2, 0),
+    ("1,2,1*,2*", 2, 4, 4, 2), ("1,2,1*,2*", 2, 6, 4, 2),
+    ("1,2*", 3, 5, 3, 2),
+    ("1", 2, 4, 3, 1),
+    ("1,2,3*,1*,2,3", 2, 4, 2, 5),
+]
+
+
 def test_amalgam_sweep_matches_reference_loop():
-    word, d, n, samples, seed = StarWord.parse("1,2"), 2, 4, 5, 3
-    rep = amalgam_sweep(word, d, n, samples, seed)
-    norms = np.empty(samples)
-    for s in range(samples):
-        prod = None
-        for u in _reference_letters(n, 2, seed, s):
-            ex = conditional_expectation_sd(TensorOperand.factored([u, u]), d, n)
-            centered = np.kron(u, u) - ex.to_dense()
-            prod = centered if prod is None else prod @ centered
-        proj = conditional_expectation_sd(prod, d, n)
-        norms[s] = np.linalg.norm(np.array(list(proj.coefficients.values())))
-    assert rep.estimate == norms.mean()
-    assert rep.stderr == norms.std(ddof=1) / math.sqrt(samples)
+    for text, d, n, samples, seed in AMALGAM_CASES:
+        word = StarWord.parse(text)
+        rep = amalgam_sweep(word, d, n, samples, seed)
+        norms = np.array([amalgam_norm(word, d, _reference_letters(
+            n, word.alphabet, seed, s)) for s in range(samples)])
+        for got, ref in ((rep.estimate, norms.mean()),
+                         (rep.stderr, norms.std(ddof=1) / math.sqrt(samples))):
+            assert abs(got - ref) <= 1e-12 * abs(ref) + 1e-15, \
+                (text, d, n, got, ref)
 
 
 def test_sweeps_reject_fewer_than_two_samples():
@@ -318,7 +330,7 @@ def test_dense_operand_guard_is_the_leg_permutation_guard():
     # an 8^9 x 8^9 complex matrix is 2^58 bytes: a resource limit (exit 3),
     # as for leg_permutation
     with pytest.raises(ResourceLimitError):
-        TensorOperand.identity(8, 9).to_dense()
+        to_dense(TensorOperand.identity(8, 9))
 
 
 def test_dense_guard_bounds_the_bytes_of_one_matrix():
@@ -454,7 +466,7 @@ def test_condexp_idempotent_and_bimodule():
     assert max(abs(ea.coefficients[s] - eea.coefficients[s])
                for s in order) <= 1e-9
     rho_s = leg_permutation((1, 0), n)
-    sandwich = conditional_expectation_sd(rho_s @ a.to_dense() @ rho_s, d, n)
+    sandwich = conditional_expectation_sd(rho_s @ to_dense(a) @ rho_s, d, n)
     assert np.max(np.abs(sandwich.to_dense()
                          - rho_s @ ea.to_dense() @ rho_s)) <= 1e-9
 
@@ -466,8 +478,8 @@ def test_condexp_self_adjoint():
     b = TensorOperand.factored([sample_haar_unitary(n, rng) for _ in range(d)])
     ea = conditional_expectation_sd(a, d, n).to_dense()
     eb = conditional_expectation_sd(b, d, n).to_dense()
-    ip1 = np.trace(ea.conj().T @ b.to_dense())
-    ip2 = np.trace(a.to_dense().conj().T @ eb)
+    ip1 = np.trace(ea.conj().T @ to_dense(b))
+    ip2 = np.trace(to_dense(a).conj().T @ eb)
     assert abs(ip1 - ip2) <= 1e-9
 
 

@@ -18,6 +18,8 @@ from tensortraffic.traces import decompose_invariant_state
 from tensortraffic.weingarten import exact_expectation
 from tensortraffic.words import StarWord
 
+from oracles import to_dense
+
 
 def test_unitarity():
     for n in (1, 2, 10, 30):
@@ -126,7 +128,7 @@ def test_evaluate_word_matches_dense_kronecker():
     for idx, star in word.letters:
         m = np.kron(us[idx - 1], us[idx - 1].T)
         dense = dense @ (m.conj().T if star else m)
-    assert np.allclose(result.to_dense(), dense)
+    assert np.allclose(to_dense(result), dense)
 
 
 def test_apply_state_unitality_all_kinds():
@@ -146,7 +148,7 @@ def test_entangled_state_expansion_oracle():
     omega[:: n + 1] = n ** -0.5
     spec = StateSpec("max_entangled_vector", k=2, n=n)
     assert np.isclose(apply_state(spec, op),
-                      omega.conj() @ op.to_dense() @ omega)
+                      omega.conj() @ to_dense(op) @ omega)
 
 
 def test_entangled_on_u_ut_is_trace_of_square():
@@ -166,7 +168,7 @@ def test_tracial_matches_dense_oracle():
              for _ in range(k)])
         spec = StateSpec("tracial", k=k, n=n)
         assert np.isclose(apply_state(spec, op),
-                          np.trace(op.to_dense()) / n ** k)
+                          np.trace(to_dense(op)) / n ** k)
 
 
 def test_mc_trivial_word():
@@ -397,9 +399,9 @@ def test_symmetrize_exact_agrees_with_direct_average():
         p = np.zeros((n, n))
         p[list(perm), np.arange(n)] = 1.0
         direct += p @ a @ p.T / 6
-    assert np.allclose(sym.to_dense(), direct)
+    assert np.allclose(to_dense(sym), direct)
     # for one leg, every diagonal entry of the average is the normalized trace
-    assert np.allclose(np.diagonal(sym.to_dense()), np.trace(a) / n)
+    assert np.allclose(np.diagonal(to_dense(sym)), np.trace(a) / n)
 
 
 def test_symmetrize_idempotent_and_invariant():
@@ -411,7 +413,7 @@ def test_symmetrize_idempotent_and_invariant():
     # an invariant state reads the same on the operand and on its average
     assert abs(apply_state(spec, sym) - apply_state(spec, op)) <= 1e-12
     sym2 = symmetrize(sym, n)
-    assert np.max(np.abs(sym2.to_dense() - sym.to_dense())) <= 1e-12
+    assert np.max(np.abs(to_dense(sym2) - to_dense(sym))) <= 1e-12
 
 
 def test_symmetrize_operand_becomes_invariant():
@@ -423,7 +425,7 @@ def test_symmetrize_operand_becomes_invariant():
     p[np.array([1, 0, 3, 2]), np.arange(n)] = 1.0
     moved = TensorOperand(n, 1, terms=[(w, [p @ f @ p.T for f in fs])
                                        for w, fs in sym.terms])
-    assert np.max(np.abs(sym.to_dense() - moved.to_dense())) <= 1e-9
+    assert np.max(np.abs(to_dense(sym) - to_dense(moved))) <= 1e-9
 
 
 def test_symmetrize_guard():
