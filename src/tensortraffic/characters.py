@@ -85,25 +85,37 @@ def normalized_character(sig: Signature, u: np.ndarray) -> complex:
     are the complete symmetric polynomials of the eigenvalues of U, and
     hbar_k = conj(h_k) those of U* = U^{-1}, which is where U must be
     unitary. Scalar matrices are handled in closed form."""
-    n, size, q = u.shape[0], sig.length, len(sig.mu)
-    if size > n:
+    return _normalized_characters((sig,), u)[0]
+
+
+def _normalized_characters(sigs, u: np.ndarray) -> list[complex]:
+    """normalized_character of each signature at one U, all read from one
+    h_0..h_order: h_k does not depend on the largest order computed."""
+    n = u.shape[0]
+    if any(sig.length > n for sig in sigs):
         raise InvalidArgumentError(f"signature too long for N = {n}")
     c = u[0, 0]
     # a Haar U already fails at u[1, 0]; a NaN there falls through to the scan
     if not (n > 1 and abs(u[1, 0]) >= 1e-12) \
             and np.max(np.abs(u - c * np.eye(n))) < 1e-12:
-        return complex(c) ** (sum(sig.lam) - sum(sig.mu))
-    # every index read is above -size, and h_k = 0 for k < 0
-    h = np.concatenate([np.zeros(size), _complete_symmetric(u, max(
-        (s[0] + len(s) - 1 for s in (sig.lam, sig.mu) if s), default=0))])
-    j = np.arange(size)
-    rows = [np.conj(h[size + m + i - j])
-            for i, m in enumerate(reversed(sig.mu))]
-    rows += [h[size + part - q - i + j] for i, part in enumerate(sig.lam)]
-    det = np.linalg.det(np.array(rows).reshape(size, size))
-    if not np.isfinite(det):
-        raise IllConditionedError("character determinant overflowed")
-    return complex(det / float(sig.dimension(n)))
+        return [complex(c) ** (sum(sig.lam) - sum(sig.mu)) for sig in sigs]
+    h_all = _complete_symmetric(u, max(
+        (s[0] + len(s) - 1 for sig in sigs for s in (sig.lam, sig.mu) if s),
+        default=0))
+    out = []
+    for sig in sigs:
+        size, q = sig.length, len(sig.mu)
+        # every index read is above -size, and h_k = 0 for k < 0
+        h = np.concatenate([np.zeros(size), h_all])
+        j = np.arange(size)
+        rows = [np.conj(h[size + m + i - j])
+                for i, m in enumerate(reversed(sig.mu))]
+        rows += [h[size + part - q - i + j] for i, part in enumerate(sig.lam)]
+        det = np.linalg.det(np.array(rows).reshape(size, size))
+        if not np.isfinite(det):
+            raise IllConditionedError("character determinant overflowed")
+        out.append(complex(det / float(sig.dimension(n))))
+    return out
 
 
 def character_reference(sig: Signature, u: np.ndarray) -> complex:
@@ -262,8 +274,7 @@ def amalgam_sweep(word: StarWord, d: int, n: int, samples: int,
     def sample(us, rng):
         mats = [us[idx - 1].conj().T if star else us[idx - 1]
                 for idx, star in word.letters]
-        minus_chi = [-np.array([normalized_character(s, u) for s in sigs])
-                     for u in mats]
+        minus_chi = [-np.array(_normalized_characters(sigs, u)) for u in mats]
 
         def walk(k, prod, coeff):
             """The terms of z over the subsets that agree with the choices
@@ -271,7 +282,7 @@ def amalgam_sweep(word: StarWord, d: int, n: int, samples: int,
             taken (None: none yet), coeff that of -chi of those skipped."""
             if k == len(mats):
                 return coeff if prod is None else \
-                    coeff * [normalized_character(s, prod) for s in sigs]
+                    coeff * _normalized_characters(sigs, prod)
             return (walk(k + 1, mats[k] if prod is None else prod @ mats[k],
                          coeff)
                     + walk(k + 1, prod, coeff * minus_chi[k]))

@@ -29,8 +29,8 @@ from .traces import (contraction_plan, decompose_invariant_state, graph_trace,
                      zeta_trace)
 from .words import StarWord
 from .haar import haar_limit_injective, predict_freeness_limit
-from .sampling import (RngStream, apply_state, mc_run, norm_absorption_demo,
-                       usable_cores)
+from .parallel import usable_cores
+from .sampling import RngStream, apply_state, mc_run, norm_absorption_demo
 from .characters import Signature, amalgam_sweep, character_sweep
 
 MC_CSV_COLUMNS = ("N", "estimate_re", "estimate_im", "stderr", "variance",

@@ -6,33 +6,17 @@ matter how samples are scheduled across workers.
 """
 from __future__ import annotations
 
-import concurrent.futures
-import contextlib
-import ctypes
-import functools
 import itertools
 import math
-import os
-import threading
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .operands import TensorOperand, permutation_matrix
+from .parallel import BLAS_PIN, THREAD_CAP, run_chunks, usable_cores
 from .traces import apply_state  # re-exported: states live next to traces
 from .words import StarWord, is_trivial
-
-THREAD_CAP = 64  # worker threads of one sweep; results do not depend on it
-
-
-def usable_cores() -> int:
-    """The default worker count of an `mc` sweep: the cores this process may
-    run on, at most THREAD_CAP."""
-    if hasattr(os, "sched_getaffinity"):
-        return min(len(os.sched_getaffinity(0)), THREAD_CAP)
-    return min(os.cpu_count() or 1, THREAD_CAP)
 
 
 @dataclass(frozen=True)
@@ -77,6 +61,8 @@ class MCReport:
 def sample_haar_unitary(n: int, rng) -> np.ndarray:
     """Haar-distributed unitary: complex Ginibre, QR, then the R-diagonal
     phases are absorbed so the factorization is unique (plain QR is not Haar).
+    The QR runs with OpenBLAS held to one thread, so a draw's bytes do not
+    depend on the BLAS thread count, inside a sweep or not.
     """
     if n < 1:
         raise InvalidArgumentError("need N >= 1")
@@ -84,7 +70,8 @@ def sample_haar_unitary(n: int, rng) -> np.ndarray:
         rng = rng.generator()
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) \
         / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+    with BLAS_PIN.held():
+        q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
@@ -120,50 +107,6 @@ def evaluate_word(word: StarWord, us, vs, k1: int, k2: int) -> TensorOperand:
 # Monte-Carlo harness
 # --------------------------------------------------------------------------
 
-def openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None
-    when numpy vendors no OpenBLAS exporting both ("unpinned")."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in libs.glob("*openblas*"):
-        lib = ctypes.CDLL(str(path))
-        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        if get is not None and put is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
-    return None
-
-
-class _BlasPin:
-    """OpenBLAS held to one thread while any sweep runs. Sweeps may overlap
-    in several Python threads: under one lock, the first one in saves the
-    count and sets 1, and the last one out restores it. Without the
-    symbols, BLAS stays unpinned."""
-
-    def __init__(self):
-        self.lock, self.depth, self.restore = threading.Lock(), 0, None
-
-    @contextlib.contextmanager
-    def held(self):
-        with self.lock:
-            if not self.depth:
-                get, put = openblas_threads() or (lambda: None, lambda c: None)
-                self.restore = functools.partial(put, get())
-                put(1)
-            self.depth += 1
-        try:
-            yield
-        finally:
-            with self.lock:
-                self.depth -= 1
-                if not self.depth:
-                    self.restore()
-
-
-_BLAS_PIN = _BlasPin()
-
-
 def haar_sweep(fn, n: int, letters: int, samples: int, seed: int,
                threads: int = 1) -> np.ndarray:
     """Sample s of a sweep is fn(us, rng): rng is the generator of the
@@ -173,7 +116,8 @@ def haar_sweep(fn, n: int, letters: int, samples: int, seed: int,
 
     OpenBLAS runs on one thread: the QR of a draw is then the same in every
     environment, faster at N = 128, and leaves the cores to `threads`
-    contiguous chunks of samples, the first run by the calling thread.
+    contiguous chunks of samples, the first run by the calling thread
+    (`parallel.run_chunks`).
     """
     if samples < 2:
         raise InvalidArgumentError("need samples >= 2")
@@ -190,15 +134,8 @@ def haar_sweep(fn, n: int, letters: int, samples: int, seed: int,
     def run(start, stop):
         return [one(s) for s in range(start, stop)]
 
-    with _BLAS_PIN.held():
-        if threads == 1:
-            return np.array(run(0, samples))
-        threads = min(threads, samples)
-        cuts = [samples * t // threads for t in range(threads + 1)]
-        with concurrent.futures.ThreadPoolExecutor(threads - 1) as pool:
-            rest = pool.map(run, cuts[1:-1], cuts[2:])
-            values = run(0, cuts[1])
-            return np.array(values + [v for part in rest for v in part])
+    parts = run_chunks(run, samples, min(threads, samples))
+    return np.array([v for part in parts for v in part])
 
 
 def _sample_value(state, word, blocks, v_mode, us, rng):

@@ -15,6 +15,13 @@ operand term is a stack of one sample. Edge stacks are read in place,
 except that a stack whose sample axis is not its outermost (Fortran order)
 is read as its C-order copy.
 
+A stack call runs on all cores with OpenBLAS held to one thread: its
+sample axis is split into k = min(usable cores, B // 2, B * N^3 // 2^19)
+contiguous chunks (`_chunks`), one arena each, joined in sample order.
+The bound keeps stacks whose chunks would be too small to pay for the
+threads, or bound by the interpreter, serial; two samples or more per
+chunk keep every sample's bytes those of the whole stack.
+
 The module also evaluates states on the tensor power (`apply_state`),
 renormalizes traces (`tau_trace`, `zeta_trace`), builds the operand that
 attains the N^(L/2) growth rate (`ms_optimality_witness`), and decomposes
@@ -37,10 +44,12 @@ from .errors import InvalidArgumentError, ResourceLimitError
 from .graphs import LinearGraph, component_count, minimal_graph, quotient
 from .invariants import forest_of_tec, leaf_count
 from .operands import StateSpec, TensorOperand, inverse_permutation
+from .parallel import run_chunks, usable_cores
 from .partitions import (SetPartition, enumerate_partitions, find_root,
                          mobius_table, union_roots)
 
 INJECTIVE_VERTEX_CAP = 9  # Bell(9) = 21147 partitions of the vertex set
+SPLIT_WORK = 2 ** 19  # B * N^3 per chunk of a stack; see `_chunks`
 
 
 # --------------------------------------------------------------------------
@@ -54,6 +63,7 @@ class ContractionPlan:
     steps: tuple            # (op, a, b, dst, detail) tuples, replayed in order
     registers: int          # one per edge, then one per intermediate
     isolated: int           # untouched vertices, a factor N each
+    loops: tuple[bool, ...]  # per edge: a loop reads its matrix's diagonal
 
 
 @lru_cache(maxsize=None)
@@ -95,7 +105,8 @@ def contraction_plan(graph: LinearGraph) -> ContractionPlan:
         sets = keep + ([merged] if merged else [])
         alive.remove(best)
     steps, registers = _schedule(graph, order)
-    return ContractionPlan(tuple(order), width, steps, registers, isolated)
+    return ContractionPlan(tuple(order), width, steps, registers, isolated,
+                           tuple(s == t for s, t in graph.edges))
 
 
 # Step codes. (_FOLD, a, 0, 0, None): acc = acc * register a, a label-free
@@ -277,15 +288,14 @@ class _Arena:
             return buf.reshape(shape), buf
 
 
-def _contract_graph(graph: LinearGraph, mats, n, arena: _Arena):
-    """Elementary form per sample, by replaying the cached schedule of
-    `contraction_plan(graph)` on one checked (B, N, N) array per edge (an
-    edgeless graph gives shape (1,)). Every intermediate is a C-order arena
-    buffer written with `out=`, given back once its register is read."""
-    plan = contraction_plan(graph)
+def _contract_graph(plan: ContractionPlan, mats, n, arena: _Arena):
+    """Elementary form per sample, by replaying a graph's plan on one
+    checked (B, N, N) array per edge (an edgeless graph gives shape (1,)).
+    Every intermediate is a C-order arena buffer written with `out=`, given
+    back once its register is read."""
     edges = len(mats)
-    regs = [m.diagonal(0, -2, -1) if s == t else m
-            for m, (s, t) in zip(mats, graph.edges)]
+    regs = [m.diagonal(0, -2, -1) if loop else m
+            for m, loop in zip(mats, plan.loops)]
     regs += [None] * (plan.registers - edges)
     take, give, shaped = arena.take, arena.give, arena.shaped
     acc = arena.unit
@@ -384,9 +394,36 @@ def injective_graph_trace(graph: LinearGraph, operand: TensorOperand,
 def graph_trace_stack(graph: LinearGraph, mats, n) -> np.ndarray:
     """Elementary form per sample: `mats` has one (B, N, N) array per edge,
     with one B for all (InvalidArgumentError otherwise). An edgeless graph
-    gives shape (1,), which broadcasts over samples."""
+    gives shape (1,), which broadcasts over samples.
+
+    Large stacks are split into contiguous chunks of at least two samples
+    (`_chunks`), contracted on all cores: a sample's bytes are the same in
+    every chunk of two or more, but a one-sample stack may round a
+    contraction differently from the same sample inside a larger stack."""
     mats, samples = _checked_stacks(graph, mats, n)
-    return _contract_graph(graph, _sample_major(mats), n, _Arena(samples, n))
+    plan = contraction_plan(graph)
+    return _split_samples(lambda part, arena: _contract_graph(
+        plan, part, n, arena), _sample_major(mats), samples, n)
+
+
+def _chunks(samples: int, n: int) -> int:
+    """How many chunks a stack of B samples is contracted in: one per usable
+    core, with at least two samples and B * N^3 >= SPLIT_WORK per chunk.
+    Below that, starting threads and the Python steps between kernels,
+    which hold the interpreter lock, cost more than the extra cores save."""
+    most = min(samples // 2, samples * n ** 3 // SPLIT_WORK)
+    return min(usable_cores(), most) if most > 1 else 1
+
+
+def _split_samples(contract, mats, samples: int, n: int) -> np.ndarray:
+    """contract(chunk stacks, arena) per chunk of the sample axis, each chunk
+    with its own arena, joined in sample order. Each distinct array object
+    is sliced once, so edges that share one keep sharing one."""
+    def run(start, stop):
+        views = {id(m): m[start:stop] for m in mats}
+        return contract([views[id(m)] for m in mats], _Arena(stop - start, n))
+
+    return np.concatenate(run_chunks(run, samples, _chunks(samples, n)))
 
 
 def _checked_stacks(graph: LinearGraph, mats, n):
@@ -508,20 +545,26 @@ def _orbit_terms(graph: LinearGraph, classes: tuple[int, ...]):
 def injective_trace_stack(graph: LinearGraph, mats, n) -> np.ndarray:
     """Injective form per sample, by Möbius inversion over the quotients of
     the vertex set, one contraction per symmetry orbit of quotients, all
-    from one arena of buffers; `mats` as for graph_trace_stack."""
+    from one arena of buffers per chunk of samples; `mats` and the chunks
+    as for graph_trace_stack. The edge classes, the orbits and the
+    sample-major copies are found once, on the whole stack."""
     mats, samples = _checked_stacks(graph, mats, n)
-    total = np.zeros(samples, dtype=np.complex128)
     if graph.vertex_count > n:  # pigeonhole: no injective labeling exists
-        return total
+        return np.zeros(samples, dtype=np.complex128)
     if graph.vertex_count > INJECTIVE_VERTEX_CAP:  # before comparing arrays
         raise ResourceLimitError(
             f"injective traces are capped at {INJECTIVE_VERTEX_CAP} vertices "
             f"(requested {graph.vertex_count})")
-    terms = _orbit_terms(graph, _edge_classes(mats))
-    mats, arena = _sample_major(mats), _Arena(samples, n)
-    for coeff, q in terms:
-        total += coeff * _contract_graph(q, mats, n, arena)
-    return total
+    terms = [(coeff, contraction_plan(q))
+             for coeff, q in _orbit_terms(graph, _edge_classes(mats))]
+
+    def contract(part, arena):
+        total = np.zeros(arena.samples, dtype=np.complex128)
+        for coeff, plan in terms:
+            total += coeff * _contract_graph(plan, part, n, arena)
+        return total
+
+    return _split_samples(contract, _sample_major(mats), samples, n)
 
 
 def naive_graph_trace(graph: LinearGraph, operand: TensorOperand,

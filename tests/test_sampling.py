@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tensortraffic import sampling
+from tensortraffic import parallel, sampling
 from tensortraffic.cli import build_parser
 from tensortraffic.errors import InvalidArgumentError, ResourceLimitError
 from tensortraffic.operands import StateSpec, TensorOperand
@@ -227,13 +227,13 @@ def test_haar_sweep_threads_1_starts_no_pool(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(sampling.concurrent.futures, "ThreadPoolExecutor",
+    monkeypatch.setattr(parallel.concurrent.futures, "ThreadPoolExecutor",
                         refuse)
     assert len(sampling.haar_sweep(_draw, 4, 2, 5, 0, threads=1)) == 5
 
 
 def _blas_or_skip():
-    blas = sampling.openblas_threads()
+    blas = parallel.openblas_threads()
     if blas is None:
         pytest.skip("numpy vendors no OpenBLAS with a thread setter")
     return blas
@@ -354,9 +354,25 @@ def test_many_overlapping_sweeps_keep_the_pin():
 
 def test_haar_sweep_runs_unpinned_without_the_blas_symbols(monkeypatch):
     pinned = sampling.haar_sweep(_draw, 6, 2, 5, 3, threads=2)
-    monkeypatch.setattr(sampling, "openblas_threads", lambda: None)
+    monkeypatch.setattr(parallel, "openblas_threads", lambda: None)
     assert np.array_equal(sampling.haar_sweep(_draw, 6, 2, 5, 3, threads=2),
                           pinned)
+
+
+def test_haar_draw_bytes_do_not_depend_on_the_blas_count():
+    """A draw outside any sweep holds OpenBLAS to one thread for its QR and
+    gives the count back."""
+    get, put = _blas_or_skip()
+    before = get()
+    draws = {}
+    try:
+        for count in (1, 3):
+            put(count)
+            draws[count] = sample_haar_unitary(128, RngStream(9)).tobytes()
+            assert get() == count
+    finally:
+        put(before)
+    assert draws[1] == draws[3]
 
 
 def test_mc_threads_default_to_usable_cores():

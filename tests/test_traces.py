@@ -1,10 +1,12 @@
 import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from tensortraffic import traces
+from tensortraffic import parallel, traces
 from tensortraffic.errors import InvalidArgumentError, ResourceLimitError
 from tensortraffic.graphs import (LinearGraph, component_count, minimal_graph,
                                   quotient)
@@ -531,6 +533,159 @@ def test_six_cycle_expansion_holds_few_buffers():
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * u.nbytes, peak / u.nbytes
+
+
+# --- chunks of samples on all cores -----------------------------------------
+
+def split_cases():
+    """N = 100 stacks of six samples, where a one-sample stack rounds some
+    contractions differently: the alternating 6-cycle (U on even edges, U*
+    on odd ones) and a graph with a loop and parallel edges."""
+    rng = np.random.default_rng(25)
+    n, samples = 100, 6
+    u, w = ((rng.standard_normal((samples, n, n))
+             + 1j * rng.standard_normal((samples, n, n))) / n ** 0.5
+            for _ in range(2))
+    mixed = LinearGraph(3, ((0, 0), (0, 1), (0, 1), (1, 2), (2, 0)))
+    return n, [(LinearGraph(6, cycle_edges(6)),
+                [u if e % 2 == 0 else adjoint_stack(u) for e in range(6)]),
+               (mixed, [u, w, adjoint_stack(w), u, w])]
+
+
+def both_forms(n, cases):
+    return [form(g, mats, n) for g, mats in cases
+            for form in (graph_trace_stack, injective_trace_stack)]
+
+
+def blas_or_skip():
+    blas = parallel.openblas_threads()
+    if blas is None:
+        pytest.skip("numpy vendors no OpenBLAS with a thread setter")
+    return blas
+
+
+def test_chunks_of_two_or_more_give_the_bytes_of_the_whole_stack(monkeypatch):
+    """Both forms of a six-sample stack, whole, in chunks of 3 + 3 and
+    2 + 2 + 2, and split by hand into 2 + 4, byte for byte."""
+    n, cases = split_cases()
+    got = {}
+    for chunks in (1, 2, 3):
+        monkeypatch.setattr(traces, "_chunks", lambda samples, n, k=chunks: k)
+        got[chunks] = [v.tobytes() for v in both_forms(n, cases)]
+    monkeypatch.undo()
+    head = both_forms(n, [(g, [m[:2] for m in mats]) for g, mats in cases])
+    tail = both_forms(n, [(g, [m[2:] for m in mats]) for g, mats in cases])
+    by_hand = [np.concatenate(pair).tobytes() for pair in zip(head, tail)]
+    assert got[2] == got[1] and got[3] == got[1] and by_hand == got[1]
+
+
+def test_engine_bytes_do_not_depend_on_the_blas_count(monkeypatch):
+    """Set to 3 OpenBLAS threads before the call, both forms give the bytes
+    of a whole stack on one thread, and the count is 3 again after."""
+    get, put = blas_or_skip()
+    n, cases = split_cases()
+    monkeypatch.setattr(traces, "_chunks", lambda samples, n: 1)
+    whole = [v.tobytes() for v in both_forms(n, cases)]
+    monkeypatch.undo()
+    before = get()
+    put(3)
+    try:
+        assert [v.tobytes() for v in both_forms(n, cases)] == whole
+        assert get() == 3
+    finally:
+        put(before)
+
+
+@pytest.mark.parametrize("chunks", [1, 2])
+def test_engine_pins_blas_and_restores_it_when_a_chunk_raises(monkeypatch,
+                                                              chunks):
+    get, put = blas_or_skip()
+    seen = []
+
+    def fail(*args):
+        seen.append(get())
+        raise RuntimeError("contraction failed")
+
+    monkeypatch.setattr(traces, "_contract_graph", fail)
+    monkeypatch.setattr(traces, "_chunks", lambda samples, n: chunks)
+    g, u = LinearGraph(2, cycle_edges(2)), np.ones((4, 3, 3))
+    before = get()
+    put(3)
+    try:
+        for form in (graph_trace_stack, injective_trace_stack):
+            with pytest.raises(RuntimeError, match="contraction failed"):
+                form(g, [u, u], 3)
+            assert get() == 3
+        assert seen and set(seen) == {1}
+    finally:
+        put(before)
+
+
+def test_chunk_rule_follows_the_measured_crossover(monkeypatch):
+    """One chunk per usable core, each of at least two samples and of
+    B * N^3 >= 2^19 (README, Performance notes)."""
+    monkeypatch.setattr(traces, "usable_cores", lambda: 2)
+    assert [traces._chunks(b, n) for b, n in (
+        (24, 24), (24, 32), (24, 64), (8, 48), (8, 64), (8, 20), (1, 1000),
+        (3, 1000), (4, 64))] == [1, 1, 2, 1, 2, 1, 1, 1, 2]
+    monkeypatch.setattr(traces, "usable_cores", lambda: 64)
+    assert [traces._chunks(b, n) for b, n in ((24, 100), (24, 50), (4, 64))] \
+        == [12, 5, 2]
+
+
+def test_stacks_below_the_chunk_rule_start_no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(parallel.concurrent.futures, "ThreadPoolExecutor",
+                        refuse)
+    monkeypatch.setattr(traces, "usable_cores", lambda: 2)
+    rng = np.random.default_rng(26)
+    g = LinearGraph(4, cycle_edges(4))
+    for samples, n in ((1, 100), (3, 100), (8, 40), (24, 24)):
+        u = rng.standard_normal((samples, n, n))
+        for form in (graph_trace_stack, injective_trace_stack):
+            assert form(g, [u] * 4, n).shape == (samples,)
+    u = rng.standard_normal((4, 64, 64))  # B N^3 = 2^20: two chunks
+    with pytest.raises(AssertionError, match="a pool was started"):
+        graph_trace_stack(g, [u] * 4, 64)
+
+
+def test_overlapping_split_calls_keep_their_bytes_and_the_pin(monkeypatch):
+    """Six threads making ten calls each, every call in two chunks (twelve
+    threads on the cores), switching every microsecond: each call gives the
+    bytes of its serial call, and the BLAS count comes back."""
+    rng = np.random.default_rng(27)
+    n, g = 12, LinearGraph(4, cycle_edges(4))
+    cases = [[u, adjoint_stack(u)] * 2 for u in (
+        rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+        for _ in range(6))]
+    monkeypatch.setattr(traces, "_chunks", lambda samples, n: 1)
+    serial = [injective_trace_stack(g, mats, n).tobytes() for mats in cases]
+    monkeypatch.setattr(traces, "_chunks", lambda samples, n: 2)
+    blas = parallel.openblas_threads()
+    before = blas[0]() if blas else None
+    got, all_in = [None] * len(cases), threading.Barrier(len(cases))
+
+    def work(i):
+        all_in.wait(30)
+        got[i] = {injective_trace_stack(g, cases[i], n).tobytes()
+                  for _ in range(10)}
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [{v} for v in serial]
+    assert (blas[0]() if blas else None) == before
 
 
 # --- growth-rate witness ---------------------------------------------------
