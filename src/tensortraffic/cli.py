@@ -63,29 +63,39 @@ _LEDGER_ROW = """    {
         %d
       ],
       "limit_coefficient": %s,
-      "multiplicity": %d,
+      "multiplicity": %s,
       "partition": %s,
       "validity": %s
     }"""
+_SLOT = "\0"  # marks the multiplicity and the partition; the encoder escapes it
 
 
 def _certificate_text(cert) -> str:
     """`_json_text` of the certificate with its quotients as a list of
     objects; the header goes through the encoder, each row through
-    `_LEDGER_ROW`, which is several times faster on a B(9) ledger. A ledger
-    is never empty: B(V) >= 1."""
+    `_LEDGER_ROW`, which is several times faster on a B(9) ledger. The
+    text a row shares with its row class is rendered once per class, with
+    the multiplicity and the partition left as slots. A ledger is never
+    empty: B(V) >= 1."""
     quote = json.encoder.encode_basestring_ascii
     header = _json_text({
         "word": cert.word, "blocks": list(cert.blocks),
         "doubled": cert.doubled, "verdict": cert.verdict,
         "base_leaves": cert.base_leaves, "quotients": []})
-    rows = ",\n".join(_LEDGER_ROW % (
-        quote(str(e.eta)), e.leaf_defect, e.leaves_total, e.leaves_t1,
-        e.leaves_t2, quote(str(e.limit_coefficient)), e.multiplicity,
-        quote(e.partition), quote(e.validity)) for e in cert.entries)
+    fixed = {}  # row class -> its text around the multiplicity and partition
+    rows = []
+    for partition, multiplicity, row in cert.entries:
+        parts = fixed.get(row)
+        if parts is None:
+            parts = fixed[row] = (_LEDGER_ROW % (
+                quote(str(row.eta)), row.leaf_defect, *row.leaves,
+                quote(str(row.limit_coefficient)), _SLOT, _SLOT,
+                quote(row.validity))).split(_SLOT)
+        head, mid, tail = parts
+        rows.append(head + str(multiplicity) + mid + quote(partition) + tail)
     # only integers and a bool sort before "quotients": the first match is it
     return header.replace('"quotients": []',
-                          '"quotients": [\n%s\n  ]' % rows, 1)
+                          '"quotients": [\n%s\n  ]' % ",\n".join(rows), 1)
 
 
 def _csv_text(columns, rows) -> str:
@@ -459,9 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--v-mode", choices=("perm", "haar"), default="perm",
                    help="third-block family: permutation tensors or Haar")
-    p.add_argument("--threads", type=int, default=usable_cores(),
+    p.add_argument("--threads", type=int,
                    help="worker threads, 1 to 64 (default: the usable cores, "
-                        "%(default)s here; results do not depend on this)")
+                        f"{usable_cores()} here, from N = 64 up, and 1 below; "
+                        "results do not depend on this)")
     common(p, formats=("csv", "json"))
     p.set_defaults(func=_cmd_mc)
 

@@ -155,14 +155,16 @@ class _GrownForest(_Forest):
 
 def quotient_forests(n: int, layers):
     """Every restricted-growth string of length n in lexicographic order
-    (n = 0 gives the empty one), each with one `_GrownForest` per layer:
+    (n = 0 gives the empty one), each with its partition text (the blocks
+    of vertices 0..n-1 joined by commas) and one `_GrownForest` per layer:
     the spanning forest of the quotient of that layer's edges, over the
     vertices 0..n-1, by the string.
 
     One depth-first walk over the prefixes (Knuth, TAOCP 7.2.1.5): placing
     vertex d in block b adds the edges whose larger endpoint is d to
-    copies of the prefix's forests, so each quotient costs the edges of
-    its last vertex. Yields (rgs, forests) one string at a time.
+    copies of the prefix's forests and ",b" to the prefix's text, so each
+    quotient costs the edges of its last vertex and one concatenation.
+    Yields (rgs, text, forests) one string at a time.
     """
     due = [[[] for _ in layers] for _ in range(n)]
     for i, edges in enumerate(layers):
@@ -170,15 +172,18 @@ def quotient_forests(n: int, layers):
             due[max(s, t)][i].append((s, t, 1 << e))
     roots = [_GrownForest() for _ in layers]
     if n == 0:
-        yield (), roots
+        yield (), "", roots
         return
-    stack = [((), 0, roots)]
+    digits = [str(b) for b in range(n)]
+    marks = ["," + b for b in digits]
+    stack = [((), "", 0, roots)]
     while stack:
-        prefix, nb, forests = stack.pop()
+        prefix, text, nb, forests = stack.pop()
         d = len(prefix)
+        tails = marks if d else digits
         children = []
         for b in range(nb + 1):
-            rgs = prefix + (b,)
+            rgs, grown_text = prefix + (b,), text + tails[b]
             grown = []
             for f, adds in zip(forests, due[d]):
                 if b == nb or adds:
@@ -189,9 +194,9 @@ def quotient_forests(n: int, layers):
                         f.add_edge(rgs[s], rgs[t], bit)
                 grown.append(f)
             if d == n - 1:
-                yield rgs, grown
+                yield rgs, grown_text, grown
             else:
-                children.append((rgs, nb + (b == nb), grown))
+                children.append((rgs, grown_text, nb + (b == nb), grown))
         stack += reversed(children)
 
 
@@ -317,15 +322,13 @@ def leaf_count(graph: LinearGraph) -> int:
 
 # --- cactus predicates -------------------------------------------------------
 
-def _is_directed(edges, block: list[int]) -> bool:
-    """For a cycle block: every vertex has in- and out-degree one, that is,
-    no two edges leave the same vertex."""
-    return len({edges[eid][0] for eid in block}) == len(block)
-
-
-def _walk(edges, block: list[int]) -> list[int]:
-    """Edge ids of a directed cycle block in cyclic order, from the least."""
+def _walk(edges, block: list[int]):
+    """Edge ids of a cycle block in cyclic order, from the least, if it is
+    directed: every vertex has in- and out-degree one, that is, no two
+    edges leave the same vertex. None if it is not."""
     out_of = {edges[eid][0]: eid for eid in block}
+    if len(out_of) < len(block):
+        return None
     walk = [min(block)]
     first, cur = edges[walk[0]]
     while cur != first:
@@ -349,10 +352,13 @@ def _cactus_shape(forest: _Forest, rgs, edges):
     if not forest.cactus():
         return NOT_CACTUS
     qedges = [(rgs[s], rgs[t]) for s, t in edges]
-    blocks = forest.blocks()
-    if not all(_is_directed(qedges, block) for block in blocks):
-        return NOT_WELL_ORIENTED
-    return tuple(tuple(_walk(qedges, block)) for block in blocks)
+    cycles = []
+    for block in forest.blocks():
+        walk = _walk(qedges, block)
+        if walk is None:
+            return NOT_WELL_ORIENTED
+        cycles.append(tuple(walk))
+    return tuple(cycles)
 
 
 def _classify(shape, delta, eps) -> str:

@@ -21,14 +21,26 @@ from pathlib import Path
 import numpy as np
 
 THREAD_CAP = 64  # worker threads of one sweep; results do not depend on it
+# Measured crossovers, pinned serial against two chunks on 2 cores (README:
+# Command line for sweeps, Performance notes for stacks); neither is an
+# option.
+SPLIT_WORK = 2 ** 19  # B * N^3 per chunk of a stack; see `traces._chunks`
+SWEEP_SPLIT_WORK = 2 ** 18  # N^3 per sample of a sweep; see `sweep_threads`
 
 
 def usable_cores() -> int:
-    """The default worker count of an `mc` sweep: the cores this process may
-    run on, at most THREAD_CAP."""
+    """The cores this process may run on, at most THREAD_CAP."""
     if hasattr(os, "sched_getaffinity"):
         return min(len(os.sched_getaffinity(0)), THREAD_CAP)
     return min(os.cpu_count() or 1, THREAD_CAP)
+
+
+def sweep_threads(n: int) -> int:
+    """The default worker count of an `mc` sweep of N x N samples: the
+    usable cores once one sample's N^3 reaches SWEEP_SPLIT_WORK (N >= 64),
+    else 1. Below that, starting threads and handing the interpreter lock
+    between them cost more than the second core saves."""
+    return usable_cores() if n ** 3 >= SWEEP_SPLIT_WORK else 1
 
 
 @functools.cache

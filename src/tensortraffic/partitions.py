@@ -41,26 +41,12 @@ class SetPartition:
     def num_blocks(self) -> int:
         return max(self.rgs) + 1
 
-    def block_of(self, position: int) -> int:
-        """Block index of a 1-based position."""
-        if not 1 <= position <= self.n:
-            raise InvalidArgumentError(f"position {position} outside [1,{self.n}]")
-        return self.rgs[position - 1]
-
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Blocks as tuples of 1-based positions, in block-index order."""
         out: list[list[int]] = [[] for _ in range(self.num_blocks)]
         for pos, b in enumerate(self.rgs, start=1):
             out[b].append(pos)
         return tuple(tuple(blk) for blk in out)
-
-    @classmethod
-    def from_values(cls, values) -> "SetPartition":
-        """Partition whose blocks group equal entries of `values`."""
-        seq = list(values)
-        if not seq:
-            raise InvalidArgumentError("need at least one value")
-        return cls(_normalize([seq.index(v) for v in seq]))
 
     @classmethod
     def discrete(cls, n: int) -> "SetPartition":

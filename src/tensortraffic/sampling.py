@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .operands import TensorOperand, permutation_matrix
-from .parallel import BLAS_PIN, THREAD_CAP, run_chunks, usable_cores
+from .parallel import BLAS_PIN, THREAD_CAP, run_chunks, sweep_threads
 from .traces import apply_state  # re-exported: states live next to traces
 from .words import StarWord, is_trivial
 
@@ -156,11 +156,11 @@ def mc_run(state, word: StarWord, blocks, n: int, samples: int,
     """One sampling sweep of state(word(W)) reported both ways:
     (expectation, variance). The variance report carries the spread of the
     variance estimator itself as its standard error. threads=None means
-    usable_cores().
+    `parallel.sweep_threads(n)`.
     """
     k1, k2, k3 = blocks
     if threads is None:
-        threads = usable_cores()
+        threads = sweep_threads(n)
     if k1 < 1 or k2 < 0 or k3 < 0:
         raise InvalidArgumentError("need K1 >= 1 and K2, K3 >= 0")
     if is_trivial(word):

@@ -23,9 +23,8 @@ threads, or bound by the interpreter, serial; two samples or more per
 chunk keep every sample's bytes those of the whole stack.
 
 The module also evaluates states on the tensor power (`apply_state`),
-renormalizes traces (`tau_trace`, `zeta_trace`), builds the operand that
-attains the N^(L/2) growth rate (`ms_optimality_witness`), and decomposes
-a permutation-invariant state exactly into elementary forms, one probe
+renormalizes traces (`tau_trace`, `zeta_trace`), and decomposes a
+permutation-invariant state exactly into elementary forms, one probe
 per kernel class (`decompose_invariant_state`).
 """
 from __future__ import annotations
@@ -42,14 +41,13 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .graphs import LinearGraph, component_count, minimal_graph, quotient
-from .invariants import forest_of_tec, leaf_count
+from .invariants import leaf_count
 from .operands import StateSpec, TensorOperand, inverse_permutation
-from .parallel import run_chunks, usable_cores
+from .parallel import SPLIT_WORK, run_chunks, usable_cores
 from .partitions import (SetPartition, enumerate_partitions, find_root,
                          mobius_table, union_roots)
 
 INJECTIVE_VERTEX_CAP = 9  # Bell(9) = 21147 partitions of the vertex set
-SPLIT_WORK = 2 ** 19  # B * N^3 per chunk of a stack; see `_chunks`
 
 
 # --------------------------------------------------------------------------
@@ -604,68 +602,6 @@ def tau_trace(graph: LinearGraph, operand: TensorOperand,
     """Elementary form scaled by N^(-c), c the number of connected components."""
     value = graph_trace(graph, operand, letter_of_edge)
     return value * operand.n ** (-component_count(graph))
-
-
-# --------------------------------------------------------------------------
-# extremal factored operand for the leaf-count growth rate
-# --------------------------------------------------------------------------
-
-def ms_optimality_witness(pi: SetPartition, n: int) -> TensorOperand:
-    """Unit-norm factored operand whose injective trace over the quotient of
-    the minimal graph grows like N^(L/2).
-
-    Construction: bridges adjacent to exactly one leaf of the forest of
-    two-edge-connected components receive scaled column indicators pointing
-    at a shared index determined by their non-leaf endpoints; every other
-    edge receives a block matrix of rank-one all-ones blocks of size 2K.
-    Every entry is nonnegative, so no cancellation occurs in the trace.
-    """
-    if pi.n % 2 != 0:
-        raise InvalidArgumentError("the partition must live on [2K]")
-    k = pi.n // 2
-    if n < 2 * k:
-        raise InvalidArgumentError(f"need N >= 2K = {2 * k}, got {n}")
-    graph = _minimal_quotient(pi)
-    forest = forest_of_tec(graph)
-    deg = forest.degrees
-    comp_of = {}
-    for ci, comp in enumerate(forest.components):
-        for v in comp:
-            comp_of[v] = ci
-    one_leaf = []  # (edge id, non-leaf endpoint, True if the target is in the leaf)
-    for ci, cj, eid in forest.forest_edges:
-        if (deg[ci] == 1) + (deg[cj] == 1) != 1:
-            continue
-        leaf_comp = ci if deg[ci] == 1 else cj
-        s, t = graph.edges[eid]
-        if comp_of[t] == leaf_comp:
-            one_leaf.append((eid, s, True))
-        else:
-            one_leaf.append((eid, t, False))
-    column = {}
-    if one_leaf:
-        anchor = SetPartition.from_values([v for _, v, _ in one_leaf])
-        for pos, (eid, _, _) in enumerate(one_leaf, start=1):
-            column[eid] = anchor.block_of(pos)
-    block = 2 * k
-    m = n // block
-    jmat = np.zeros((n, n))
-    for b in range(m):
-        jmat[b * block:(b + 1) * block, b * block:(b + 1) * block] = 1.0 / block
-    scale = n ** -0.5
-    mats = []
-    leaf_side = {eid: tgt_in_leaf for eid, _, tgt_in_leaf in one_leaf}
-    for eid in range(k):
-        if eid in column:
-            arr = np.zeros((n, n))
-            if leaf_side[eid]:
-                arr[:, column[eid]] = scale  # entry A(row, anchor column)
-            else:
-                arr[column[eid], :] = scale
-            mats.append(arr)
-        else:
-            mats.append(jmat)
-    return TensorOperand.factored(mats)
 
 
 # --------------------------------------------------------------------------

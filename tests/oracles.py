@@ -5,9 +5,11 @@ Each shares no code with the routine it checks, and all but `_decompose`
 exponential, in the size of a graph or, for the dense conditional
 expectation onto the span of leg permutations, in the tensor power d.
 `dense_unital_coefficients` builds an input for them: a state on which no
-probe of the decomposition is zero. `eta` is no reference: it composes the
-package's own split and leaf count into the splitting exponent of a
-coloring, which the package computes only inside `predict`.
+probe of the decomposition is zero, and `ms_optimality_witness` the
+operand on which criterion 3 measures the N^(L/2) growth rate. `eta` is
+no reference: it composes the package's own split and leaf count into the
+splitting exponent of a coloring, which the package computes only inside
+`predict`.
 """
 import functools
 import itertools
@@ -28,7 +30,8 @@ from tensortraffic.invariants import (VALID, classify_labeling, forest_leaves,
                                       split_by_color, splitting_exponent)
 from tensortraffic.operands import (TensorOperand, check_permutation,
                                     compose, cycles_of, inverse_permutation)
-from tensortraffic.partitions import enumerate_partitions, leq, mobius
+from tensortraffic.partitions import (SetPartition, enumerate_partitions,
+                                      leq, mobius)
 from tensortraffic.traces import apply_state
 
 SIMPLE_CYCLE_EDGE_CAP = 16
@@ -216,6 +219,73 @@ def leq_scan_decomposition(psi, k: int, n: int) -> dict:
     probes = elementary_probes(psi, k, n)
     return {pi: sum(probes[sigma] * mobius(sigma, pi)
                     for sigma in probes if leq(sigma, pi)) for pi in probes}
+
+
+# --- the operand that attains the N^(L/2) growth rate (criterion 3) --------
+
+def kernel(values) -> SetPartition:
+    """The kernel of a multi-index: the partition of its positions that
+    groups equal entries, blocks numbered by first appearance."""
+    first: dict = {}
+    return SetPartition(tuple(first.setdefault(v, len(first)) for v in values))
+
+
+def ms_optimality_witness(pi: SetPartition, n: int) -> TensorOperand:
+    """Unit-norm factored operand whose injective trace over the quotient of
+    the minimal graph grows like N^(L/2).
+
+    Construction: bridges adjacent to exactly one leaf of the forest of
+    two-edge-connected components receive scaled column indicators pointing
+    at a shared index determined by their non-leaf endpoints; every other
+    edge receives a block matrix of rank-one all-ones blocks of size 2K.
+    Every entry is nonnegative, so no cancellation occurs in the trace.
+    """
+    if pi.n % 2 != 0:
+        raise InvalidArgumentError("the partition must live on [2K]")
+    k = pi.n // 2
+    if n < 2 * k:
+        raise InvalidArgumentError(f"need N >= 2K = {2 * k}, got {n}")
+    graph = quotient(minimal_graph(k), pi)
+    forest = forest_of_tec(graph)
+    deg = forest.degrees
+    comp_of = {}
+    for ci, comp in enumerate(forest.components):
+        for v in comp:
+            comp_of[v] = ci
+    one_leaf = []  # (edge id, non-leaf endpoint, True if the target is in the leaf)
+    for ci, cj, eid in forest.forest_edges:
+        if (deg[ci] == 1) + (deg[cj] == 1) != 1:
+            continue
+        leaf_comp = ci if deg[ci] == 1 else cj
+        s, t = graph.edges[eid]
+        if comp_of[t] == leaf_comp:
+            one_leaf.append((eid, s, True))
+        else:
+            one_leaf.append((eid, t, False))
+    column = {}
+    if one_leaf:
+        anchor = kernel([v for _, v, _ in one_leaf])
+        for (eid, _, _), b in zip(one_leaf, anchor.rgs):
+            column[eid] = b
+    block = 2 * k
+    m = n // block
+    jmat = np.zeros((n, n))
+    for b in range(m):
+        jmat[b * block:(b + 1) * block, b * block:(b + 1) * block] = 1.0 / block
+    scale = n ** -0.5
+    mats = []
+    leaf_side = {eid: tgt_in_leaf for eid, _, tgt_in_leaf in one_leaf}
+    for eid in range(k):
+        if eid in column:
+            arr = np.zeros((n, n))
+            if leaf_side[eid]:
+                arr[:, column[eid]] = scale  # entry A(row, anchor column)
+            else:
+                arr[column[eid], :] = scale
+            mats.append(arr)
+        else:
+            mats.append(jmat)
+    return TensorOperand.factored(mats)
 
 
 # --- the quotient ledger of `predict`, one quotient graph at a time ----------

@@ -22,8 +22,7 @@ from tensortraffic.operands import StateSpec, TensorOperand
 from tensortraffic.partitions import (SetPartition, enumerate_partitions,
                                       interval, leq, mobius)
 from tensortraffic.traces import (apply_state, graph_trace_stack,
-                                  injective_graph_trace, injective_trace_stack,
-                                  ms_optimality_witness)
+                                  injective_graph_trace, injective_trace_stack)
 from tensortraffic.words import StarWord, all_words, is_trivial
 from tensortraffic.haar import (haar_limit_injective, predict_freeness_limit,
                                 splitting_identity_check)
@@ -35,6 +34,8 @@ from tensortraffic.characters import (PermutationWord, Signature,
                                       left_regular_check,
                                       normalized_character)
 from tensortraffic.weingarten import exact_expectation
+
+from oracles import ms_optimality_witness
 
 LOOP1 = LinearGraph(1, [(0, 0)])
 LOOP2 = LinearGraph(1, [(0, 0), (0, 0)])

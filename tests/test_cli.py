@@ -243,9 +243,13 @@ PREDICT_STDOUT_SHA256 = [
     (["--word", "1,2*", "--blocks", "1,0,0", "--variance"],
      {"vertices": 2, "edges": [[0, 1]]},
      "dfdd0bd2c7625e7c7ea55f35baf5b377eab9c6acef662b4bfde60d29a6a382b1"),
-    # the first B(9) ledger of the benchmark's `lattice` workload
+    # the three B(9) ledgers of the benchmark's `lattice` workload
     (["--word", "1,2,1*,2*,1", "--blocks", "1,1,0"], None,
      "cd29af5b02a1d9f4399887750379ec104bdcfe99a83886848598a8b9e0a1bec7"),
+    (["--word", "2,1,2*,1*,2", "--blocks", "1,1,0"], None,
+     "120b4068523f5ec0e556759f7c0cfe05e07f4496c71b239674afc83947249b28"),
+    (["--word", "1,2*,1*,2,1", "--blocks", "1,1,0"], None,
+     "07763135226dcf932bda19762aa6d75a3e3bef4d2dc04542a3c0e0cdae176053"),
 ]
 
 

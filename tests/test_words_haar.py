@@ -330,7 +330,9 @@ def test_predict_dedup_merges_quotients_of_isolated_vertices():
 # blocks 1,1,0), after a warm-up call. Scoring by Tarjan's search over a
 # list of every restricted-growth string peaked at 8.37 MB; the streaming
 # walk, whose ledger is keyed by the partition strings its entries keep,
-# peaks at 5.53 MB. Holding the 21,147 strings again (2.7 MB) fails this.
+# peaked at 5.53 MB, where holding the 21,147 strings again (2.7 MB)
+# failed this; with rows that share one record per distinct row body it
+# peaks at 3.3-3.4 MB.
 PREDICT_B9_PEAK_BYTES = 6_500_000
 
 
