@@ -75,8 +75,10 @@ def _certificate_text(cert) -> str:
     objects; the header goes through the encoder, each row through
     `_LEDGER_ROW`, which is several times faster on a B(9) ledger. The
     text a row shares with its row class is rendered once per class, with
-    the multiplicity and the partition left as slots. A ledger is never
-    empty: B(V) >= 1."""
+    the multiplicity and the partition left as slots. The header's text
+    before and after its empty quotient list joins the first and the last
+    row, so the ledger text is made by one join. A ledger is never empty:
+    B(V) >= 1."""
     quote = json.encoder.encode_basestring_ascii
     header = _json_text({
         "word": cert.word, "blocks": list(cert.blocks),
@@ -94,8 +96,10 @@ def _certificate_text(cert) -> str:
         head, mid, tail = parts
         rows.append(head + str(multiplicity) + mid + quote(partition) + tail)
     # only integers and a bool sort before "quotients": the first match is it
-    return header.replace('"quotients": []',
-                          '"quotients": [\n%s\n  ]' % ",\n".join(rows), 1)
+    before, after = header.split('"quotients": []', 1)
+    rows[0] = before + '"quotients": [\n' + rows[0]
+    rows[-1] += "\n  ]" + after
+    return ",\n".join(rows)
 
 
 def _csv_text(columns, rows) -> str:
@@ -289,8 +293,7 @@ def _cmd_decompose(args) -> int:
     payload = {
         "K": args.k, "N": args.n,
         "coefficients": {pi.to_string(): [c.real, c.imag]
-                         for pi, c in sorted(coeffs.items(),
-                                             key=lambda kv: kv[0].rgs)},
+                         for pi, c in coeffs.items()},
         "reconstruction_residual": worst,
     }
     _emit(args, _json_text(payload))

@@ -22,10 +22,12 @@ The bound keeps stacks whose chunks would be too small to pay for the
 threads, or bound by the interpreter, serial; two samples or more per
 chunk keep every sample's bytes those of the whole stack.
 
-The module also evaluates states on the tensor power (`apply_state`),
+The module also evaluates states on the tensor power (`apply_state`,
+through one state kernel that takes a matrix or a stack per leg),
 renormalizes traces (`tau_trace`, `zeta_trace`), and decomposes a
 permutation-invariant state exactly into elementary forms, one probe
-per kernel class (`decompose_invariant_state`).
+per kernel class, the probes evaluated as chunked stacks
+(`decompose_invariant_state`).
 """
 from __future__ import annotations
 
@@ -622,8 +624,40 @@ def state_unitality_defect(spec: StateSpec) -> float:
     return abs(total - 1.0)
 
 
+def _state_kernel(spec: StateSpec, weight, factors):
+    """weight * psi(f_1 x ... x f_K) for one product term, each factor f_l
+    one N x N matrix or a (B, N, N) stack of them, reduced over its last two
+    axes: matrices give one scalar by the operations of a single matrix,
+    stacks one value per sample. An elementary combination needs stacks:
+    one contraction per nonzero coefficient serves every sample."""
+    n = spec.n
+    if spec.kind == "tracial":
+        prod = weight
+        for f in factors:
+            prod = prod * (np.trace(f, 0, -2, -1) / n)
+        return prod
+    if spec.kind == "max_entangled_vector":
+        prod = weight
+        for m in range(0, spec.k, 2):
+            prod = prod * (np.sum(factors[m] * factors[m + 1], (-2, -1)) / n)
+        return prod
+    if spec.kind == "diagonal_uniform":
+        diag = np.ones(np.shape(factors[0])[:-1], dtype=np.complex128)
+        for f in factors:
+            diag = diag * np.diagonal(f, 0, -2, -1)
+        return weight * diag.sum(-1) / n
+    total = 0  # a zero coefficient is skipped as in reconstruction_value
+    for pi, a in spec.coeffs.items():
+        if a != 0:
+            total = total + a * (weight * graph_trace_stack(
+                _minimal_quotient(pi), factors, n))
+    return total
+
+
 def apply_state(spec: StateSpec, operand: TensorOperand) -> complex:
-    """Evaluate a state on an operand."""
+    """Evaluate a state on an operand: the state kernel once per term, or,
+    for an elementary combination, `reconstruction_value`, which adds the
+    terms inside each coefficient's trace."""
     n, k = spec.n, spec.k
     if operand.legs != k or operand.n != n:
         raise InvalidArgumentError(
@@ -633,56 +667,66 @@ def apply_state(spec: StateSpec, operand: TensorOperand) -> complex:
         return reconstruction_value(spec.coeffs, operand)
     total = 0.0 + 0.0j
     for weight, factors in operand.terms:
-        if spec.kind == "tracial":
-            prod = weight
-            for f in factors:
-                prod *= np.trace(f) / n
-            total += prod
-        elif spec.kind == "max_entangled_vector":
-            prod = weight
-            for m in range(0, k, 2):
-                prod *= np.sum(factors[m] * factors[m + 1]) / n
-            total += prod
-        else:  # diagonal_uniform
-            diag = np.ones(n, dtype=np.complex128)
-            for f in factors:
-                diag = diag * np.diagonal(f)
-            total += weight * diag.sum() / n
+        total += _state_kernel(spec, weight, factors)
     return complex(total)
+
+
+# Bytes of the K float (B, N, N) probe stacks of one chunk. Peak memory
+# does not grow with B(2K) N^2, and a chunk fits in the room the result
+# dict takes at the end, so the stacks never raise decomposing's traced
+# peak (about 0.96 MB at K = 4), which the partitions and the two
+# coefficient dicts set.
+_PROBE_CHUNK_BYTES = 1 << 17
 
 
 def decompose_invariant_state(psi: StateSpec) -> dict:
     """Coefficients of a permutation-invariant state over the elementary
-    forms indexed by partitions of [2K].
+    forms indexed by partitions of [2K], keyed in lexicographic
+    restricted-growth order.
 
     The state is probed on one elementary matrix tensor per kernel class
-    sigma, and Möbius inversion c_pi = sum over sigma <= pi of
-    mu(sigma, pi) v_sigma turns the probes into coefficients. Each nonzero
-    probe is pushed up its own up-set (`mobius_table`); a zero probe adds
-    only signed zeros, which change no sum, so it is skipped. Probes come
-    in ascending order, so every c_pi adds its terms in the order of a scan
-    over P(2K). Requires N >= 2K so that every kernel class has a
-    representative multi-index. Every StateSpec is invariant by
-    construction, so no invariance check is made.
+    sigma, leg l the unit matrix E_{sigma(l), sigma(K + l)}, and Möbius
+    inversion c_pi = sum over sigma <= pi of mu(sigma, pi) v_sigma turns
+    the probes into coefficients. The probes run in contiguous chunks of
+    ascending sigma, at least one each and at most _PROBE_CHUNK_BYTES of
+    stacks, each chunk through one call of the state kernel
+    (`_probe_values`). Every probe value is exact (0/1 traces and integer
+    counts), so it equals `apply_state` on that probe to the bit. Each
+    nonzero probe, NaN included, is pushed up its own up-set
+    (`mobius_table`); a zero probe adds only signed zeros, which change no
+    sum, so it is skipped. Probes are pushed in ascending order, so every
+    c_pi adds its terms in the order of a scan over P(2K). Requires
+    N >= 2K so that every kernel class has a representative multi-index.
+    Every StateSpec is invariant by construction, so no invariance check
+    is made.
     """
     k, n = psi.k, psi.n
     if n < 2 * k:
         raise InvalidArgumentError(f"need N >= 2K = {2 * k} (got N = {n})")
     parts = enumerate_partitions(2 * k)
     coeffs = {pi.rgs: 0j for pi in parts}
-    for sigma in parts:
-        factors = []
-        for leg in range(k):  # one index per block of sigma
-            arr = np.zeros((n, n))
-            arr[sigma.rgs[leg], sigma.rgs[k + leg]] = 1.0
-            factors.append(arr)
-        value = apply_state(psi, TensorOperand.factored(factors))
-        if value == 0:
-            continue
-        compose = itemgetter(*sigma.rgs)  # rho -> the pi >= sigma it labels
-        for rho, mu in mobius_table(sigma.num_blocks):
-            coeffs[compose(rho)] += value * mu
+    step = max(1, _PROBE_CHUNK_BYTES // (k * n * n * 8))
+    for start in range(0, len(parts), step):
+        run = parts[start:start + step]
+        values = _probe_values(psi, [sigma.rgs for sigma in run])
+        for pos in np.flatnonzero(values != 0).tolist():
+            sigma, value = run[pos], complex(values[pos])
+            compose = itemgetter(*sigma.rgs)  # rho -> the pi >= sigma it labels
+            for rho, mu in mobius_table(sigma.num_blocks):
+                coeffs[compose(rho)] += value * mu
     return {pi: coeffs[pi.rgs] for pi in parts}
+
+
+def _probe_values(psi: StateSpec, strings) -> np.ndarray:
+    """psi on the elementary tensor of each restricted-growth string sigma
+    of [2K], in one call of the state kernel: leg l is the float stack of
+    unit matrices E_{sigma(l), sigma(K + l)}, the outer products of two
+    rows of the identity that the string's columns l and K + l pick."""
+    k, eye = psi.k, np.eye(psi.n)
+    cols = np.array(strings).T
+    return _state_kernel(psi, 1 + 0j, [
+        eye[cols[leg], :, None] * eye[cols[k + leg], None, :]
+        for leg in range(k)])
 
 
 def reconstruction_value(coeffs: dict, operand: TensorOperand) -> complex:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import sys
 import threading
@@ -849,6 +850,83 @@ def test_decompose_equals_leq_scan_reference(kind, k):
         # zero: every sum adds the same nonzero terms in the same order
         assert _reprs(decompose_invariant_state(psi)) == \
             _reprs(leq_scan_decomposition(psi, k, n))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_decompose_keys_ascend_in_restricted_growth_order(k):
+    keys = [pi.rgs for pi in decompose_invariant_state(
+        StateSpec("tracial", k=k, n=2 * k))]
+    assert keys == sorted(keys) and len(keys) == len(set(keys))
+
+
+def kernel_states(k, n):
+    """One state of each kind on K legs at dimension N."""
+    return [StateSpec(kind, k=k, n=n) for kind in (
+        "tracial", "max_entangled_vector", "diagonal_uniform")] + [
+        StateSpec("elementary_combination", k=k, n=n,
+                  coeffs=dense_unital_coefficients(k, n, seed=n))]
+
+
+@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("samples", [1, 2, 7])
+def test_state_kernel_on_probe_stacks_equals_apply_state(samples, n):
+    # probe values are exact, so a stack of them has the bytes of the scalar
+    # path sample by sample, signed zeros included
+    k = 2
+    rng = np.random.default_rng(100 * n + samples)
+    parts = enumerate_partitions(2 * k)
+    for psi in kernel_states(k, n):
+        probes = elementary_probes(psi, k, n)
+        chosen = [parts[i] for i in rng.integers(len(parts), size=samples)]
+        values = traces._probe_values(psi, [pi.rgs for pi in chosen])
+        assert values.shape == (samples,)
+        for pi, value in zip(chosen, values):
+            got, want = complex(value), probes[pi]
+            assert (repr(got.real), repr(got.imag)) == \
+                (repr(want.real), repr(want.imag)), (psi.kind, pi.rgs)
+
+
+@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("samples", [1, 2, 7])
+def test_state_kernel_on_random_stacks_matches_apply_state(samples, n):
+    # array complex products may round differently from scalar ones, so
+    # random operands agree to a relative tolerance, not to the bit
+    k, weight = 2, complex(0.75, -0.5)
+    rng = np.random.default_rng(100 * n + samples)
+    for psi in kernel_states(k, n):
+        legs = [rng.standard_normal((samples, n, n))
+                + 1j * rng.standard_normal((samples, n, n))
+                for _ in range(k)]
+        values = traces._state_kernel(psi, weight, legs)
+        assert values.shape == (samples,)
+        for s, value in enumerate(values):
+            want = apply_state(psi, TensorOperand.factored(
+                [leg[s] for leg in legs], weight))
+            assert abs(value - want) <= 1e-12 * abs(want), psi.kind
+
+
+# Traced peak bytes of decompose_invariant_state(tracial, K = 4, N = 8)
+# when every probe built its own TensorOperand and called apply_state:
+# 1,427,829 under pytest, measured as below (a warm-up call, then a full
+# collection, which also empties the free lists, so that every allocation
+# is traced); 1,456,459 at N = 32. The partitions of [8] and the two
+# coefficient dicts set it. At N = 32 one unchunked float leg stack of the
+# B(8) = 4,140 probes would be 34 MB; chunked, both peak at about 1.28 MB.
+PER_PROBE_DECOMPOSE_K4_PEAK_BYTES = 1_427_829
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_decompose_probe_chunks_bound_the_peak(n):
+    psi = StateSpec("tracial", k=4, n=n)
+    decompose_invariant_state(psi)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        decompose_invariant_state(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PER_PROBE_DECOMPOSE_K4_PEAK_BYTES, peak
 
 
 def test_decompose_requires_enough_dimension():
